@@ -96,11 +96,16 @@ def ips_instance_weights(train: InteractionLog, table: PopularityTable, cap: flo
     return raw / raw.mean()
 
 
-def pda_train_score(m: np.ndarray, pop_hat: np.ndarray, gamma: float) -> np.ndarray:
-    """(period-normalized popularity)^gamma * elu1(matching score)."""
+def pda_coefficient(pop, gamma: float) -> np.ndarray:
+    """(period-normalized popularity)^gamma, the PD/PDA popularity factor."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
-    return np.asarray(pop_hat, dtype=np.float64) ** gamma * elu_plus_one(m)
+    return np.asarray(pop, dtype=np.float64) ** gamma
+
+
+def pda_train_score(m: np.ndarray, pop_hat: np.ndarray, gamma: float) -> np.ndarray:
+    """(period-normalized popularity)^gamma * elu1(matching score)."""
+    return pda_coefficient(pop_hat, gamma) * elu_plus_one(m)
 
 
 def pd_infer(m: np.ndarray) -> np.ndarray:
@@ -108,6 +113,10 @@ def pd_infer(m: np.ndarray) -> np.ndarray:
     return elu_plus_one(m)
 
 
-def pda_infer(m: np.ndarray, pop_tilde: np.ndarray, gamma: float) -> np.ndarray:
-    """Serving score re-injecting predicted (persisted) popularity."""
-    return pda_train_score(m, pop_tilde, gamma)
+def pda_infer(m: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Serving score re-injecting predicted (persisted) popularity.
+
+    ``coef`` is ``pda_coefficient(pop_tilde, gamma)``, computed once per
+    scorer and broadcast over a block of users' matching scores.
+    """
+    return coef * elu_plus_one(m)

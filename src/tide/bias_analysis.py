@@ -205,14 +205,18 @@ def per_item_rating_instant_pop_corr(
     if t_o <= 0:
         raise ValueError("t_o must be positive")
     offsets, all_times = _item_time_csr(log)
-    rated = ~np.isnan(log.ratings)
+    rated = np.flatnonzero(~np.isnan(log.ratings))
+    # rated rows grouped by item once; stable, so each item's rows keep log order
+    by_item = rated[np.argsort(log.items[rated], kind="stable")]
+    grouped = log.items[by_item]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+    ends = np.append(starts[1:], grouped.size)
     t0 = log.t_min if len(log) else 0
 
     items_out, n_out, r_out, p_out = [], [], [], []
-    for item in np.unique(log.items[rated]):
-        sel = rated & (log.items == item)
-        ts = log.times[sel]
-        ys = log.ratings[sel]
+    for item, s, e in zip(grouped[starts], starts, ends):
+        ts = log.times[by_item[s:e]]
+        ys = log.ratings[by_item[s:e]]
         seg = all_times[offsets[item]:offsets[item + 1]]
         lo = np.searchsorted(seg, ts - t_o, side="left")
         hi = np.searchsorted(seg, ts, side="left")

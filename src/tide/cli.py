@@ -266,14 +266,13 @@ def cmd_evaluate(args) -> int:
     index_cache: dict = {}
     for mode_text in modes:
         scorer = _scorer_for_mode(model, method, mode_text, split, gamma, anchor, index_cache)
+        # one pass per mode: both tasks rank from the same score rows
         click = evaluation.click_prediction_eval(
-            scorer, split.train, eval_log, k=config["k_click"], collect_per_user=config["per_user"]
-        )
-        pref = evaluation.preference_prediction_eval(
-            scorer, eval_log, k=config["k_pref"], collect_per_user=config["per_user"]
+            scorer, split.train, eval_log, k=config["k_click"],
+            collect_per_user=config["per_user"], pref_k=config["k_pref"],
         )
         reports.append(evaluation.combine_report(
-            method, mode_text, click, pref, k_click=config["k_click"], k_pref=config["k_pref"]
+            method, mode_text, click, click["pref"], k_click=config["k_click"], k_pref=config["k_pref"]
         ))
 
     payload = {
@@ -443,10 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=True):
         p.add_argument("--config", type=Path, help="JSON config file; explicit flags override it")
         p.add_argument("--outdir", type=Path, default=Path("runs"), help="artifact root directory")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:  # evaluate and analyze draw no random numbers, so they take no seed
+            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic log with planted parameters")
     common(p)
@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="run both ranking tasks on a checkpoint")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--data", type=Path, default=None, help="prepared split directory")
     p.add_argument("--checkpoint", type=Path, default=None, help="checkpoint.npz or its run directory")
     p.add_argument("--method", choices=trainer.METHODS, default=None)
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="popularity/rating diagnostics over a log")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--data", type=Path, default=None, help="raw file, split dir, or synth run dir")
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--t-o", dest="t_o", type=int, default=None, help="instant-popularity window seconds")

@@ -154,6 +154,19 @@ def user_item_sets(log: InteractionLog) -> dict[int, set[int]]:
     return out
 
 
+def pair_keys(log: InteractionLog) -> np.ndarray:
+    """Sorted distinct ``user * n_items + item`` keys of the log's (user, item) pairs."""
+    return np.unique(log.users * np.int64(log.n_items) + log.items)
+
+
+def in_sorted(sorted_keys: np.ndarray, keys) -> np.ndarray:
+    """Elementwise membership of ``keys`` in an ascending key array, by binary search."""
+    if sorted_keys.size == 0:
+        return np.zeros(np.shape(keys), dtype=bool)
+    idx = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[idx] == keys
+
+
 def _read_rows(path, fmt: ColumnFormat):
     """Parse raw token rows; user/item kept as strings for later compaction."""
     path = Path(path)

@@ -249,18 +249,19 @@ class TideModel:
 
     def score_all_items(
         self,
-        user: int,
+        users,
         t: int | None = None,
         index: ConformityIndex | None = None,
         mode: InferenceMode = FULL,
         raw_conformity: np.ndarray | None = None,
     ) -> np.ndarray:
-        """One user's scores over every item at one time.
+        """Scores over every item at one time: a row per user, (len(users), n_items).
 
-        ``raw_conformity`` may carry a precomputed ``index.query_at(t)`` so the
-        per-item sums are shared across users during ranking.
+        A scalar user gives one 1-D row. ``raw_conformity`` may carry a
+        precomputed ``index.query_at(t)`` so the per-item sums are shared
+        across blocks during ranking.
         """
-        m = self.item_emb @ self.user_emb[user]
+        m = self.user_emb[users] @ self.item_emb.T
         if mode.kind == "matching-only":
             return m
         if mode.kind in ("intervened", "no-conformity"):
@@ -276,7 +277,9 @@ class TideModel:
             a = self.quality + c if mode.kind == "full" else c
         else:
             raise ValueError(f"unknown inference mode {mode.kind!r}")
-        return bounded_tanh(a) * softplus(m)
+        out = softplus(m)
+        out *= bounded_tanh(a)
+        return out
 
     def copy(self) -> "TideModel":
         return replace(

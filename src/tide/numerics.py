@@ -13,8 +13,20 @@ _TANH_LO = np.nextafter(-1.0, 0.0)
 
 
 def softplus(x):
-    """log(1 + exp(x)), stable in both tails."""
-    return np.logaddexp(0.0, x)
+    """log(1 + exp(x)), stable in both tails: max(x, 0) + log1p(exp(-|x|)).
+
+    Every step writes into one output array, so a score block costs one
+    float64 temporary (plus a boolean mask) rather than one per step. Scalars
+    and 0-d arrays come back as numpy scalars, like a ufunc's result.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.add(out, x, out=out, where=x > 0.0)
+    return out[()]
 
 
 def inv_softplus(y):

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import PopularityTable, ips_instance_weights, pd_infer, pda_infer
-from .dataset import ChronoSplit, InteractionLog, part_assignments
+from .baselines import PopularityTable, ips_instance_weights, pd_infer, pda_coefficient, pda_infer
+from .dataset import ChronoSplit, in_sorted, pair_keys, part_assignments
 from .evaluation import click_prediction_eval
 from .model import (
     FULL,
@@ -253,19 +253,13 @@ def sample_negative(user: int, positives, n_items: int, rng: np.random.Generator
             return candidate
 
 
-def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(sorted_keys, keys)
-    idx_c = np.minimum(idx, sorted_keys.size - 1)
-    return (idx < sorted_keys.size) & (sorted_keys[idx_c] == keys)
-
-
 def sample_negatives(users: np.ndarray, pos_keys: np.ndarray, n_items: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized rejection sampling; matches sample_negative's distribution."""
     neg = rng.integers(0, n_items, users.size)
-    bad = np.flatnonzero(_in_sorted(pos_keys, users * n_items + neg))
+    bad = np.flatnonzero(in_sorted(pos_keys, users * n_items + neg))
     while bad.size:
         neg[bad] = rng.integers(0, n_items, bad.size)
-        still = _in_sorted(pos_keys, users[bad] * n_items + neg[bad])
+        still = in_sorted(pos_keys, users[bad] * n_items + neg[bad])
         bad = bad[still]
     return neg
 
@@ -279,22 +273,26 @@ def make_scorer(
     table: PopularityTable | None = None,
     gamma: float = 0.0,
 ):
-    """Build score_all(user) -> per-item scores for evaluation/ranking."""
+    """Build score_block(users) -> (len(users), n_items) scores for ranking.
+
+    Everything that does not depend on the user (conformity sums, the pda
+    popularity coefficient) is computed once here and shared by every block.
+    """
     if method in ("mf", "mf-ips"):
-        return lambda user: model.item_emb @ model.user_emb[user]
+        return lambda users: model.user_emb[users] @ model.item_emb.T
     if method == "pd":
-        return lambda user: pd_infer(model.item_emb @ model.user_emb[user])
+        return lambda users: pd_infer(model.user_emb[users] @ model.item_emb.T)
     if method == "pda":
         if table is None:
             raise ValueError("pda scoring needs a popularity table")
-        pop_tilde = table.last_train_normalized()
-        return lambda user: pda_infer(model.item_emb @ model.user_emb[user], pop_tilde, gamma)
+        coef = pda_coefficient(table.last_train_normalized(), gamma)
+        return lambda users: pda_infer(model.user_emb[users] @ model.item_emb.T, coef)
     raw = None
     if mode.needs_history():
         if index is None or t_eval is None:
             raise ValueError(f"mode {mode.kind!r} requires interaction history (t and index)")
         raw = index.query_at(t_eval)
-    return lambda user: model.score_all_items(user, t=t_eval, index=index, mode=mode, raw_conformity=raw)
+    return lambda users: model.score_all_items(users, t=t_eval, index=index, mode=mode, raw_conformity=raw)
 
 
 def selection_mode(cfg: TrainConfig) -> InferenceMode:
@@ -354,11 +352,10 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     if cfg.method == "mf-ips":
         weights = ips_instance_weights(train, table, cfg.ips_cap)
 
-    per_user_unique = {u: len(s) for u, s in _positive_sets(train).items()}
-    full_users = [u for u, c in per_user_unique.items() if c >= train.n_items]
-    if full_users:
+    pos_keys = pair_keys(train)
+    full_users = np.flatnonzero(np.bincount(pos_keys // train.n_items) >= train.n_items)
+    if full_users.size:
         raise ValueError(f"user {full_users[0]} interacted with every item; no negative exists")
-    pos_keys = np.unique(train.users * np.int64(train.n_items) + train.items)
 
     t_eval = train.t_max
     has_val = len(split.validation) > 0
@@ -421,13 +418,6 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
                     break
     result.model = best if result.best_epoch is not None else model
     return result
-
-
-def _positive_sets(log: InteractionLog) -> dict[int, set]:
-    out: dict[int, set] = {}
-    for u, i in zip(log.users.tolist(), log.items.tolist()):
-        out.setdefault(u, set()).add(i)
-    return out
 
 
 def write_history(history: list, path) -> None:

@@ -11,6 +11,7 @@ from tide.baselines import (
     ips_weights_raw,
     mf_predict,
     pd_infer,
+    pda_coefficient,
     pda_infer,
     pda_train_score,
 )
@@ -139,7 +140,7 @@ def test_pda_scores_match_hand_formula():
     for gamma in PDA_GAMMA_GRID:
         got = pda_train_score(m, pop, gamma)
         assert np.allclose(got, pop**gamma * elu_plus_one(m), rtol=1e-15)
-    assert np.allclose(pda_infer(m, pop, 0.2), pop**0.2 * elu_plus_one(m), rtol=1e-15)
+    assert np.allclose(pda_infer(m, pda_coefficient(pop, 0.2)), pop**0.2 * elu_plus_one(m), rtol=1e-15)
     with pytest.raises(ValueError):
         pda_train_score(m, pop, 1.5)
 
@@ -157,4 +158,4 @@ def test_gamma_zero_reduces_pda_to_pd():
     rng = np.random.default_rng(7)
     m = rng.normal(size=30)
     pop = rng.uniform(0.001, 1.0, 30)
-    assert np.allclose(pda_infer(m, pop, 0.0), pd_infer(m), rtol=1e-15)
+    assert np.allclose(pda_infer(m, pda_coefficient(pop, 0.0)), pd_infer(m), rtol=1e-15)

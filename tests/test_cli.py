@@ -228,6 +228,38 @@ def test_evaluate_rerun_is_byte_identical(pipeline, tmp_path):
         assert (first / fname).read_bytes() == (second / fname).read_bytes()
 
 
+def test_evaluate_per_user_rows_average_to_the_aggregates(pipeline, tmp_path):
+    args = [
+        "evaluate", "--data", pipeline["prep"], "--checkpoint", pipeline["train"],
+        "--modes", "full,int", "--k", 5, "--k-pref", 2,
+    ]
+    assert run_cli(args + ["--outdir", tmp_path / "plain"]) == 0
+    plain = json.loads((only_entry(tmp_path / "plain") / "eval.json").read_text())
+    assert all("per_user" not in r for r in plain["reports"])
+
+    assert run_cli(args + ["--per-user", "--outdir", tmp_path / "rows"]) == 0
+    payload = json.loads((only_entry(tmp_path / "rows") / "eval.json").read_text())
+    for report in payload["reports"]:
+        rows = report["per_user"]
+        assert set(rows) == {"click", "pref"}
+        assert len(rows["click"]) == report["n_users_click"] > 0
+        assert len(rows["pref"]) == report["n_users_pref"] > 0
+        for task, fields in (("click", ("cp_rec", "cp_pre", "cp_ndcg")), ("pref", ("pp_rec", "pp_pre"))):
+            for field, metric in zip(fields, ("recall", "precision", "ndcg")):
+                values = [row[metric] for row in rows[task].values()]
+                assert sum(values) / len(values) == pytest.approx(report[field], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "analyze"])
+def test_seed_is_rejected_where_nothing_is_random(pipeline, tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--data", pipeline["prep"], "--checkpoint", pipeline["train"],
+                 "--seed", 3, "--outdir", tmp_path])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 def test_non_tide_checkpoint_rejects_tide_modes(pipeline, tmp_path, capsys):
     rc = run_cli([
         "train", "--data", pipeline["prep"], "--method", "mf", "--embed-dim", 8,

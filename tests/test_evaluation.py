@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from tide import evaluation
 from tide.dataset import InteractionLog
 from tide.evaluation import (
     EvalReport,
@@ -14,9 +18,9 @@ from tide.evaluation import (
     ndcg_at_k,
     precision_at_k,
     preference_prediction_eval,
-    rank_among,
     rank_topk,
     recall_at_k,
+    topk_rows,
 )
 
 
@@ -63,9 +67,9 @@ def test_rank_topk_shorter_than_k():
     assert top.items.tolist() == [1, 0]
 
 
-def test_rank_among_explicit_candidates():
+def test_rank_topk_over_explicit_candidates():
     scores = np.array([9.0, 1.0, 5.0, 5.0, 7.0])
-    top = rank_among(scores, user=0, k=3, candidates=np.array([1, 2, 3, 4]))
+    top = rank_topk(scores, user=0, k=3, exclusions=[0])
     assert top.items.tolist() == [4, 2, 3]
 
 
@@ -107,7 +111,8 @@ def test_empty_relevant_set_rejected():
 
 
 def fixed_scorer(table):
-    return lambda user: np.asarray(table[user], dtype=np.float64)
+    """Block scorer over a {user: score row} table."""
+    return lambda users: np.array([table[u] for u in users], dtype=np.float64)
 
 
 def test_click_eval_excludes_training_items_and_macro_averages():
@@ -218,3 +223,166 @@ def test_combine_report_click_only():
     click = {"recall": 0.5, "precision": 0.25, "ndcg": 0.4, "n_users": 7, "n_skipped": 0}
     rep = combine_report("mf", "native", click, None)
     assert rep.pp_rec is None and rep.pp_pre is None
+
+
+def test_click_and_preference_share_one_pass():
+    train = InteractionLog.build([0, 1], [0, 1], [0, 1], None, 2, 4)
+    test = rated_log([(0, 1, 10, 5.0), (0, 2, 11, 1.0), (1, 0, 12, 5.0), (1, 3, 13, 2.0)], 2, 4)
+    scores = {0: [9.0, 3.0, 2.0, 1.0], 1: [1.0, 3.0, 2.0, 9.0]}
+    calls = []
+
+    def scorer(users):
+        calls.append(list(users))
+        return fixed_scorer(scores)(users)
+
+    out = click_prediction_eval(scorer, train, test, k=2, pref_k=1, collect_per_user=True)
+    assert calls == [[0, 1]]
+    assert out["pref"] == preference_prediction_eval(fixed_scorer(scores), test, k=1, collect_per_user=True)
+    assert out["pref"]["per_user"][0]["precision"] == 1.0  # item 1 outscores item 2
+    assert out["pref"]["per_user"][1]["precision"] == 0.0  # item 3 outscores item 0
+
+
+def test_combine_report_keeps_per_user_rows_of_both_tasks():
+    click = {"recall": 1.0, "precision": 0.5, "ndcg": 1.0, "n_users": 1, "n_skipped": 0,
+             "per_user": {3: {"recall": 1.0, "precision": 0.5, "ndcg": 1.0, "n_relevant": 1}}}
+    pref = {"recall": 0.0, "precision": 0.0, "n_users": 1, "n_skipped": 0,
+            "per_user": {3: {"recall": 0.0, "precision": 0.0, "n_rated": 2, "n_positive": 1}}}
+    d = combine_report("tide", "int", click, pref).to_dict()
+    assert d["per_user"] == {"click": click["per_user"], "pref": pref["per_user"]}
+
+
+# ------------------------------------------- blocked ranker vs brute-force oracles
+
+SCORE_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)  # coarse, so ties straddle the k-th slot
+
+
+def oracle_key(scores, i):
+    """(-score, id) with nan last, as a full lexsort orders them."""
+    s = scores[i]
+    return (math.isnan(s), 0.0 if math.isnan(s) else -s, i)
+
+
+def oracle_topk(scores, k, excluded):
+    allowed = [i for i in range(len(scores)) if i not in excluded]
+    return sorted(allowed, key=lambda i: oracle_key(scores, i))[:k]
+
+
+@st.composite
+def score_blocks(draw, values=SCORE_GRID):
+    n_rows = draw(st.integers(1, 6))
+    n_items = draw(st.integers(1, 9))
+    scores = draw(hnp.arrays(np.float64, (n_rows, n_items), elements=st.sampled_from(values)))
+    excluded = draw(hnp.arrays(np.bool_, (n_rows, n_items)))
+    k = draw(st.integers(1, n_items + 3))  # k may exceed the catalog
+    return scores, excluded, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_blocks(values=SCORE_GRID + (np.inf, -np.inf, np.nan)))
+def test_topk_rows_matches_brute_force(case):
+    scores, excluded, k = case
+    top = topk_rows(scores, k, excluded)
+    assert top.shape == (scores.shape[0], min(k, scores.shape[1]))
+    for r in range(scores.shape[0]):
+        want = oracle_topk(scores[r], k, set(np.flatnonzero(excluded[r]).tolist()))
+        got = top[r].tolist()
+        assert got == want + [-1] * (len(got) - len(want))
+
+
+def oracle_click(scores, train, test, k):
+    """The per-user reference: sets, a full (-score, id) sort, scalar metrics."""
+    seen, held = {}, {}
+    for u, i in zip(train.users.tolist(), train.items.tolist()):
+        seen.setdefault(u, set()).add(i)
+    for u, i in zip(test.users.tolist(), test.items.tolist()):
+        held.setdefault(u, set()).add(i)
+    rows, skipped = {}, 0
+    for u in sorted(held):
+        s = seen.get(u, set())
+        rel = held[u] - s
+        if not rel or len(s) >= train.n_items:
+            skipped += 1
+            continue
+        top = oracle_topk(scores[u], k, s)
+        rows[u] = {
+            "recall": brute_recall(top, rel, k),
+            "precision": brute_precision(top, rel, k),
+            "ndcg": brute_ndcg(top, rel, k),
+            "n_relevant": len(rel),
+        }
+    return rows, skipped
+
+
+def oracle_pref(scores, test, k, positive_rating=5.0):
+    rows, skipped = {}, 0
+    for u in sorted(set(test.users.tolist())):
+        idx = [j for j in range(len(test)) if test.users[j] == u and not math.isnan(test.ratings[j])]
+        latest = {}
+        for j in sorted(idx, key=lambda j: test.times[j]):
+            latest[int(test.items[j])] = float(test.ratings[j])
+        positives = {i for i, r in latest.items() if r == positive_rating}
+        if not positives or len(positives) == len(latest):
+            skipped += 1
+            continue
+        top = sorted(latest, key=lambda i: oracle_key(scores[u], i))[:k]
+        hits = len(set(top) & positives)
+        rows[u] = {"recall": hits / len(positives), "precision": hits / k,
+                   "n_rated": len(latest), "n_positive": len(positives)}
+    return rows, skipped
+
+
+@st.composite
+def eval_instances(draw):
+    n_users = draw(st.integers(1, 7))
+    n_items = draw(st.integers(1, 7))
+    scores = draw(hnp.arrays(np.float64, (n_users, n_items), elements=st.sampled_from(SCORE_GRID)))
+    pair = st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1))
+    train_pairs = draw(st.lists(pair, max_size=3 * n_users * n_items))
+    test_rows = draw(st.lists(
+        st.tuples(pair, st.integers(0, 3), st.sampled_from((np.nan, 1.0, 3.0, 5.0))),
+        max_size=4 * n_users,
+    ))
+    train = InteractionLog.build(
+        [u for u, _ in train_pairs], [i for _, i in train_pairs], range(len(train_pairs)),
+        None, n_users, n_items,
+    )
+    test = InteractionLog.build(
+        [u for (u, _), _, _ in test_rows], [i for (_, i), _, _ in test_rows],
+        [t for _, t, _ in test_rows], [r for _, _, r in test_rows], n_users, n_items,
+    )
+    k_click = draw(st.integers(1, n_items + 2))
+    k_pref = draw(st.integers(1, 4))
+    block_elements = draw(st.integers(1, 3 * n_items))  # rows per block need not divide the users
+    return scores, train, test, k_click, k_pref, block_elements
+
+
+def assert_rows_match(got_rows, want_rows):
+    assert sorted(got_rows) == sorted(want_rows)
+    for u, want in want_rows.items():
+        for key, value in want.items():
+            assert abs(got_rows[u][key] - value) <= 1e-12, (u, key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eval_instances())
+def test_blocked_tasks_match_per_user_oracles(case):
+    scores, train, test, k_click, k_pref, block_elements = case
+    table = {u: scores[u] for u in range(scores.shape[0])}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "BLOCK_ELEMENTS", block_elements)
+        out = click_prediction_eval(
+            fixed_scorer(table), train, test, k=k_click, collect_per_user=True, pref_k=k_pref,
+        )
+        alone = preference_prediction_eval(fixed_scorer(table), test, k=k_pref, collect_per_user=True)
+    want_click, skipped_click = oracle_click(scores, train, test, k_click)
+    assert (out["n_users"], out["n_skipped"]) == (len(want_click), skipped_click)
+    assert_rows_match(out["per_user"], want_click)
+    want_pref, skipped_pref = oracle_pref(scores, test, k_pref)
+    pref = out["pref"]
+    assert (pref["n_users"], pref["n_skipped"]) == (len(want_pref), skipped_pref)
+    assert_rows_match(pref["per_user"], want_pref)
+    assert alone == pref
+    if want_click:
+        assert out["recall"] == np.mean([want_click[u]["recall"] for u in sorted(want_click)])
+    else:
+        assert out["recall"] is None

@@ -3,6 +3,9 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tide.numerics import (
     bounded_tanh,
@@ -27,6 +30,49 @@ def test_softplus_matches_naive_in_safe_range():
     x = rng.uniform(-30.0, 30.0, 1000)
     naive = np.log1p(np.exp(x))
     assert np.allclose(softplus(x), naive, rtol=1e-12, atol=0.0)
+
+
+def assert_within_ulps(got, want, ulps):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite & ~np.isnan(want)], want[~finite & ~np.isnan(want)])
+    with np.errstate(over="ignore"):  # the spacing of the largest float overflows
+        ulp = np.spacing(np.abs(want[finite]))
+    assert (np.abs(got[finite] - want[finite]) <= ulps * ulp).all()
+
+
+SPECIAL = (np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 745.0, -745.0, 1e308, -1e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6),
+    elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL)),
+))
+def test_softplus_within_4_ulp_of_logaddexp(x):
+    got = softplus(x)
+    with np.errstate(invalid="ignore"):
+        want = np.logaddexp(0.0, x)
+    assert np.ndim(got) == x.ndim
+    assert_within_ulps(got, want, 4)
+
+
+@given(st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL)))
+def test_softplus_scalars_and_0d_arrays_return_scalars(x):
+    for arg in (x, np.float64(x), np.array(x)):
+        got = softplus(arg)
+        assert isinstance(got, np.float64)
+        with np.errstate(invalid="ignore"):
+            assert_within_ulps(got, np.logaddexp(0.0, x), 4)
+
+
+def test_softplus_leaves_its_input_alone():
+    x = np.array([-3.0, 0.0, 2.5])
+    before = x.copy()
+    softplus(x)
+    assert np.array_equal(x, before)
 
 
 def test_softplus_is_positive_and_monotone():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tide.dataset import InteractionLog, chrono_split
+from tide.dataset import ChronoSplit, InteractionLog, chrono_split
 from tide.model import ConformityIndex, TideModel
 from tide.numerics import softplus
 from tide.trainer import (
@@ -246,6 +246,16 @@ def test_fit_runs_and_tracks_history(method, variant):
         assert math.isfinite(row["loss"])
     metrics = [row["val_cp_rec"] for row in out.history]
     assert math.isclose(out.best_metric, max(metrics), rel_tol=1e-12)
+
+
+def test_fit_rejects_a_user_who_clicked_every_item():
+    # user 1 clicked both items (item 0 twice); user 0 leaves a negative
+    users, items = [0, 1, 1, 1], [0, 0, 1, 0]
+    train = InteractionLog.build(users, items, [0, 1, 2, 3], None, 2, 2)
+    empty = InteractionLog.build([], [], [], None, 2, 2)
+    split = ChronoSplit(train=train, validation=empty, test=empty, boundaries=[0.0, 4.0], parts=2, split_seed=0)
+    with pytest.raises(ValueError, match="user 1 interacted with every item"):
+        fit(split, TrainConfig(method="mf", embed_dim=2, epochs=1))
 
 
 def test_fit_restores_best_checkpoint():
