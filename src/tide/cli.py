@@ -271,8 +271,9 @@ def cmd_evaluate(args) -> int:
             scorer, split.train, eval_log, k=config["k_click"],
             collect_per_user=config["per_user"], pref_k=config["k_pref"],
         )
+        pref = click.pop("pref")
         reports.append(evaluation.combine_report(
-            method, mode_text, click, click["pref"], k_click=config["k_click"], k_pref=config["k_pref"]
+            method, mode_text, click, pref, k_click=config["k_click"], k_pref=config["k_pref"]
         ))
 
     payload = {

@@ -30,6 +30,9 @@ from .dataset import InteractionLog, in_sorted, pair_keys
 # max(1, BLOCK_ELEMENTS // n_items) user rows.
 BLOCK_ELEMENTS = 1 << 17
 
+# The rating that marks a held-out item as a positive in preference prediction.
+POSITIVE_RATING = 5.0
+
 
 @dataclass(frozen=True)
 class RankedList:
@@ -232,7 +235,7 @@ class _ClickTask(_Task):
 class _PreferenceTask(_Task):
     """Preference prediction over each user's rated held-out items."""
 
-    def __init__(self, eval_log: InteractionLog, k: int, positive_rating: float):
+    def __init__(self, eval_log: InteractionLog, k: int, positive_rating: float = POSITIVE_RATING):
         if k < 1:
             raise ValueError("k must be >= 1")
         rated = np.flatnonzero(~np.isnan(eval_log.ratings))
@@ -288,7 +291,6 @@ def click_prediction_eval(
     k: int = 20,
     collect_per_user: bool = False,
     pref_k: int | None = None,
-    positive_rating: float = 5.0,
 ) -> dict:
     """Macro-averaged Recall/Precision/NDCG@k over held-out click lists.
 
@@ -301,12 +303,15 @@ def click_prediction_eval(
 
     With ``pref_k`` set, the preference task (``preference_prediction_eval``)
     is ranked from the same score rows, so each user is scored once for both
-    tasks; its result is returned under ``"pref"``.
+    tasks; its result is returned under ``"pref"``, for the caller to take
+    out beside the click result. The click result stays the returned dict
+    itself, so callers that read only ``"recall"`` or ``"n_users"`` are
+    unaffected.
     """
     click = _ClickTask(train, eval_log, k)
     tasks = [click]
     if pref_k is not None:
-        tasks.append(_PreferenceTask(eval_log, pref_k, positive_rating))
+        tasks.append(_PreferenceTask(eval_log, pref_k))
     _rank_in_blocks(score_block, train.n_items, tasks)
     out = click.result(collect_per_user)
     if pref_k is not None:
@@ -318,7 +323,7 @@ def preference_prediction_eval(
     score_block,
     eval_log: InteractionLog,
     k: int = 3,
-    positive_rating: float = 5.0,
+    positive_rating: float = POSITIVE_RATING,
     collect_per_user: bool = False,
 ) -> dict:
     """Rank each user's rated held-out items; positives are top-rated ones.
