@@ -1,6 +1,6 @@
 """Disentangling benign (quality) and harmful (conformity) popularity bias.
 
-Interaction scores factor as Tanh(quality + conformity(t)) * Softplus(match),
+A user-item score factors as Tanh(quality + conformity(t)) * Softplus(match),
 trained pairwise on implicit feedback; at serving time the conformity term
 can be zeroed to keep the part of popularity that reflects intrinsic item
 quality while discarding herd effects. The package also ships the synthetic
@@ -12,9 +12,7 @@ from .dataset import (
     ChronoSplit,
     ColumnFormat,
     DataFormatError,
-    Interaction,
     InteractionLog,
-    binarize,
     chrono_split,
     load_interactions,
     load_split,
@@ -47,7 +45,6 @@ __all__ = [
     "DataFormatError",
     "FULL",
     "INTERVENED",
-    "Interaction",
     "InteractionLog",
     "InferenceMode",
     "MATCHING_ONLY",
@@ -57,7 +54,6 @@ __all__ = [
     "SynthTruth",
     "TideModel",
     "TrainConfig",
-    "binarize",
     "chrono_split",
     "fit",
     "fixed_quality",

@@ -15,9 +15,6 @@ import numpy as np
 from .dataset import ChronoSplit, InteractionLog, part_assignments
 from .numerics import elu_plus_one
 
-PDA_GAMMA_GRID = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25)
-IPS_CAP_GRID = (10.0, 30.0, 100.0)
-
 
 @dataclass(frozen=True)
 class PopularityTable:
@@ -71,17 +68,6 @@ class PopularityTable:
         raise ValueError("popularity table has no populated training period")
 
 
-def mf_predict(user_emb: np.ndarray, item_emb: np.ndarray, users, items) -> np.ndarray:
-    """Plain matrix-factorization score: the embedding dot product."""
-    users = np.atleast_1d(np.asarray(users, dtype=np.int64))
-    items = np.atleast_1d(np.asarray(items, dtype=np.int64))
-    if users.size and (users.max() >= user_emb.shape[0] or users.min() < 0):
-        raise IndexError("user id out of range")
-    if items.size and (items.max() >= item_emb.shape[0] or items.min() < 0):
-        raise IndexError("item id out of range")
-    return np.einsum("ij,ij->i", user_emb[users], item_emb[items])
-
-
 def ips_weights_raw(table: PopularityTable, cap: float) -> np.ndarray:
     """Per-item inverse-popularity weight min(N / max(P_i, 1), cap)."""
     if cap <= 0:
@@ -101,16 +87,6 @@ def pda_coefficient(pop, gamma: float) -> np.ndarray:
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
     return np.asarray(pop, dtype=np.float64) ** gamma
-
-
-def pda_train_score(m: np.ndarray, pop_hat: np.ndarray, gamma: float) -> np.ndarray:
-    """(period-normalized popularity)^gamma * elu1(matching score)."""
-    return pda_coefficient(pop_hat, gamma) * elu_plus_one(m)
-
-
-def pd_infer(m: np.ndarray) -> np.ndarray:
-    """Popularity-free serving score; monotone in m, so the ranking equals m's."""
-    return elu_plus_one(m)
 
 
 def pda_infer(m: np.ndarray, coef: np.ndarray) -> np.ndarray:

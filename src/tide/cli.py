@@ -161,7 +161,6 @@ def cmd_prepare(args) -> int:
     )
     if config["core_n"] > 1:
         log = dataset.n_core_filter(log, config["core_n"])
-    log = dataset.binarize(log)
     split = dataset.chrono_split(log, parts=config["parts"], split_seed=config["split_seed"])
     dataset.save_split(split, run_dir)
     print(
@@ -210,32 +209,30 @@ def cmd_train(args) -> int:
 
 
 def _default_modes(method: str, variant: str) -> list[str]:
-    if method != "tide":
-        return ["native"]
-    return {"full": ["full", "int", "e"], "noq": ["noq"], "noc": ["noc"], "fixq": ["full", "int"]}[variant]
+    return list(trainer.VARIANTS[variant][2]) if method == "tide" else ["native"]
 
 
 def _scorer_for_mode(model, method, mode_text, split, gamma, anchor, index_cache):
-    t_eval = split.train.t_max
-    if method != "tide":
-        if mode_text not in ("native", "e"):
-            raise ValueError(f"mode {mode_text!r} requires method tide")
-        table = baselines.PopularityTable.from_split(split) if method == "pda" else None
-        return trainer.make_scorer(model, method, MATCHING_ONLY, table=table, gamma=gamma)
-    mode = parse_mode(mode_text)
+    """A block scorer for one mode; the baselines serve only their native mode, alias "e"."""
+    if method != "tide" and mode_text not in ("native", "e"):
+        raise ValueError(f"mode {mode_text!r} requires method tide")
+    mode = parse_mode(mode_text) if method == "tide" else MATCHING_ONLY
     index = None
     if mode.needs_history():
         if "index" not in index_cache:
             index_cache["index"] = ConformityIndex.from_log(split.train, model.tau, anchor=anchor)
         index = index_cache["index"]
-    return trainer.make_scorer(model, "tide", mode, t_eval=t_eval, index=index)
+    table = baselines.PopularityTable.from_split(split) if method == "pda" else None
+    return trainer.make_scorer(
+        model, method, mode, t_eval=split.train.t_max, index=index, table=table, gamma=gamma
+    )
 
 
 def cmd_evaluate(args) -> int:
     flag_map = {
         "data": "data", "checkpoint": "checkpoint", "method": "method",
         "modes": "modes", "k_click": "k_click", "k_pref": "k_pref", "on": "on",
-        "per_user": "per_user",
+        "per_user": "per_user", "gamma": "gamma",
     }
     config = resolve_config(args, EVALUATE_DEFAULTS, flag_map)
     if not config["checkpoint"]:
@@ -454,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-events", dest="n_events", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("prepare", help="filter, binarize, and chronologically split a raw log")
+    p = sub.add_parser("prepare", help="filter and chronologically split a raw log")
     common(p)
     p.add_argument("--data", type=Path, default=None, help="raw interaction file")
     p.add_argument("--core-n", dest="core_n", type=int, default=None)

@@ -12,20 +12,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 
 class DataFormatError(ValueError):
     """Raised for unreadable or malformed interaction files."""
-
-
-class Interaction(NamedTuple):
-    user: int
-    item: int
-    time: int
-    rating: float | None = None
 
 
 @dataclass(frozen=True)
@@ -118,10 +110,6 @@ class InteractionLog:
             raise ValueError("empty log has no t_max")
         return int(self.times[-1])
 
-    def records(self) -> Iterator[Interaction]:
-        for u, i, t, r in zip(self.users, self.items, self.times, self.ratings):
-            yield Interaction(int(u), int(i), int(t), None if math.isnan(r) else float(r))
-
     def subset(self, mask: np.ndarray) -> "InteractionLog":
         """Row-filtered copy keeping the parent id space (no recompaction)."""
         return InteractionLog(
@@ -144,14 +132,6 @@ class ChronoSplit:
     boundaries: list[float]
     parts: int
     split_seed: int
-
-
-def user_item_sets(log: InteractionLog) -> dict[int, set[int]]:
-    """Map each user to the set of items they interacted with."""
-    out: dict[int, set[int]] = {}
-    for u, i in zip(log.users.tolist(), log.items.tolist()):
-        out.setdefault(u, set()).add(i)
-    return out
 
 
 def pair_keys(log: InteractionLog) -> np.ndarray:
@@ -240,15 +220,15 @@ def save_interactions(log: InteractionLog, path, fmt: ColumnFormat = ColumnForma
                        (fmt.rating_col, "r"), (fmt.time_col, "t")])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    field = {
+        "u": map(str, log.users.tolist()),
+        "i": map(str, log.items.tolist()),
+        "t": map(str, log.times.tolist()),
+        "r": ("nan" if math.isnan(r) else format(r, "g") for r in log.ratings.tolist()),
+    }
     with path.open("w", encoding="utf-8") as fh:
-        for rec in log.records():
-            field = {
-                "u": str(rec.user),
-                "i": str(rec.item),
-                "t": str(rec.time),
-                "r": "nan" if rec.rating is None else format(rec.rating, "g"),
-            }
-            fh.write(fmt.delimiter.join(field[tag] for _, tag in cols) + "\n")
+        for row in zip(*(field[tag] for _, tag in cols)):
+            fh.write(fmt.delimiter.join(row) + "\n")
 
 
 def n_core_filter(log: InteractionLog, n: int) -> InteractionLog:
@@ -277,15 +257,6 @@ def n_core_filter(log: InteractionLog, n: int) -> InteractionLog:
         u_new, i_new, log.times[keep], log.ratings[keep],
         n_users=u_uniq.size, n_items=i_uniq.size,
     )
-
-
-def binarize(log: InteractionLog) -> InteractionLog:
-    """Mark every record as a positive click; ratings stay available.
-
-    Any rated interaction counts as implicit positive feedback downstream, so
-    the record content is unchanged; the returned log is an independent copy.
-    """
-    return log.subset(np.ones(len(log), dtype=bool))
 
 
 def part_assignments(times: np.ndarray, t_min: int, t_max: int, parts: int) -> np.ndarray:

@@ -31,24 +31,50 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class InferenceMode:
-    """Serving-time recombination of the fitted score components."""
+    """Which fitted terms enter the popularity coefficient Tanh(a).
+
+    ``quality`` adds the learned q_i to a, ``conformity`` adds beta_i * s_i(t),
+    and ``fixed_quality`` stands in for the learned q_i with one constant. A
+    mode with none of them scores by the bare match m_ui.
+    """
 
     kind: str
+    quality: bool = False
+    conformity: bool = False
     fixed_quality: float | None = None
 
     def needs_history(self) -> bool:
-        return self.kind in ("full", "no-quality")
+        return self.conformity
+
+    def popularity_input(self, quality, scale, raw) -> np.ndarray | None:
+        """The Tanh input a, or None when the mode scores by matching alone.
+
+        ``quality`` and ``scale`` are per-item q and beta aligned with the
+        scored items; ``raw`` is their decayed history sums, needed only
+        when the mode uses conformity.
+        """
+        a = None
+        if self.fixed_quality is not None:
+            a = np.full(np.shape(quality), self.fixed_quality)
+        elif self.quality:
+            a = quality
+        if self.conformity:
+            if raw is None:
+                raise ValueError(f"mode {self.kind!r} requires interaction history (times and index)")
+            c = scale * raw
+            a = c if a is None else a + c
+        return a
 
 
-FULL = InferenceMode("full")
-INTERVENED = InferenceMode("intervened")
+FULL = InferenceMode("full", quality=True, conformity=True)
+INTERVENED = InferenceMode("intervened", quality=True)
 MATCHING_ONLY = InferenceMode("matching-only")
-NO_QUALITY = InferenceMode("no-quality")
-NO_CONFORMITY = InferenceMode("no-conformity")
+NO_QUALITY = InferenceMode("no-quality", conformity=True)
+NO_CONFORMITY = InferenceMode("no-conformity", quality=True)
 
 
 def fixed_quality(value: float) -> InferenceMode:
-    return InferenceMode("fixed-quality", float(value))
+    return InferenceMode("fixed-quality", fixed_quality=float(value))
 
 
 _MODE_ALIASES = {
@@ -155,9 +181,6 @@ class ConformityIndex:
         sums = np.where(k > 0, self.prefix[np.minimum(idx, max(self.prefix.size - 1, 0))], 0.0)
         return self._decay_from_anchor(np.full(self.n_items, t)) * sums
 
-    def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
 
 @dataclass
 class TideModel:
@@ -215,11 +238,6 @@ class TideModel:
         items = np.atleast_1d(np.asarray(items, dtype=np.int64))
         return np.einsum("ij,ij->i", self.user_emb[users], self.item_emb[items])
 
-    def conformity(self, items, times, index: ConformityIndex) -> np.ndarray:
-        """c_i^t = beta_i * decayed count of item i's strictly earlier clicks."""
-        items = np.atleast_1d(np.asarray(items, dtype=np.int64))
-        return self.conformity_scale[items] * index.query(items, times)
-
     def score(
         self,
         users,
@@ -231,21 +249,11 @@ class TideModel:
         """Scores under an inference mode; history-dependent modes need times + index."""
         users = np.atleast_1d(np.asarray(users, dtype=np.int64))
         items = np.atleast_1d(np.asarray(items, dtype=np.int64))
-        m = self.matching(users, items)
-        if mode.kind == "matching-only":
-            return m
-        if mode.kind in ("intervened", "no-conformity"):
-            a = self.quality[items]
-        elif mode.kind == "fixed-quality":
-            a = np.full(items.size, mode.fixed_quality)
-        elif mode.kind in ("full", "no-quality"):
-            if index is None or times is None:
-                raise ValueError(f"mode {mode.kind!r} requires interaction history (times and index)")
-            c = self.conformity(items, times, index)
-            a = self.quality[items] + c if mode.kind == "full" else c
-        else:
-            raise ValueError(f"unknown inference mode {mode.kind!r}")
-        return bounded_tanh(a) * softplus(m)
+        raw = None
+        if mode.conformity and index is not None and times is not None:
+            raw = index.query(items, times)
+        a = mode.popularity_input(self.quality[items], self.conformity_scale[items], raw)
+        return _combine(self.matching(users, items), a)
 
     def score_all_items(
         self,
@@ -261,25 +269,10 @@ class TideModel:
         precomputed ``index.query_at(t)`` so the per-item sums are shared
         across blocks during ranking.
         """
-        m = self.user_emb[users] @ self.item_emb.T
-        if mode.kind == "matching-only":
-            return m
-        if mode.kind in ("intervened", "no-conformity"):
-            a = self.quality
-        elif mode.kind == "fixed-quality":
-            a = np.full(self.n_items, mode.fixed_quality)
-        elif mode.kind in ("full", "no-quality"):
-            if raw_conformity is None:
-                if index is None or t is None:
-                    raise ValueError(f"mode {mode.kind!r} requires interaction history (t and index)")
-                raw_conformity = index.query_at(t)
-            c = self.conformity_scale * raw_conformity
-            a = self.quality + c if mode.kind == "full" else c
-        else:
-            raise ValueError(f"unknown inference mode {mode.kind!r}")
-        out = softplus(m)
-        out *= bounded_tanh(a)
-        return out
+        if raw_conformity is None and mode.conformity and index is not None and t is not None:
+            raw_conformity = index.query_at(t)
+        a = mode.popularity_input(self.quality, self.conformity_scale, raw_conformity)
+        return _combine(self.user_emb[users] @ self.item_emb.T, a)
 
     def copy(self) -> "TideModel":
         return replace(
@@ -289,6 +282,15 @@ class TideModel:
             q_raw=self.q_raw.copy(),
             beta_raw=self.beta_raw.copy(),
         )
+
+
+def _combine(m: np.ndarray, a: np.ndarray | None) -> np.ndarray:
+    """Tanh(a) * Softplus(m), or the bare match m when there is no a."""
+    if a is None:
+        return m
+    out = softplus(m)
+    out *= bounded_tanh(a)
+    return out
 
 
 def save_checkpoint(model: TideModel, path, anchor: int | None = None, meta: dict | None = None) -> None:

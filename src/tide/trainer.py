@@ -17,28 +17,48 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import PopularityTable, ips_instance_weights, pd_infer, pda_coefficient, pda_infer
+from .baselines import PopularityTable, ips_instance_weights, pda_coefficient, pda_infer
 from .dataset import ChronoSplit, in_sorted, pair_keys, part_assignments
 from .evaluation import click_prediction_eval
 from .model import (
     FULL,
     INTERVENED,
     MATCHING_ONLY,
+    NO_CONFORMITY,
     NO_QUALITY,
     ConformityIndex,
     InferenceMode,
     TideModel,
-    fixed_quality,
 )
-from .numerics import bounded_tanh, elu_plus_one, elu_plus_one_grad, inv_softplus, sigmoid, softplus
+from .numerics import bounded_tanh, bpr_loss, elu_plus_one, elu_plus_one_grad, inv_softplus, sigmoid, softplus
 
-METHODS = ("tide", "mf", "mf-ips", "pd", "pda")
-TIDE_VARIANTS = ("full", "noq", "noc", "fixq")
+# Every method scores coefficient * L(m): Tanh(a) for tide, pop^gamma for
+# pd/pda, 1 for mf. Per method: the link L of the match m and its derivative.
+LINKS = {
+    "tide": (softplus, sigmoid),
+    "mf": (lambda m: m, lambda m: 1.0),
+    "mf-ips": (lambda m: m, lambda m: 1.0),
+    "pd": (elu_plus_one, elu_plus_one_grad),
+    "pda": (elu_plus_one, elu_plus_one_grad),
+}
+
+# Per tide variant: the terms inside Tanh during training, the mode that
+# selects the model on validation, and the modes `tide evaluate` defaults to.
+# fixq's training mode takes its constant from TrainConfig.fixed_q.
+VARIANTS = {
+    "full": (FULL, FULL, ("full", "int", "e")),
+    "noq": (NO_QUALITY, NO_QUALITY, ("noq",)),
+    "noc": (NO_CONFORMITY, INTERVENED, ("noc",)),
+    "fixq": (InferenceMode("fixq", conformity=True, fixed_quality=1.0), FULL, ("full", "int")),
+}
+
+METHODS = tuple(LINKS)
+TIDE_VARIANTS = tuple(VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -76,20 +96,31 @@ class TrainConfig:
             raise ValueError("weight decay must be nonnegative")
         if self.method == "tide" and self.variant == "fixq" and self.fixed_q <= 0:
             raise ValueError("fixq needs a positive quality value")
+        if self.method in ("pd", "pda") and not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        if self.embed_dim < 1:
+            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.k_select < 1:
+            raise ValueError(f"k_select must be >= 1, got {self.k_select}")
+
+    def train_mode(self) -> InferenceMode | None:
+        """The terms inside Tanh during training; None for the non-tide methods."""
+        if self.method != "tide":
+            return None
+        mode = VARIANTS[self.variant][0]
+        if mode.fixed_quality is not None:
+            mode = replace(mode, fixed_quality=self.fixed_q)
+        return mode
 
     def trained_params(self) -> tuple[str, ...]:
-        if self.method != "tide":
+        mode = self.train_mode()
+        if mode is None:
             return ("user_emb", "item_emb")
-        extra = {
-            "full": ("q_raw", "beta_raw"),
-            "noq": ("beta_raw",),
-            "noc": ("q_raw",),
-            "fixq": ("beta_raw",),
-        }[self.variant]
-        return ("user_emb", "item_emb") + extra
+        return ("user_emb", "item_emb") + ("q_raw",) * mode.quality + ("beta_raw",) * mode.conformity
 
     def uses_conformity(self) -> bool:
-        return self.method == "tide" and self.variant in ("full", "noq", "fixq")
+        mode = self.train_mode()
+        return mode is not None and mode.conformity
 
 
 @dataclass
@@ -149,35 +180,46 @@ def init_model(cfg: TrainConfig, n_users: int, n_items: int) -> TideModel:
         n_users, n_items, cfg.embed_dim,
         seed=cfg.seed, init_std=cfg.init_std, init_qb=cfg.init_qb, tau=cfg.tau,
     )
-    if cfg.method == "tide":
-        if cfg.variant == "noq":
+    mode = cfg.train_mode()
+    if mode is not None:
+        if mode.fixed_quality is not None:
+            model.q_raw[:] = inv_softplus(mode.fixed_quality)
+        elif not mode.quality:
             model.q_raw[:] = -np.inf
-        elif cfg.variant == "noc":
+        if not mode.conformity:
             model.beta_raw[:] = -np.inf
-        elif cfg.variant == "fixq":
-            model.q_raw[:] = inv_softplus(cfg.fixed_q)
     return model
 
 
-def _pair_scores(model: TideModel, cfg: TrainConfig, items, m, s):
-    """Training-time tide forward for one side of a pair; returns (y, a)."""
-    a = np.zeros_like(m)
-    if cfg.variant in ("full", "noc"):
-        a = a + softplus(model.q_raw[items])
-    elif cfg.variant == "fixq":
-        a = a + cfg.fixed_q
-    if cfg.uses_conformity():
-        a = a + softplus(model.beta_raw[items]) * s
-    return bounded_tanh(a) * softplus(m), a
+def _coefficient(model: TideModel, cfg: TrainConfig, mode: InferenceMode | None, items, s, pop):
+    """The popularity coefficient of one side of a pair, and its Tanh input a (tide only)."""
+    if mode is not None:
+        a = mode.popularity_input(softplus(model.q_raw[items]), softplus(model.beta_raw[items]), s)
+        return bounded_tanh(a), a
+    if cfg.method in ("pd", "pda"):
+        return pda_coefficient(pop, cfg.gamma), None
+    return 1.0, None
 
 
 def batch_loss_and_grads(model: TideModel, batch: TrainBatch, cfg: TrainConfig) -> tuple[float, dict]:
-    """Mean pairwise loss and dense analytic gradients for one batch."""
+    """Mean pairwise loss and dense analytic gradients for one batch.
+
+    Every method scores y = C * L(m), so one forward and one backward serve
+    them all: dy/dm = C * L'(m), and for tide dy/da = (1 - tanh(a)^2) * L(m).
+    """
     u, p, n = batch.users, batch.pos, batch.neg
     b = u.size
     w = batch.weights if batch.weights is not None else np.ones(b)
+    link, link_grad = LINKS[cfg.method]
+    mode = cfg.train_mode()
     m_p = model.matching(u, p)
     m_n = model.matching(u, n)
+    c_p, a_p = _coefficient(model, cfg, mode, p, batch.s_pos, batch.pop_pos)
+    c_n, a_n = _coefficient(model, cfg, mode, n, batch.s_neg, batch.pop_neg)
+    l_p = link(m_p)
+    l_n = link(m_n)
+    y_p = c_p * l_p
+    y_n = c_n * l_n
 
     grads = {
         "user_emb": np.zeros_like(model.user_emb),
@@ -185,34 +227,18 @@ def batch_loss_and_grads(model: TideModel, batch: TrainBatch, cfg: TrainConfig) 
         "q_raw": np.zeros_like(model.q_raw),
         "beta_raw": np.zeros_like(model.beta_raw),
     }
-
-    if cfg.method in ("pd", "pda"):
-        c_p = batch.pop_pos ** cfg.gamma
-        c_n = batch.pop_neg ** cfg.gamma
-        y_p = c_p * elu_plus_one(m_p)
-        y_n = c_n * elu_plus_one(m_n)
-        d = sigmoid(y_n - y_p)
-        gm_p = -(w * d / b) * c_p * elu_plus_one_grad(m_p)
-        gm_n = +(w * d / b) * c_n * elu_plus_one_grad(m_n)
-    elif cfg.method in ("mf", "mf-ips"):
-        y_p, y_n = m_p, m_n
-        d = sigmoid(y_n - y_p)
-        gm_p = -(w * d / b)
-        gm_n = +(w * d / b)
-    else:
-        y_p, a_p = _pair_scores(model, cfg, p, m_p, batch.s_pos)
-        y_n, a_n = _pair_scores(model, cfg, n, m_n, batch.s_neg)
-        d = sigmoid(y_n - y_p)
-        gy_p = -(w * d / b)
-        gy_n = +(w * d / b)
-        gm_p = gy_p * bounded_tanh(a_p) * sigmoid(m_p)
-        gm_n = gy_n * bounded_tanh(a_n) * sigmoid(m_n)
-        ga_p = gy_p * (1.0 - np.tanh(a_p) ** 2) * softplus(m_p)
-        ga_n = gy_n * (1.0 - np.tanh(a_n) ** 2) * softplus(m_n)
-        if "q_raw" in cfg.trained_params():
+    d = sigmoid(y_n - y_p)
+    gy_p = -(w * d / b)
+    gy_n = +(w * d / b)
+    gm_p = gy_p * c_p * link_grad(m_p)
+    gm_n = gy_n * c_n * link_grad(m_n)
+    if mode is not None:
+        ga_p = gy_p * (1.0 - np.tanh(a_p) ** 2) * l_p
+        ga_n = gy_n * (1.0 - np.tanh(a_n) ** 2) * l_n
+        if mode.quality:
             np.add.at(grads["q_raw"], p, ga_p * sigmoid(model.q_raw[p]))
             np.add.at(grads["q_raw"], n, ga_n * sigmoid(model.q_raw[n]))
-        if "beta_raw" in cfg.trained_params():
+        if mode.conformity:
             np.add.at(grads["beta_raw"], p, ga_p * batch.s_pos * sigmoid(model.beta_raw[p]))
             np.add.at(grads["beta_raw"], n, ga_n * batch.s_neg * sigmoid(model.beta_raw[n]))
 
@@ -220,7 +246,7 @@ def batch_loss_and_grads(model: TideModel, batch: TrainBatch, cfg: TrainConfig) 
     np.add.at(grads["item_emb"], p, gm_p[:, None] * model.user_emb[u])
     np.add.at(grads["item_emb"], n, gm_n[:, None] * model.user_emb[u])
 
-    loss = float(np.mean(w * softplus(y_n - y_p)))
+    loss = float(np.mean(w * bpr_loss(y_p, y_n)))
     return loss, grads
 
 
@@ -242,19 +268,8 @@ def grad_step(model: TideModel, batch: TrainBatch, cfg: TrainConfig, adam: AdamS
     return loss
 
 
-def sample_negative(user: int, positives, n_items: int, rng: np.random.Generator) -> int:
-    """Uniform draw over the items outside the user's training positives."""
-    positives = set(positives)
-    if len(positives) >= n_items:
-        raise ValueError(f"user {user} interacted with every item; no negative exists")
-    while True:
-        candidate = int(rng.integers(0, n_items))
-        if candidate not in positives:
-            return candidate
-
-
 def sample_negatives(users: np.ndarray, pos_keys: np.ndarray, n_items: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized rejection sampling; matches sample_negative's distribution."""
+    """Uniform negatives outside each user's training positives, by vectorized rejection."""
     neg = rng.integers(0, n_items, users.size)
     bad = np.flatnonzero(in_sorted(pos_keys, users * n_items + neg))
     while bad.size:
@@ -278,33 +293,23 @@ def make_scorer(
     Everything that does not depend on the user (conformity sums, the pda
     popularity coefficient) is computed once here and shared by every block.
     """
-    if method in ("mf", "mf-ips"):
-        return lambda users: model.user_emb[users] @ model.item_emb.T
-    if method == "pd":
-        return lambda users: pd_infer(model.user_emb[users] @ model.item_emb.T)
+    if method == "tide":
+        raw = None
+        if mode.conformity and index is not None and t_eval is not None:
+            raw = index.query_at(t_eval)
+        return lambda users: model.score_all_items(users, mode=mode, raw_conformity=raw)
     if method == "pda":
         if table is None:
             raise ValueError("pda scoring needs a popularity table")
         coef = pda_coefficient(table.last_train_normalized(), gamma)
         return lambda users: pda_infer(model.user_emb[users] @ model.item_emb.T, coef)
-    raw = None
-    if mode.needs_history():
-        if index is None or t_eval is None:
-            raise ValueError(f"mode {mode.kind!r} requires interaction history (t and index)")
-        raw = index.query_at(t_eval)
-    return lambda users: model.score_all_items(users, t=t_eval, index=index, mode=mode, raw_conformity=raw)
+    link = LINKS[method][0]
+    return lambda users: link(model.user_emb[users] @ model.item_emb.T)
 
 
 def selection_mode(cfg: TrainConfig) -> InferenceMode:
     """Native predictive mode used for validation-based selection."""
-    if cfg.method != "tide":
-        return MATCHING_ONLY
-    return {
-        "full": FULL,
-        "noq": NO_QUALITY,
-        "noc": INTERVENED,
-        "fixq": FULL,
-    }[cfg.variant]
+    return VARIANTS[cfg.variant][1] if cfg.method == "tide" else MATCHING_ONLY
 
 
 @dataclass

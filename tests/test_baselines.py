@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from tide.baselines import (
-    IPS_CAP_GRID,
-    PDA_GAMMA_GRID,
     PopularityTable,
     ips_instance_weights,
     ips_weights_raw,
-    mf_predict,
-    pd_infer,
     pda_coefficient,
     pda_infer,
-    pda_train_score,
 )
 from tide.dataset import InteractionLog, chrono_split, part_assignments
+from tide.model import MATCHING_ONLY, TideModel
 from tide.numerics import elu_plus_one
+from tide.trainer import make_scorer
+
+# the hyperparameter values the paper's baseline grids sweep
+PDA_GAMMA_GRID = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25)
+IPS_CAP_GRID = (10.0, 30.0, 100.0)
 
 
 def make_log(seed=0, n=500, n_users=20, n_items=12, span=1000):
@@ -94,18 +95,6 @@ def test_last_train_normalized_errors_when_all_empty():
         table.last_train_normalized()
 
 
-def test_mf_predict_is_dot_product_with_range_checks():
-    rng = np.random.default_rng(3)
-    ue = rng.normal(size=(4, 3))
-    ie = rng.normal(size=(5, 3))
-    got = mf_predict(ue, ie, [1, 3], [0, 4])
-    assert np.allclose(got, [ue[1] @ ie[0], ue[3] @ ie[4]], rtol=1e-15)
-    with pytest.raises(IndexError):
-        mf_predict(ue, ie, [4], [0])
-    with pytest.raises(IndexError):
-        mf_predict(ue, ie, [0], [5])
-
-
 def test_ips_weights_formula_and_cap():
     counts = np.array([10, 1, 0, 89])
     per = counts[None, :]
@@ -138,24 +127,23 @@ def test_pda_scores_match_hand_formula():
     m = rng.normal(size=20)
     pop = rng.uniform(0.0, 1.0, 20)
     for gamma in PDA_GAMMA_GRID:
-        got = pda_train_score(m, pop, gamma)
+        got = pda_infer(m, pda_coefficient(pop, gamma))
         assert np.allclose(got, pop**gamma * elu_plus_one(m), rtol=1e-15)
-    assert np.allclose(pda_infer(m, pda_coefficient(pop, 0.2)), pop**0.2 * elu_plus_one(m), rtol=1e-15)
     with pytest.raises(ValueError):
-        pda_train_score(m, pop, 1.5)
+        pda_coefficient(pop, 1.5)
 
 
 def test_pd_infer_is_popularity_free_and_rank_preserving():
-    rng = np.random.default_rng(6)
-    m = rng.normal(size=50)
-    got = pd_infer(m)
+    model = TideModel.init(5, 50, 4, seed=6, init_std=0.5)
+    got = make_scorer(model, "pd", MATCHING_ONLY)(np.arange(5))
+    m = model.user_emb @ model.item_emb.T
     assert np.allclose(got, elu_plus_one(m), rtol=1e-15)
     assert (got > 0).all()
-    assert np.array_equal(np.argsort(got), np.argsort(m))
+    assert np.array_equal(np.argsort(got, axis=1), np.argsort(m, axis=1))
 
 
 def test_gamma_zero_reduces_pda_to_pd():
     rng = np.random.default_rng(7)
     m = rng.normal(size=30)
     pop = rng.uniform(0.001, 1.0, 30)
-    assert np.allclose(pda_infer(m, pda_coefficient(pop, 0.0)), pd_infer(m), rtol=1e-15)
+    assert np.allclose(pda_infer(m, pda_coefficient(pop, 0.0)), elu_plus_one(m), rtol=1e-15)

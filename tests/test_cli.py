@@ -286,6 +286,27 @@ def test_non_tide_checkpoint_rejects_tide_modes(pipeline, tmp_path, capsys):
     assert "requires method tide" in capsys.readouterr().err
 
 
+def test_evaluate_gamma_flag_reaches_the_config(pipeline, tmp_path, capsys):
+    rc = run_cli([
+        "train", "--data", pipeline["prep"], "--method", "pda", "--embed-dim", 8,
+        "--epochs", 1, "--seed", 0, "--outdir", tmp_path / "pda",
+    ])
+    assert rc == 0
+    pda_dir = only_entry(tmp_path / "pda")
+    args = ["evaluate", "--data", pipeline["prep"], "--checkpoint", pda_dir, "--k", 5]
+
+    assert run_cli(args + ["--outdir", tmp_path / "stored"]) == 0
+    assert run_cli(args + ["--gamma", 0.9, "--outdir", tmp_path / "flag"]) == 0
+    stored, flagged = only_entry(tmp_path / "stored"), only_entry(tmp_path / "flag")
+    assert json.loads((stored / "config.json").read_text())["gamma"] == 0.1
+    assert json.loads((flagged / "config.json").read_text())["gamma"] == 0.9
+    assert stored.name != flagged.name
+    capsys.readouterr()
+
+    assert run_cli(args + ["--gamma", 1.5, "--outdir", tmp_path / "bad"]) == 1
+    assert "gamma" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- analyze
 
 

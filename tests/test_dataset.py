@@ -8,7 +8,6 @@ from tide.dataset import (
     ColumnFormat,
     DataFormatError,
     InteractionLog,
-    binarize,
     chrono_split,
     load_interactions,
     load_split,
@@ -126,14 +125,6 @@ def test_n_core_filter_noop_when_dense():
     out = n_core_filter(log, 2)
     assert len(out) == 4
     assert out.users.tolist() == log.users.tolist()
-
-
-def test_binarize_returns_identity_copy():
-    log = InteractionLog.build([0, 1], [1, 0], [1, 2], [5.0, 1.0])
-    out = binarize(log)
-    assert out is not log
-    assert out.users.tolist() == log.users.tolist()
-    assert out.ratings.tolist() == log.ratings.tolist()
 
 
 def test_part_assignments_uniform_in_time():

@@ -18,7 +18,6 @@ from tide.trainer import (
     grad_step,
     init_model,
     make_scorer,
-    sample_negative,
     sample_negatives,
     selection_mode,
     write_history,
@@ -108,6 +107,33 @@ def test_forward_loss_matches_scalar_recomputation():
     assert math.isclose(loss, acc / batch.users.size, rel_tol=1e-10)
 
 
+@pytest.mark.parametrize("variant", ["full", "noq", "noc", "fixq"])
+def test_training_loss_is_built_from_the_serving_score(variant):
+    # training and model.score must run the same forward, bit for bit
+    cfg = TrainConfig(method="tide", variant=variant, fixed_q=0.8)
+    rng = np.random.default_rng(41)
+    n_users, n_items, b = 6, 9, 40
+    model = init_model(cfg, n_users, n_items)
+    for name in ("q_raw", "beta_raw"):
+        param = getattr(model, name)
+        finite = np.isfinite(param)
+        param[finite] = rng.normal(0.0, 1.0, finite.sum())
+    index = ConformityIndex(rng.integers(0, n_items, 300), rng.integers(0, 1000, 300), n_items, tau=300.0)
+    users = rng.integers(0, n_users, b)
+    pos = rng.integers(0, n_items, b)
+    neg = rng.integers(0, n_items, b)
+    times = rng.integers(0, 1200, b)
+    batch = TrainBatch(
+        users=users, pos=pos, neg=neg, times=times,
+        s_pos=index.query(pos, times), s_neg=index.query(neg, times),
+    )
+    loss, _ = batch_loss_and_grads(model, batch, cfg)
+    mode = cfg.train_mode()
+    y_p = model.score(users, pos, times=batch.times, index=index, mode=mode)
+    y_n = model.score(users, neg, times=batch.times, index=index, mode=mode)
+    assert loss == float(np.mean(np.ones(b) * softplus(y_n - y_p)))
+
+
 def test_adam_first_step_matches_hand_computation():
     cfg = TrainConfig(method="mf", lr_emb=0.05, weight_decay_emb=0.01)
     model, batch = tiny_setup(cfg, 21)
@@ -187,15 +213,15 @@ def test_config_validation_rejects_nonsense():
         TrainConfig(lr_emb=0.0).validate()
     with pytest.raises(ValueError):
         TrainConfig(method="tide", variant="fixq", fixed_q=0.0).validate()
-
-
-def test_sample_negative_avoids_positives_and_errors_when_saturated():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        neg = sample_negative(0, {1, 3}, 5, rng)
-        assert neg in (0, 2, 4)
-    with pytest.raises(ValueError, match="every item"):
-        sample_negative(0, {0, 1, 2}, 3, rng)
+    for bad, field in [
+        ({"method": "pd", "gamma": 1.5}, "gamma"),
+        ({"method": "pd", "gamma": -0.5}, "gamma"),
+        ({"method": "pda", "gamma": 1.5}, "gamma"),
+        ({"embed_dim": 0}, "embed_dim"),
+        ({"k_select": 0}, "k_select"),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**bad).validate()
 
 
 def test_sample_negatives_never_hits_training_pairs():
