@@ -82,10 +82,15 @@ def ips_instance_weights(train: InteractionLog, table: PopularityTable, cap: flo
     return raw / raw.mean()
 
 
+def check_gamma(gamma: float) -> None:
+    """PD/PDA's popularity exponent must lie in [0, 1]."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+
+
 def pda_coefficient(pop, gamma: float) -> np.ndarray:
     """(period-normalized popularity)^gamma, the PD/PDA popularity factor."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must be in [0, 1]")
+    check_gamma(gamma)
     return np.asarray(pop, dtype=np.float64) ** gamma
 
 

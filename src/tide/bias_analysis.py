@@ -111,6 +111,18 @@ def corr_p_value(r: float, n: int) -> float:
     return float(2.0 * stats.t.sf(t, df=n - 2))
 
 
+def corr_p_values(r: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``corr_p_value`` over arrays of r and n, with one t-tail call."""
+    r = np.asarray(r, dtype=np.float64)
+    n = np.asarray(n, dtype=np.int64)
+    if np.any(n < 3):
+        raise ValueError("p-value needs n >= 3")
+    perfect = np.abs(r) >= 1.0
+    rr = np.where(perfect, 0.0, r)
+    t = np.abs(rr) * np.sqrt((n - 2) / (1.0 - rr * rr))
+    return np.where(perfect, 0.0, 2.0 * stats.t.sf(t, df=n - 2))
+
+
 def item_stats(log: InteractionLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(popularity, average rating, rated-interaction count) per item id.
 
@@ -213,7 +225,7 @@ def per_item_rating_instant_pop_corr(
     ends = np.append(starts[1:], grouped.size)
     t0 = log.t_min if len(log) else 0
 
-    items_out, n_out, r_out, p_out = [], [], [], []
+    items_out, n_out, r_out = [], [], []
     for item, s, e in zip(grouped[starts], starts, ends):
         ts = log.times[by_item[s:e]]
         ys = log.ratings[by_item[s:e]]
@@ -234,13 +246,13 @@ def per_item_rating_instant_pop_corr(
         items_out.append(int(item))
         n_out.append(int(xs.size))
         r_out.append(r)
-        p_out.append(corr_p_value(r, xs.size))
 
     r_arr = np.asarray(r_out, dtype=np.float64)
-    p_arr = np.asarray(p_out, dtype=np.float64)
+    n_arr = np.asarray(n_out, dtype=np.int64)
+    p_arr = corr_p_values(r_arr, n_arr)
     return CorrReport(
         items=np.asarray(items_out, dtype=np.int64),
-        n=np.asarray(n_out, dtype=np.int64),
+        n=n_arr,
         r=r_arr,
         p=p_arr,
         retained=p_arr <= p_threshold if p_arr.size else np.zeros(0, dtype=bool),

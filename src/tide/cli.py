@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bias_analysis, baselines, dataset, evaluation, synthgen, trainer
-from .model import MATCHING_ONLY, ConformityIndex, load_checkpoint, parse_mode, save_checkpoint
+from .model import MATCHING_ONLY, ConformityIndex, InferenceMode, load_checkpoint, parse_mode, save_checkpoint
 
 SCHEMA_VERSION = 1
 
@@ -178,11 +178,21 @@ def _train_flag_map() -> dict:
     return {k: k for k in keys}
 
 
-def run_training(config: dict, outdir) -> dict:
-    """Shared by cmd_train and each grid point; returns a run summary."""
-    run_dir = make_run_dir(outdir, config)
-    split = dataset.load_split(Path(config["data"]))
+def _train_config(config: dict) -> trainer.TrainConfig:
     cfg = trainer.TrainConfig(**{k: v for k, v in config.items() if k != "data"})
+    cfg.validate()
+    return cfg
+
+
+def run_training(config: dict, outdir) -> dict:
+    """Shared by cmd_train and each grid point; returns a run summary.
+
+    The config is validated and the split loaded before the run directory
+    exists, so a rejected run leaves nothing behind.
+    """
+    cfg = _train_config(config)
+    split = dataset.load_split(Path(config["data"]))
+    run_dir = make_run_dir(outdir, config)
     result = trainer.fit(split, cfg)
     trainer.write_history(result.history, run_dir / "history.csv")
     tmp = run_dir / "checkpoint.tmp.npz"
@@ -212,11 +222,15 @@ def _default_modes(method: str, variant: str) -> list[str]:
     return list(trainer.VARIANTS[variant][2]) if method == "tide" else ["native"]
 
 
-def _scorer_for_mode(model, method, mode_text, split, gamma, anchor, index_cache):
-    """A block scorer for one mode; the baselines serve only their native mode, alias "e"."""
+def _parse_eval_mode(method: str, mode_text: str) -> InferenceMode:
+    """The baselines serve only their native mode, alias "e"."""
     if method != "tide" and mode_text not in ("native", "e"):
         raise ValueError(f"mode {mode_text!r} requires method tide")
-    mode = parse_mode(mode_text) if method == "tide" else MATCHING_ONLY
+    return parse_mode(mode_text) if method == "tide" else MATCHING_ONLY
+
+
+def _scorer_for_mode(model, method, mode, split, gamma, anchor, index_cache):
+    """A block scorer for one parsed mode; the conformity index is built once and cached."""
     index = None
     if mode.needs_history():
         if "index" not in index_cache:
@@ -243,7 +257,11 @@ def cmd_evaluate(args) -> int:
     model, anchor, meta = load_checkpoint(ckpt_path)
     meta_config = meta.get("config", {})
     method = config["method"] or meta_config.get("method", "tide")
+    if config["gamma"] is not None and method != "pda":
+        raise ValueError(f"gamma is read only by pda; method {method!r} does not use it")
     gamma = config["gamma"] if config["gamma"] is not None else meta_config.get("gamma", 0.0)
+    if method == "pda":
+        baselines.check_gamma(gamma)
     variant = meta_config.get("variant", "full")
     config.update({"checkpoint": str(ckpt_path), "data": str(config["data"]),
                    "method": method, "gamma": gamma})
@@ -253,16 +271,17 @@ def cmd_evaluate(args) -> int:
     if not modes:
         modes = _default_modes(method, variant)
     config["modes"] = modes
-    run_dir = make_run_dir(args.outdir, config)
-
+    parsed = [_parse_eval_mode(method, mode_text) for mode_text in modes]
     split = dataset.load_split(Path(config["data"]))
     if model.n_items != split.train.n_items or model.n_users != split.train.n_users:
         raise ValueError("checkpoint and split disagree on user/item counts")
+    run_dir = make_run_dir(args.outdir, config)
+
     eval_log = split.test if config["on"] == "test" else split.validation
     reports = []
     index_cache: dict = {}
-    for mode_text in modes:
-        scorer = _scorer_for_mode(model, method, mode_text, split, gamma, anchor, index_cache)
+    for mode_text, mode in zip(modes, parsed):
+        scorer = _scorer_for_mode(model, method, mode, split, gamma, anchor, index_cache)
         # one pass per mode: both tasks rank from the same score rows
         click = evaluation.click_prediction_eval(
             scorer, split.train, eval_log, k=config["k_click"],
@@ -404,8 +423,10 @@ def cmd_grid(args) -> int:
     points = _grid_points(config["grid"])
     if not points:
         raise ValueError("empty grid")
-    run_dir = make_run_dir(args.outdir, config)
     base = {k: v for k, v in config.items() if k != "grid"}
+    for point in points:
+        _train_config({**base, **point})
+    run_dir = make_run_dir(args.outdir, config)
     jobs = [({**base, **point}, str(run_dir)) for point in points]
     threads = args.threads or 1
     if threads <= 1 or len(jobs) == 1:

@@ -3,10 +3,11 @@
 One positive instance is paired with one uniformly sampled non-interacted
 item; the loss is -log sigmoid(score_pos - score_neg). Gradients are written
 out analytically (chain rule through tanh, softplus, the dot-product
-backbone, and the softplus reparameterizations) and applied with a sparse
-Adam update touching only the rows a batch actually used. Weight decay is
-decoupled and hits touched embedding rows only; the per-item quality and
-conformity scales are never decayed.
+backbone, and the softplus reparameterizations) and are row-sparse: each
+batch reduces its per-pair terms onto its unique users and items, and a
+sparse Adam update touches only those rows. Weight decay is decoupled and
+hits touched embedding rows only; the per-item quality and conformity scales
+are never decayed.
 
 The negative instance is scored at the positive's timestamp, so both sides
 of a pair see the same conformity landscape.
@@ -21,8 +22,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
-from .baselines import PopularityTable, ips_instance_weights, pda_coefficient, pda_infer
+from .baselines import PopularityTable, check_gamma, ips_instance_weights, pda_coefficient, pda_infer
 from .dataset import ChronoSplit, in_sorted, pair_keys, part_assignments
 from .evaluation import click_prediction_eval
 from .model import (
@@ -59,6 +61,7 @@ VARIANTS = {
 
 METHODS = tuple(LINKS)
 TIDE_VARIANTS = tuple(VARIANTS)
+PARAMS = ("user_emb", "item_emb", "q_raw", "beta_raw")
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,8 @@ class TrainConfig:
             raise ValueError("weight decay must be nonnegative")
         if self.method == "tide" and self.variant == "fixq" and self.fixed_q <= 0:
             raise ValueError("fixq needs a positive quality value")
-        if self.method in ("pd", "pda") and not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        if self.method in ("pd", "pda"):
+            check_gamma(self.gamma)
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.k_select < 1:
@@ -149,24 +152,25 @@ class AdamState:
     def __init__(self, model: TideModel, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step = 0
-        self.m1 = {name: np.zeros_like(getattr(model, name)) for name in
-                   ("user_emb", "item_emb", "q_raw", "beta_raw")}
+        self.m1 = {name: np.zeros_like(getattr(model, name)) for name in PARAMS}
         self.m2 = {name: np.zeros_like(v) for name, v in self.m1.items()}
 
-    def apply(self, model: TideModel, grads: dict, touched: dict, lrs: dict, decay: dict) -> None:
+    def apply(self, model: TideModel, grads: dict, lrs: dict, decay: dict) -> None:
+        """Update each parameter's rows from ``grads``: name -> (rows, row gradients)."""
         self.step += 1
         bc1 = 1.0 - self.beta1 ** self.step
         bc2 = 1.0 - self.beta2 ** self.step
-        for name, rows in touched.items():
-            g = grads[name][rows]
-            m1, m2 = self.m1[name], self.m2[name]
-            m1[rows] = self.beta1 * m1[rows] + (1.0 - self.beta1) * g
-            m2[rows] = self.beta2 * m2[rows] + (1.0 - self.beta2) * g * g
-            update = (m1[rows] / bc1) / (np.sqrt(m2[rows] / bc2) + self.eps)
+        for name, (rows, g) in grads.items():
+            m1 = self.beta1 * self.m1[name][rows] + (1.0 - self.beta1) * g
+            m2 = self.beta2 * self.m2[name][rows] + (1.0 - self.beta2) * g * g
+            self.m1[name][rows] = m1
+            self.m2[name][rows] = m2
+            update = (m1 / bc1) / (np.sqrt(m2 / bc2) + self.eps)
             param = getattr(model, name)
-            param[rows] -= lrs[name] * update
+            values = param[rows] - lrs[name] * update
             if decay.get(name, 0.0):
-                param[rows] -= lrs[name] * decay[name] * param[rows]
+                values -= lrs[name] * decay[name] * values
+            param[rows] = values
 
 
 def init_model(cfg: TrainConfig, n_users: int, n_items: int) -> TideModel:
@@ -201,19 +205,43 @@ def _coefficient(model: TideModel, cfg: TrainConfig, mode: InferenceMode | None,
     return 1.0, None
 
 
-def batch_loss_and_grads(model: TideModel, batch: TrainBatch, cfg: TrainConfig) -> tuple[float, dict]:
-    """Mean pairwise loss and dense analytic gradients for one batch.
+def _segment_sum(inverse: np.ndarray, n_rows: int) -> sparse.csc_matrix:
+    """Unit-weight operator S with (S @ v)[r] = the sum of v[j] over inverse[j] == r.
+
+    S has one column per term. The sparse kernel walks the columns in j order
+    and adds each term into its row, which starts at 0.0: the order of
+    ``np.add.at`` into zeros, so the sums are bit-identical to that scatter.
+    The unit weights matter: folding a factor into S's data lets the kernel
+    fuse multiply and add, which rounds differently.
+    """
+    return sparse.csc_matrix(
+        (np.ones(inverse.size), inverse, np.arange(inverse.size + 1)), shape=(n_rows, inverse.size)
+    )
+
+
+def batch_loss_and_row_grads(model: TideModel, batch: TrainBatch, cfg: TrainConfig) -> tuple[float, dict]:
+    """Mean pairwise loss and analytic gradients on the rows the batch touched.
 
     Every method scores y = C * L(m), so one forward and one backward serve
     them all: dy/dm = C * L'(m), and for tide dy/da = (1 - tanh(a)^2) * L(m).
+    Returns name -> (rows, gradient rows) for every trained parameter: the
+    batch's sorted unique users for ``user_emb``, its unique positive and
+    negative items for the rest. Item rows sum positive contributions before
+    negative ones.
     """
     u, p, n = batch.users, batch.pos, batch.neg
     b = u.size
     w = batch.weights if batch.weights is not None else np.ones(b)
     link, link_grad = LINKS[cfg.method]
     mode = cfg.train_mode()
-    m_p = model.matching(u, p)
-    m_n = model.matching(u, n)
+    user_rows, user_inv = np.unique(u, return_inverse=True)
+    item_rows, item_inv = np.unique(np.concatenate([p, n]), return_inverse=True)
+    per_user = _segment_sum(user_inv, user_rows.size)
+    per_item = _segment_sum(item_inv, item_rows.size)
+
+    e_u, e_p, e_n = model.user_emb[u], model.item_emb[p], model.item_emb[n]
+    m_p = np.einsum("ij,ij->i", e_u, e_p)  # TideModel.matching on the gathered rows
+    m_n = np.einsum("ij,ij->i", e_u, e_n)
     c_p, a_p = _coefficient(model, cfg, mode, p, batch.s_pos, batch.pop_pos)
     c_n, a_n = _coefficient(model, cfg, mode, n, batch.s_neg, batch.pop_neg)
     l_p = link(m_p)
@@ -221,50 +249,60 @@ def batch_loss_and_grads(model: TideModel, batch: TrainBatch, cfg: TrainConfig) 
     y_p = c_p * l_p
     y_n = c_n * l_n
 
-    grads = {
-        "user_emb": np.zeros_like(model.user_emb),
-        "item_emb": np.zeros_like(model.item_emb),
-        "q_raw": np.zeros_like(model.q_raw),
-        "beta_raw": np.zeros_like(model.beta_raw),
-    }
     d = sigmoid(y_n - y_p)
     gy_p = -(w * d / b)
     gy_n = +(w * d / b)
     gm_p = gy_p * c_p * link_grad(m_p)
     gm_n = gy_n * c_n * link_grad(m_n)
+    # Per-pair contributions are built in the gathered rows, and the item
+    # terms in one (2b, d) array, so a step holds at most three (b, d) arrays.
+    e_p *= gm_p[:, None]
+    e_n *= gm_n[:, None]
+    e_p += e_n
+    grads = {"user_emb": (user_rows, per_user @ e_p)}
+    del e_p, e_n
+    item_terms = np.empty((2 * b, e_u.shape[1]))
+    np.multiply(gm_p[:, None], e_u, out=item_terms[:b])
+    np.multiply(gm_n[:, None], e_u, out=item_terms[b:])
+    del e_u
+    grads["item_emb"] = (item_rows, per_item @ item_terms)
     if mode is not None:
         ga_p = gy_p * (1.0 - np.tanh(a_p) ** 2) * l_p
         ga_n = gy_n * (1.0 - np.tanh(a_n) ** 2) * l_n
         if mode.quality:
-            np.add.at(grads["q_raw"], p, ga_p * sigmoid(model.q_raw[p]))
-            np.add.at(grads["q_raw"], n, ga_n * sigmoid(model.q_raw[n]))
+            terms = np.concatenate([ga_p * sigmoid(model.q_raw[p]), ga_n * sigmoid(model.q_raw[n])])
+            grads["q_raw"] = (item_rows, per_item @ terms)
         if mode.conformity:
-            np.add.at(grads["beta_raw"], p, ga_p * batch.s_pos * sigmoid(model.beta_raw[p]))
-            np.add.at(grads["beta_raw"], n, ga_n * batch.s_neg * sigmoid(model.beta_raw[n]))
-
-    np.add.at(grads["user_emb"], u, gm_p[:, None] * model.item_emb[p] + gm_n[:, None] * model.item_emb[n])
-    np.add.at(grads["item_emb"], p, gm_p[:, None] * model.user_emb[u])
-    np.add.at(grads["item_emb"], n, gm_n[:, None] * model.user_emb[u])
+            terms = np.concatenate([
+                ga_p * batch.s_pos * sigmoid(model.beta_raw[p]),
+                ga_n * batch.s_neg * sigmoid(model.beta_raw[n]),
+            ])
+            grads["beta_raw"] = (item_rows, per_item @ terms)
 
     loss = float(np.mean(w * bpr_loss(y_p, y_n)))
     return loss, grads
 
 
+def batch_loss_and_grads(model: TideModel, batch: TrainBatch, cfg: TrainConfig) -> tuple[float, dict]:
+    """Mean pairwise loss and dense gradients: the row gradients written into zeros."""
+    loss, row_grads = batch_loss_and_row_grads(model, batch, cfg)
+    grads = {name: np.zeros_like(getattr(model, name)) for name in PARAMS}
+    for name, (rows, g) in row_grads.items():
+        grads[name][rows] = g
+    return loss, grads
+
+
 def grad_step(model: TideModel, batch: TrainBatch, cfg: TrainConfig, adam: AdamState) -> float:
     """One analytic-gradient Adam step; returns the batch's mean loss."""
-    loss, grads = batch_loss_and_grads(model, batch, cfg)
+    loss, grads = batch_loss_and_row_grads(model, batch, cfg)
     if not math.isfinite(loss):
         raise FloatingPointError(f"non-finite loss at adam step {adam.step + 1}")
-    trained = cfg.trained_params()
-    touched = {}
-    for name in trained:
-        rows = np.unique(batch.users) if name == "user_emb" else np.unique(np.concatenate([batch.pos, batch.neg]))
-        if not np.all(np.isfinite(grads[name][rows])):
+    for name, (_, g) in grads.items():
+        if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in {name} at adam step {adam.step + 1}")
-        touched[name] = rows
     lrs = {"user_emb": cfg.lr_emb, "item_emb": cfg.lr_emb, "q_raw": cfg.lr_qb, "beta_raw": cfg.lr_qb}
     decay = {"user_emb": cfg.weight_decay_emb, "item_emb": cfg.weight_decay_emb}
-    adam.apply(model, grads, touched, lrs, decay)
+    adam.apply(model, grads, lrs, decay)
     return loss
 
 

@@ -9,6 +9,7 @@ from tide.bias_analysis import (
     HALF_YEAR_SECONDS,
     WEEK_SECONDS,
     corr_p_value,
+    corr_p_values,
     instant_popularity,
     item_stats,
     kendall_tau,
@@ -133,6 +134,29 @@ def test_corr_p_value_against_closed_form_t_tails():
     assert corr_p_value(0.0, 10) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         corr_p_value(0.5, 2)
+
+
+def test_vectorized_p_values_equal_the_scalar_ones_bit_for_bit():
+    r = np.array([-1.0, -0.97, -0.5, 0.0, 0.3, 0.9, 1.0, 0.999999, -1e-12])
+    n = np.array([5, 3, 4, 10, 3, 7, 3, 50, 1000])
+    got = corr_p_values(r, n)
+    assert got.tolist() == [corr_p_value(ri, ni) for ri, ni in zip(r.tolist(), n.tolist())]
+    assert corr_p_values(np.zeros(0), np.zeros(0, dtype=np.int64)).shape == (0,)
+    with pytest.raises(ValueError):
+        corr_p_values(np.array([0.5, 0.5]), np.array([3, 2]))
+
+    # the per-item scan's p column is the scalar p of each item's r and n
+    rng = np.random.default_rng(5)
+    m = 3000
+    log = InteractionLog.build(
+        rng.integers(0, 50, m), rng.integers(0, 120, m), np.sort(rng.integers(0, 60 * WEEK_SECONDS, m)),
+        rng.integers(1, 6, m).astype(float), 50, 120,
+    )
+    for weekly in (False, True):
+        rep = per_item_rating_instant_pop_corr(log, t_o=4 * WEEK_SECONDS, p_threshold=1.0, weekly_aggregate=weekly)
+        assert rep.items.size > 50
+        want = [corr_p_value(ri, ni) for ri, ni in zip(rep.r.tolist(), rep.n.tolist())]
+        assert rep.p.tolist() == want
 
 
 def test_item_stats_counts_and_averages():

@@ -284,6 +284,28 @@ def test_non_tide_checkpoint_rejects_tide_modes(pipeline, tmp_path, capsys):
     ])
     assert rc == 1
     assert "requires method tide" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsys):
+    rc = run_cli([
+        "train", "--data", pipeline["prep"], "--method", "pd", "--gamma", 1.5,
+        "--epochs", 1, "--outdir", tmp_path / "out",
+    ])
+    assert rc == 1
+    assert "gamma must be in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    # a grid checks every point before it makes its own directory
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps({"gamma": [0.5, 1.5]}))
+    rc = run_cli([
+        "grid", "--data", pipeline["prep"], "--method", "pd", "--grid", grid_file,
+        "--epochs", 1, "--outdir", tmp_path / "grid",
+    ])
+    assert rc == 1
+    assert "gamma must be in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
 
 
 def test_evaluate_gamma_flag_reaches_the_config(pipeline, tmp_path, capsys):
@@ -305,6 +327,25 @@ def test_evaluate_gamma_flag_reaches_the_config(pipeline, tmp_path, capsys):
 
     assert run_cli(args + ["--gamma", 1.5, "--outdir", tmp_path / "bad"]) == 1
     assert "gamma" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+    # only pda reads gamma: on an mf checkpoint the flag is an error, and the
+    # flagless run still records the stored gamma, so its run id is unchanged
+    rc = run_cli([
+        "train", "--data", pipeline["prep"], "--method", "mf", "--embed-dim", 8,
+        "--epochs", 1, "--seed", 0, "--outdir", tmp_path / "mf",
+    ])
+    assert rc == 0
+    mf_args = ["evaluate", "--data", pipeline["prep"], "--checkpoint", only_entry(tmp_path / "mf"), "--k", 5]
+    capsys.readouterr()
+    assert run_cli(mf_args + ["--gamma", 0.5, "--outdir", tmp_path / "mf_flag"]) == 1
+    err = capsys.readouterr().err
+    assert "gamma" in err and "'mf'" in err
+    assert not (tmp_path / "mf_flag").exists()
+    assert run_cli(mf_args + ["--outdir", tmp_path / "mf_plain"]) == 0
+    plain = only_entry(tmp_path / "mf_plain")
+    config = json.loads((plain / "config.json").read_text())
+    assert config["gamma"] == 0.1
 
 
 # ---------------------------------------------------------------- analyze

@@ -4,16 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tide.baselines import pda_coefficient
 from tide.dataset import ChronoSplit, InteractionLog, chrono_split
 from tide.model import ConformityIndex, TideModel
-from tide.numerics import softplus
+from tide.numerics import bounded_tanh, bpr_loss, sigmoid, softplus
 from tide.trainer import (
+    LINKS,
+    PARAMS,
     AdamState,
     FitResult,
     TrainBatch,
     TrainConfig,
     batch_loss_and_grads,
+    batch_loss_and_row_grads,
     fit,
     grad_step,
     init_model,
@@ -134,6 +140,114 @@ def test_training_loss_is_built_from_the_serving_score(variant):
     assert loss == float(np.mean(np.ones(b) * softplus(y_n - y_p)))
 
 
+def dense_scatter_oracle(model, batch, cfg):
+    """The dense backward: per-pair terms scattered into zeros with np.add.at, in batch order."""
+    u, p, n = batch.users, batch.pos, batch.neg
+    b = u.size
+    w = batch.weights if batch.weights is not None else np.ones(b)
+    link, link_grad = LINKS[cfg.method]
+    mode = cfg.train_mode()
+
+    def coefficient(items, s, pop):
+        if mode is not None:
+            a = mode.popularity_input(softplus(model.q_raw[items]), softplus(model.beta_raw[items]), s)
+            return bounded_tanh(a), a
+        if cfg.method in ("pd", "pda"):
+            return pda_coefficient(pop, cfg.gamma), None
+        return 1.0, None
+
+    m_p = model.matching(u, p)
+    m_n = model.matching(u, n)
+    c_p, a_p = coefficient(p, batch.s_pos, batch.pop_pos)
+    c_n, a_n = coefficient(n, batch.s_neg, batch.pop_neg)
+    l_p, l_n = link(m_p), link(m_n)
+    y_p, y_n = c_p * l_p, c_n * l_n
+    grads = {name: np.zeros_like(getattr(model, name)) for name in PARAMS}
+    d = sigmoid(y_n - y_p)
+    gy_p = -(w * d / b)
+    gy_n = +(w * d / b)
+    gm_p = gy_p * c_p * link_grad(m_p)
+    gm_n = gy_n * c_n * link_grad(m_n)
+    if mode is not None:
+        ga_p = gy_p * (1.0 - np.tanh(a_p) ** 2) * l_p
+        ga_n = gy_n * (1.0 - np.tanh(a_n) ** 2) * l_n
+        if mode.quality:
+            np.add.at(grads["q_raw"], p, ga_p * sigmoid(model.q_raw[p]))
+            np.add.at(grads["q_raw"], n, ga_n * sigmoid(model.q_raw[n]))
+        if mode.conformity:
+            np.add.at(grads["beta_raw"], p, ga_p * batch.s_pos * sigmoid(model.beta_raw[p]))
+            np.add.at(grads["beta_raw"], n, ga_n * batch.s_neg * sigmoid(model.beta_raw[n]))
+    np.add.at(grads["user_emb"], u, gm_p[:, None] * model.item_emb[p] + gm_n[:, None] * model.item_emb[n])
+    np.add.at(grads["item_emb"], p, gm_p[:, None] * model.user_emb[u])
+    np.add.at(grads["item_emb"], n, gm_n[:, None] * model.user_emb[u])
+    return float(np.mean(w * bpr_loss(y_p, y_n))), grads
+
+
+@st.composite
+def batch_indices(draw):
+    """(n_users, n_items, users, pos, neg) on tiny id ranges, so rows repeat."""
+    n_users = draw(st.integers(1, 4))
+    n_items = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 12))
+    ids = lambda hi: st.lists(st.integers(0, hi - 1), min_size=b, max_size=b)
+    return n_users, n_items, draw(ids(n_users)), draw(ids(n_items)), draw(ids(n_items))
+
+
+@settings(deadline=None, max_examples=80)
+@given(cfg=st.sampled_from(ALL_CONFIGS), indices=batch_indices(), seed=st.integers(0, 2**16))
+@example(cfg=ALL_CONFIGS[0], indices=(1, 2, [0], [1], [0]), seed=0)  # b = 1
+@example(cfg=ALL_CONFIGS[0], indices=(2, 3, [0, 1, 0], [2, 0, 1], [0, 2, 2]), seed=1)  # item 2 on both sides
+@example(cfg=ALL_CONFIGS[6], indices=(2, 3, [1, 1, 0], [0, 1, 0], [1, 0, 1]), seed=2)
+def test_row_gradients_equal_the_dense_scatter_bit_for_bit(cfg, indices, seed):
+    n_users, n_items, users, pos, neg = indices
+    rng = np.random.default_rng(seed)
+    b = len(users)
+    model = init_model(cfg, n_users, n_items)
+    for name in PARAMS:
+        param = getattr(model, name)
+        finite = np.isfinite(param)
+        param[finite] = rng.normal(0.0, 0.7, finite.sum())
+    batch = TrainBatch(
+        users=np.array(users), pos=np.array(pos), neg=np.array(neg), times=np.zeros(b, dtype=np.int64),
+        s_pos=rng.uniform(0.1, 3.0, b), s_neg=rng.uniform(0.1, 3.0, b),
+        pop_pos=rng.uniform(0.05, 1.0, b), pop_neg=rng.uniform(0.05, 1.0, b),
+        weights=rng.uniform(0.5, 2.0, b) if cfg.method == "mf-ips" else None,
+    )
+    want_loss, want = dense_scatter_oracle(model, batch, cfg)
+
+    loss, row_grads = batch_loss_and_row_grads(model, batch, cfg)
+    assert loss == want_loss
+    assert tuple(row_grads) == cfg.trained_params()
+    user_rows = np.unique(batch.users)
+    item_rows = np.unique(np.concatenate([batch.pos, batch.neg]))
+    got = {name: np.zeros_like(getattr(model, name)) for name in PARAMS}
+    for name, (rows, g) in row_grads.items():
+        assert np.array_equal(rows, user_rows if name == "user_emb" else item_rows)
+        got[name][rows] = g
+    for name in PARAMS:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    dense_loss, dense = batch_loss_and_grads(model, batch, cfg)
+    assert dense_loss == loss and all(dense[name].tobytes() == got[name].tobytes() for name in PARAMS)
+
+    # one Adam step moves exactly the batch's rows: every embedding row it
+    # touched (weight decay alone moves those), every scale row with a
+    # nonzero gradient, and nothing else
+    before = model.copy()
+    grad_step(model, batch, cfg, AdamState(model))
+    for name in PARAMS:
+        moved = getattr(model, name) != getattr(before, name)
+        changed = np.flatnonzero(moved.reshape(moved.shape[0], -1).any(axis=1))
+        if name not in cfg.trained_params():
+            assert changed.size == 0, name
+        elif name == "user_emb":
+            assert np.array_equal(changed, user_rows)
+        elif name == "item_emb":
+            assert np.array_equal(changed, item_rows)
+        else:
+            assert np.isin(changed, item_rows).all()
+            assert np.isin(np.flatnonzero(want[name]), changed).all(), name
+
+
 def test_adam_first_step_matches_hand_computation():
     cfg = TrainConfig(method="mf", lr_emb=0.05, weight_decay_emb=0.01)
     model, batch = tiny_setup(cfg, 21)
@@ -177,6 +291,17 @@ def test_grad_step_raises_on_nonfinite():
     adam = AdamState(model)
     with pytest.raises(FloatingPointError):
         grad_step(model, batch, cfg, adam)
+
+    model, batch = tiny_setup(cfg, 24)
+    model.item_emb[batch.neg[-1], 1] = np.nan
+    with pytest.raises(FloatingPointError):
+        grad_step(model, batch, cfg, AdamState(model))
+
+    cfg = TrainConfig(method="tide", variant="full")
+    model, batch = tiny_setup(cfg, 25)
+    model.q_raw[batch.pos[0]] = np.nan
+    with pytest.raises(FloatingPointError):
+        grad_step(model, batch, cfg, AdamState(model))
 
 
 def test_init_model_pins_frozen_components():
