@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .dataset import InteractionLog
+from .dataset import InteractionLog, ItemTimeline
 from .numerics import softplus
 
 HALF_YEAR_SECONDS = 15_768_000  # 182.5 days
@@ -192,12 +192,12 @@ def instant_popularity(log: InteractionLog, item: int, t: int, t_o: int = HALF_Y
     return int(np.count_nonzero((ts >= t - t_o) & (ts < t)))
 
 
-def _item_time_csr(log: InteractionLog) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((log.times, log.items))
-    times = log.times[order]
-    counts = np.bincount(log.items, minlength=log.n_items)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return offsets, times
+def instant_popularities(log: InteractionLog, t_o: int = HALF_YEAR_SECONDS) -> np.ndarray:
+    """``instant_popularity`` at every click of the log, for all rows at once."""
+    if t_o <= 0:
+        raise ValueError("t_o must be positive")
+    timeline = ItemTimeline(log.items, log.times, log.n_items)
+    return timeline.before(log.items, log.times) - timeline.before(log.items, log.times - t_o)
 
 
 def per_item_rating_instant_pop_corr(
@@ -214,9 +214,7 @@ def per_item_rating_instant_pop_corr(
     With ``weekly_aggregate`` both series are first averaged inside calendar
     weeks (anchored at the log's first click) before correlating.
     """
-    if t_o <= 0:
-        raise ValueError("t_o must be positive")
-    offsets, all_times = _item_time_csr(log)
+    window = instant_popularities(log, t_o).astype(np.float64)
     rated = np.flatnonzero(~np.isnan(log.ratings))
     # rated rows grouped by item once; stable, so each item's rows keep log order
     by_item = rated[np.argsort(log.items[rated], kind="stable")]
@@ -229,10 +227,7 @@ def per_item_rating_instant_pop_corr(
     for item, s, e in zip(grouped[starts], starts, ends):
         ts = log.times[by_item[s:e]]
         ys = log.ratings[by_item[s:e]]
-        seg = all_times[offsets[item]:offsets[item + 1]]
-        lo = np.searchsorted(seg, ts - t_o, side="left")
-        hi = np.searchsorted(seg, ts, side="left")
-        xs = (hi - lo).astype(np.float64)
+        xs = window[by_item[s:e]]
         if weekly_aggregate:
             week = (ts - t0) // WEEK_SECONDS
             uniq = np.unique(week)

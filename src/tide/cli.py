@@ -110,6 +110,12 @@ def make_run_dir(outdir, config: dict) -> Path:
     return run_dir
 
 
+def _checkpoint_file(path) -> Path:
+    """A checkpoint file as given, or the ``checkpoint.npz`` inside a run directory."""
+    path = Path(path)
+    return path / "checkpoint.npz" if path.is_dir() else path
+
+
 def _load_log(path: Path, delimiter: str = "\t") -> dataset.InteractionLog:
     """Accept a raw interaction file, a split directory, or a synth run dir."""
     path = Path(path)
@@ -144,9 +150,11 @@ def cmd_synth(args) -> int:
     defaults = asdict(synthgen.SynthConfig())
     flag_map = {"seed": "seed", "n_events": "n_events"}
     config = resolve_config(args, defaults, flag_map)
+    synth_cfg = synthgen.SynthConfig(**config)
+    synth_cfg.validate()
     run_dir = make_run_dir(args.outdir, config)
-    log, truth = synthgen.generate(synthgen.SynthConfig(**config))
-    synthgen.save_synth(log, truth, synthgen.SynthConfig(**config), run_dir)
+    log, truth = synthgen.generate(synth_cfg)
+    synthgen.save_synth(log, truth, synth_cfg, run_dir)
     print(f"synth: {len(log)} interactions, {log.n_users} users, {log.n_items} items -> {run_dir}")
     return 0
 
@@ -155,13 +163,13 @@ def cmd_prepare(args) -> int:
     flag_map = {"data": "data", "core_n": "core_n", "parts": "parts", "seed": "split_seed"}
     config = resolve_config(args, PREPARE_DEFAULTS, flag_map)
     config["data"] = str(config["data"])
-    run_dir = make_run_dir(args.outdir, config)
     log = dataset.load_interactions(
         config["data"], dataset.ColumnFormat(delimiter=config["delimiter"])
     )
     if config["core_n"] > 1:
         log = dataset.n_core_filter(log, config["core_n"])
     split = dataset.chrono_split(log, parts=config["parts"], split_seed=config["split_seed"])
+    run_dir = make_run_dir(args.outdir, config)
     dataset.save_split(split, run_dir)
     print(
         f"prepare: {len(log)} interactions, {log.n_users} users, {log.n_items} items; "
@@ -196,7 +204,7 @@ def run_training(config: dict, outdir) -> dict:
     result = trainer.fit(split, cfg)
     trainer.write_history(result.history, run_dir / "history.csv")
     tmp = run_dir / "checkpoint.tmp.npz"
-    save_checkpoint(result.model, tmp, anchor=split.train.t_min, meta={"config": config})
+    save_checkpoint(result.model, tmp, meta={"config": config})
     os.replace(tmp, run_dir / "checkpoint.npz")
     summary = {
         "run_id": run_dir.name,
@@ -229,12 +237,12 @@ def _parse_eval_mode(method: str, mode_text: str) -> InferenceMode:
     return parse_mode(mode_text) if method == "tide" else MATCHING_ONLY
 
 
-def _scorer_for_mode(model, method, mode, split, gamma, anchor, index_cache):
+def _scorer_for_mode(model, method, mode, split, gamma, index_cache):
     """A block scorer for one parsed mode; the conformity index is built once and cached."""
     index = None
     if mode.needs_history():
         if "index" not in index_cache:
-            index_cache["index"] = ConformityIndex.from_log(split.train, model.tau, anchor=anchor)
+            index_cache["index"] = ConformityIndex.from_log(split.train, model.tau)
         index = index_cache["index"]
     table = baselines.PopularityTable.from_split(split) if method == "pda" else None
     return trainer.make_scorer(
@@ -251,10 +259,8 @@ def cmd_evaluate(args) -> int:
     config = resolve_config(args, EVALUATE_DEFAULTS, flag_map)
     if not config["checkpoint"]:
         raise ValueError("missing required option: checkpoint")
-    ckpt_path = Path(config["checkpoint"])
-    if ckpt_path.is_dir():
-        ckpt_path = ckpt_path / "checkpoint.npz"
-    model, anchor, meta = load_checkpoint(ckpt_path)
+    ckpt_path = _checkpoint_file(config["checkpoint"])
+    model, meta = load_checkpoint(ckpt_path)
     meta_config = meta.get("config", {})
     method = config["method"] or meta_config.get("method", "tide")
     if config["gamma"] is not None and method != "pda":
@@ -281,7 +287,7 @@ def cmd_evaluate(args) -> int:
     reports = []
     index_cache: dict = {}
     for mode_text, mode in zip(modes, parsed):
-        scorer = _scorer_for_mode(model, method, mode, split, gamma, anchor, index_cache)
+        scorer = _scorer_for_mode(model, method, mode, split, gamma, index_cache)
         # one pass per mode: both tasks rank from the same score rows
         click = evaluation.click_prediction_eval(
             scorer, split.train, eval_log, k=config["k_click"],
@@ -331,13 +337,14 @@ def cmd_analyze(args) -> int:
     }
     config = resolve_config(args, ANALYZE_DEFAULTS, flag_map)
     config["data"] = str(config["data"])
+    model = None
     if config["checkpoint"]:
         config["checkpoint"] = str(config["checkpoint"])
+        model, _ = load_checkpoint(_checkpoint_file(config["checkpoint"]))
+    log = _load_log(Path(config["data"]))
     run_dir = make_run_dir(args.outdir, config)
     analysis_dir = run_dir / "analysis"
     analysis_dir.mkdir(exist_ok=True)
-
-    log = _load_log(Path(config["data"]))
     summary: dict = {"schema_version": SCHEMA_VERSION}
 
     buckets = bias_analysis.popularity_buckets(log, n_buckets=config["n_buckets"])
@@ -370,11 +377,7 @@ def cmd_analyze(args) -> int:
     summary["n_retained"] = int(corr.retained.sum())
     summary["negative_fraction"] = corr.negative_fraction()
 
-    if config["checkpoint"]:
-        ckpt_path = Path(config["checkpoint"])
-        if ckpt_path.is_dir():
-            ckpt_path = ckpt_path / "checkpoint.npz"
-        model, _, _ = load_checkpoint(ckpt_path)
+    if model is not None:
         qbuckets = bias_analysis.quality_buckets(model, log, n_buckets=config["n_buckets"])
         _write_bucket_csv(analysis_dir / "quality_buckets.csv", qbuckets)
         rcc_q, rcc_p = bias_analysis.quality_rating_rcc(model, log)

@@ -147,6 +147,48 @@ def in_sorted(sorted_keys: np.ndarray, keys) -> np.ndarray:
     return sorted_keys[idx] == keys
 
 
+class ItemTimeline:
+    """Clicks sorted by (item, time), searchable by "clicks of item i before time t".
+
+    The sort key is ``item * stride + rank``, rank counting the clicks at any
+    earlier time: ranks, unlike raw times, cannot overflow it. Equal keys are
+    equal (item, time) pairs, so the key alone fixes the layout.
+    """
+
+    def __init__(self, items, times, n_items: int):
+        items = np.asarray(items, dtype=np.int64)
+        times = np.asarray(times, dtype=np.int64)
+        if items.size != times.size:
+            raise ValueError("items and times differ in length")
+        self.clock = np.sort(times)
+        # a query rank runs up to clock.size, one past the last click rank
+        self.stride = np.int64(self.clock.size + 1)
+        self.keys = np.sort(items * self.stride + np.searchsorted(self.clock, times))
+        self.items, rank = np.divmod(self.keys, self.stride)
+        self.times = self.clock[rank]
+        self.offsets = np.concatenate(([0], np.cumsum(np.bincount(items, minlength=n_items))))
+
+    def before(self, items, times) -> np.ndarray:
+        """Per (i, t) pair, the sorted position just past i's last click strictly before t.
+
+        Less ``offsets[i]``, that is the number of such clicks.
+        """
+        rank = _search_left(self.clock, np.asarray(times))
+        return _search_left(self.keys, np.asarray(items, dtype=np.int64) * self.stride + rank)
+
+
+def _search_left(sorted_arr: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(side="left")``, visiting the needles in ascending order.
+
+    Searches for ascending needles touch neighbouring memory one after the
+    other, so on long random needle arrays the sort pays for itself.
+    """
+    order = np.argsort(needles)
+    out = np.empty(needles.shape, dtype=np.intp)
+    out[order] = np.searchsorted(sorted_arr, needles[order], side="left")
+    return out
+
+
 def _read_rows(path, fmt: ColumnFormat):
     """Parse raw token rows; user/item kept as strings for later compaction."""
     path = Path(path)
@@ -180,8 +222,8 @@ def _read_rows(path, fmt: ColumnFormat):
                     r = float(tok)
                 except ValueError:
                     raise DataFormatError(f"line {lineno}: non-numeric rating {tok!r}") from None
-                if not math.isnan(r) and not (1.0 <= r <= 5.0):
-                    raise DataFormatError(f"line {lineno}: rating {r} outside [1, 5]")
+                if not math.isnan(r) and not (0.5 <= r <= 5.0):  # half stars allowed
+                    raise DataFormatError(f"line {lineno}: rating {r} outside [0.5, 5]")
             users.append(parts[fmt.user_col].strip())
             items.append(parts[fmt.item_col].strip())
             ratings.append(r)

@@ -4,7 +4,9 @@ An item's score at time t is Tanh(q_i + c_i^t) * Softplus(m_ui):
 
 * q_i >= 0 is a static per-item quality, parameterized q_i = softplus(q_raw_i);
 * c_i^t = beta_i * sum_l exp(-(t - t_l) / tau) is time-decayed conformity over
-  the item's strictly earlier interactions, beta_i = softplus(beta_raw_i);
+  the item's strictly earlier interactions, beta_i = softplus(beta_raw_i); the
+  sums come from the recursion S_k = 1 + exp(-(t_k - t_{k-1}) / tau) * S_{k-1}
+  per click, whose exponents are never positive, so any span/tau works;
 * m_ui is the user/item match from a dot-product embedding backbone.
 
 Because q_i + c_i^t > 0, the popularity coefficient Tanh(.) lies in (0, 1) and
@@ -21,10 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import InteractionLog
+from .dataset import InteractionLog, ItemTimeline
 from .numerics import bounded_tanh, softplus
-
-_MAX_EXPONENT = 700.0  # exp overflows float64 just above 709
 
 CHECKPOINT_VERSION = 1
 
@@ -100,56 +100,38 @@ def parse_mode(text: str) -> InferenceMode:
 
 
 class ConformityIndex:
-    """Per-item decayed interaction sums with O(log n) point queries.
+    """Per-item decayed click sums with O(log n) point queries.
 
     For item i at time t the raw conformity weight is
     sum over earlier clicks l of exp(-(t - t_l) / tau), t_l < t strictly.
-    Item histories are stored segment-wise (CSR layout) with prefix sums of
-    exp((t_l - anchor) / tau), so a query is one binary search plus a lookup:
-    exp(-(t - anchor) / tau) * prefix[k - 1].
+    Each click k keeps S_k = 1 + exp(-(t_k - t_{k-1}) / tau) * S_{k-1} (1 at the
+    item's first click); a query binary-searches the item's last click k before
+    t and returns exp(-(t - t_k) / tau) * S_k. No exponent is ever positive, so
+    the log's span is not limited relative to tau.
     """
 
-    def __init__(self, items, times, n_items: int, tau: float, anchor: int | None = None):
-        items = np.asarray(items, dtype=np.int64)
-        times = np.asarray(times, dtype=np.int64)
-        if items.size != times.size:
-            raise ValueError("items and times differ in length")
+    def __init__(self, items, times, n_items: int, tau: float):
         if tau <= 0:
             raise ValueError("tau must be positive")
         self.tau = float(tau)
         self.n_items = int(n_items)
-        if anchor is None:
-            anchor = int(times.min()) if times.size else 0
-        self.anchor = int(anchor)
-        order = np.lexsort((times, items))
-        seg_items = items[order]
-        self.times = times[order]
-        counts = np.bincount(seg_items, minlength=self.n_items)
-        self.offsets = np.concatenate(([0], np.cumsum(counts)))
-        scaled = (self.times - self.anchor) / self.tau
-        if scaled.size and scaled.max() > _MAX_EXPONENT:
-            raise ValueError(
-                f"history span {self.times.max() - self.anchor} overflows exp at "
-                f"tau={self.tau}; use a larger tau or rescale the timestamps"
-            )
-        weights = np.exp(scaled)
-        # summed per item: a cumsum across segments followed by subtraction
-        # would cancel catastrophically once weights span many decades
-        self.prefix = np.empty_like(weights)
-        for j in range(self.n_items):
-            o0, o1 = self.offsets[j], self.offsets[j + 1]
-            if o1 > o0:
-                self.prefix[o0:o1] = np.cumsum(weights[o0:o1])
+        self.timeline = tl = ItemTimeline(items, times, n_items)
+        first = np.diff(tl.items, prepend=-1) != 0
+        # exp(-inf) = 0 at each item's first click: no sum leaks across items
+        reach = np.exp(-np.where(first, np.inf, np.diff(tl.times, prepend=0)) / self.tau)
+        # doubling scan: after the step with stride d each click holds the
+        # recursion over its last 2d clicks as the map S -> sums + reach * S;
+        # the zeros cut the chains, so the longest item history bounds the steps
+        self.sums = np.ones_like(reach)
+        d, longest = 1, np.diff(tl.offsets).max(initial=0)
+        while d < longest:
+            self.sums[d:] += reach[d:] * self.sums[:-d]
+            reach[d:] = reach[d:] * reach[:-d]
+            d *= 2
 
     @classmethod
-    def from_log(cls, log: InteractionLog, tau: float, anchor: int | None = None) -> "ConformityIndex":
-        return cls(log.items, log.times, log.n_items, tau, anchor)
-
-    def _decay_from_anchor(self, ts: np.ndarray) -> np.ndarray:
-        scaled = (self.anchor - np.asarray(ts, dtype=np.float64)) / self.tau
-        if scaled.size and scaled.max() > _MAX_EXPONENT:
-            raise ValueError("query time precedes anchor by more than exp can span")
-        return np.exp(scaled)
+    def from_log(cls, log: InteractionLog, tau: float) -> "ConformityIndex":
+        return cls(log.items, log.times, log.n_items, tau)
 
     def query(self, items, times) -> np.ndarray:
         """Raw decayed sums for (item, time) pairs; strictly earlier clicks only."""
@@ -157,29 +139,17 @@ class ConformityIndex:
         ts = np.atleast_1d(np.asarray(times, dtype=np.int64))
         if items.shape != ts.shape:
             raise ValueError("items and times differ in shape")
+        tl = self.timeline
+        pos = tl.before(items, ts)
+        hit = np.flatnonzero(pos > tl.offsets[items])
+        last = pos[hit] - 1
         out = np.zeros(items.size, dtype=np.float64)
-        order = np.argsort(items, kind="stable")
-        si, st = items[order], ts[order]
-        starts = np.flatnonzero(np.r_[True, si[1:] != si[:-1]]) if si.size else np.array([], dtype=np.int64)
-        ends = np.r_[starts[1:], si.size] if si.size else starts
-        for s, e in zip(starts, ends):
-            o0, o1 = self.offsets[si[s]], self.offsets[si[s] + 1]
-            k = np.searchsorted(self.times[o0:o1], st[s:e], side="left")
-            sums = np.where(k > 0, self.prefix[o0:o1][np.maximum(k - 1, 0)], 0.0) if o1 > o0 else np.zeros(e - s)
-            out[order[s:e]] = self._decay_from_anchor(st[s:e]) * sums
+        out[hit] = np.exp(-(ts[hit] - tl.times[last]) / self.tau) * self.sums[last]
         return out
 
     def query_at(self, t: int) -> np.ndarray:
         """Raw decayed sums for every item at one shared time t."""
-        if self.prefix.size == 0:
-            return np.zeros(self.n_items)
-        before = self.times < t
-        cs = np.cumsum(before)
-        at = lambda j: np.where(j > 0, cs[np.maximum(j - 1, 0)], 0)
-        k = at(self.offsets[1:]) - at(self.offsets[:-1])
-        idx = self.offsets[:-1] + np.maximum(k - 1, 0)
-        sums = np.where(k > 0, self.prefix[np.minimum(idx, max(self.prefix.size - 1, 0))], 0.0)
-        return self._decay_from_anchor(np.full(self.n_items, t)) * sums
+        return self.query(np.arange(self.n_items), np.full(self.n_items, t))
 
 
 @dataclass
@@ -293,7 +263,7 @@ def _combine(m: np.ndarray, a: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def save_checkpoint(model: TideModel, path, anchor: int | None = None, meta: dict | None = None) -> None:
+def save_checkpoint(model: TideModel, path, meta: dict | None = None) -> None:
     """Persist parameters as an uncompressed npz with a JSON sidecar field."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -304,7 +274,6 @@ def save_checkpoint(model: TideModel, path, anchor: int | None = None, meta: dic
         n_items=np.int64(model.n_items),
         dim=np.int64(model.dim),
         tau=np.float64(model.tau),
-        anchor=np.float64(np.nan if anchor is None else anchor),
         user_emb=model.user_emb,
         item_emb=model.item_emb,
         q_raw=model.q_raw,
@@ -313,8 +282,11 @@ def save_checkpoint(model: TideModel, path, anchor: int | None = None, meta: dic
     )
 
 
-def load_checkpoint(path) -> tuple[TideModel, int | None, dict]:
-    """Load a checkpoint; returns (model, anchor, meta)."""
+def load_checkpoint(path) -> tuple[TideModel, dict]:
+    """Load a checkpoint; returns (model, meta).
+
+    Older files also carry an ``anchor`` field, which nothing reads any more.
+    """
     with np.load(Path(path), allow_pickle=False) as npz:
         version = int(npz["version"])
         if version != CHECKPOINT_VERSION:
@@ -326,7 +298,5 @@ def load_checkpoint(path) -> tuple[TideModel, int | None, dict]:
             beta_raw=npz["beta_raw"].astype(np.float64),
             tau=float(npz["tau"]),
         )
-        raw_anchor = float(npz["anchor"])
-        anchor = None if np.isnan(raw_anchor) else int(raw_anchor)
         meta = json.loads(str(npz["meta_json"]))
-    return model, anchor, meta
+    return model, meta

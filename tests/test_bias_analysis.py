@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tide.bias_analysis import (
     HALF_YEAR_SECONDS,
     WEEK_SECONDS,
     corr_p_value,
     corr_p_values,
+    instant_popularities,
     instant_popularity,
     item_stats,
     kendall_tau,
@@ -191,6 +194,19 @@ def test_instant_popularity_window_is_half_open():
     assert instant_popularity(log, 0, 10**9, t_o=100) == 0
     with pytest.raises(ValueError):
         instant_popularity(log, 0, 200, t_o=0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    clicks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 60)), min_size=1, max_size=40),
+    t_o=st.integers(1, 70),
+)
+def test_vectorized_window_counts_equal_instant_popularity(clicks, t_o):
+    items, times = zip(*clicks)
+    log = InteractionLog.build(np.zeros(len(items)), items, times, n_users=1, n_items=5)
+    counts = instant_popularities(log, t_o)
+    for k in range(len(log)):
+        assert counts[k] == instant_popularity(log, int(log.items[k]), int(log.times[k]), t_o)
 
 
 def test_default_window_is_half_a_year():

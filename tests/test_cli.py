@@ -156,10 +156,9 @@ def test_prepare_split_roundtrips_and_is_deterministic(pipeline, tmp_path):
 
 def test_train_artifacts(pipeline):
     run_dir = pipeline["train"]
-    model, anchor, meta = load_checkpoint(run_dir / "checkpoint.npz")
+    model, meta = load_checkpoint(run_dir / "checkpoint.npz")
     split = load_split(pipeline["prep"])
     assert model.n_items == split.train.n_items
-    assert anchor == split.train.t_min
     assert meta["config"]["method"] == "tide"
 
     history = (run_dir / "history.csv").read_text().strip().split("\n")
@@ -306,6 +305,19 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
     assert rc == 1
     assert "gamma must be in [0, 1], got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "grid").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["synth", "--n-events", 0], "counts must be >= 1"),
+    (["prepare", "--data", "nothere.tsv"], "no such interaction file"),
+    (["analyze", "--data", "nothere"], "no such interaction file"),
+    (["analyze", "--data", "{prep}", "--checkpoint", "nothere.npz"], "nothere.npz"),
+], ids=["synth", "prepare", "analyze-data", "analyze-checkpoint"])
+def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv, message):
+    argv = [str(a).format(prep=pipeline["prep"]) for a in argv]
+    assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_gamma_flag_reaches_the_config(pipeline, tmp_path, capsys):

@@ -60,6 +60,16 @@ def test_load_rejects_out_of_range_rating(tmp_path):
         load_interactions(p)
 
 
+def test_load_accepts_half_star_ratings_and_names_the_range(tmp_path):
+    p = tmp_path / "half.tsv"
+    write_lines(p, ["1\t2\t0.5\t100", "1\t3\t4.5\t200"])
+    assert load_interactions(p).ratings.tolist() == [0.5, 4.5]
+    for bad in ("9", "0"):
+        write_lines(p, [f"1\t2\t{bad}\t100"])
+        with pytest.raises(DataFormatError, match=r"line 1: rating .* outside \[0\.5, 5\]"):
+            load_interactions(p)
+
+
 def test_save_load_roundtrip_with_missing_ratings(tmp_path):
     log = InteractionLog.build(
         users=[0, 1, 0],

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tide.dataset import InteractionLog
 from tide.model import (
@@ -28,9 +30,9 @@ def naive_conformity(items, times, item, t, tau):
 
 
 def test_index_prefix_example_two_clicks():
-    # clicks at anchor and anchor + tau give prefix sums [1, 1 + e]
+    # clicks tau apart give per-click sums [1, 1 + e^-1]
     idx = ConformityIndex(items=[0, 0], times=[100, 100 + 50], n_items=1, tau=50.0)
-    assert np.allclose(idx.prefix, [1.0, 1.0 + math.e], rtol=1e-15)
+    assert np.allclose(idx.sums, [1.0, 1.0 + math.exp(-1.0)], rtol=1e-15)
 
 
 def test_index_query_closed_forms():
@@ -93,9 +95,40 @@ def test_index_survives_wide_exponent_spans():
         assert abs(g - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def test_index_overflow_guard_raises_with_advice():
-    with pytest.raises(ValueError, match="larger tau"):
-        ConformityIndex(items=[0, 0], times=[0, 10_000], n_items=1, tau=1.0)
+@st.composite
+def click_logs(draw):
+    """Clicks on a few items over spans up to 1e9 s, with repeated timestamps."""
+    n_items = draw(st.integers(1, 5))
+    span = draw(st.sampled_from([0, 10, 10**4, 10**7, 10**9]))
+    n = draw(st.integers(0, 40))
+    times = draw(st.lists(st.integers(0, span), min_size=n, max_size=n))
+    times += draw(st.lists(st.sampled_from(times), max_size=5)) if times else []
+    items = draw(st.lists(st.integers(0, n_items - 1), min_size=len(times), max_size=len(times)))
+    return items, times, n_items, span
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    log=click_logs(),
+    tau=st.floats(1.0, 1e12),
+    offsets=st.lists(st.integers(-10**9, 2 * 10**9), min_size=1, max_size=10),
+)
+@example(log=([0, 0], [0, 10**9], 1, 10**9), tau=1.0, offsets=[10**9 + 1, 2 * 10**9])
+@example(log=([1, 1, 1], [5, 5, 5], 3, 10), tau=1e12, offsets=[5, 6, 4])
+@example(log=([0, 0], [0, 5], 1, 10), tau=1.0, offsets=[725])
+def test_index_matches_the_naive_sum_for_any_span_and_tau(log, tau, offsets):
+    # queries land before the first click, on clicks, between and after the last
+    items, times, n_items, span = log
+    idx = ConformityIndex(items, times, n_items, tau)
+    q_times = list(offsets) + list(times)
+    for i in range(n_items):
+        got = idx.query(np.full(len(q_times), i), q_times)
+        for t, g in zip(q_times, got):
+            want = naive_conformity(items, times, i, t, tau)
+            assert np.isfinite(g)
+            # below the smallest normal float (~2.2e-308) only absolute precision is left
+            assert abs(g - want) <= 1e-12 * want + 1e-300, (i, t, g, want)
+        assert np.array_equal(idx.query_at(q_times[0])[i:i + 1], got[:1])
 
 
 def test_index_rejects_nonpositive_tau():
@@ -247,9 +280,8 @@ def test_needs_history_only_for_conformity_dependent_modes():
 def test_checkpoint_roundtrip_preserves_everything(tmp_path):
     m = make_model(seed=11)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(m, path, anchor=12345, meta={"note": "x", "k": [1, 2]})
-    back, anchor, meta = load_checkpoint(path)
-    assert anchor == 12345
+    save_checkpoint(m, path, meta={"note": "x", "k": [1, 2]})
+    back, meta = load_checkpoint(path)
     assert meta == {"note": "x", "k": [1, 2]}
     assert np.array_equal(back.user_emb, m.user_emb)
     assert np.array_equal(back.item_emb, m.item_emb)
@@ -258,20 +290,43 @@ def test_checkpoint_roundtrip_preserves_everything(tmp_path):
     assert back.tau == m.tau
 
 
-def test_checkpoint_none_anchor_roundtrips(tmp_path):
+def test_checkpoint_without_meta_roundtrips(tmp_path):
     m = make_model()
     path = tmp_path / "ckpt.npz"
     save_checkpoint(m, path)
-    _, anchor, meta = load_checkpoint(path)
-    assert anchor is None
+    _, meta = load_checkpoint(path)
     assert meta == {}
+
+
+def test_checkpoint_with_the_old_anchor_field_still_loads(tmp_path):
+    m = make_model(seed=13)
+    path = tmp_path / "old.npz"
+    np.savez(
+        path,
+        version=np.int64(1),
+        n_users=np.int64(m.n_users),
+        n_items=np.int64(m.n_items),
+        dim=np.int64(m.dim),
+        tau=np.float64(m.tau),
+        anchor=np.float64(12345),
+        user_emb=m.user_emb,
+        item_emb=m.item_emb,
+        q_raw=m.q_raw,
+        beta_raw=m.beta_raw,
+        meta_json=np.str_('{"config": {"method": "tide"}}'),
+    )
+    back, meta = load_checkpoint(path)
+    assert meta == {"config": {"method": "tide"}}
+    assert np.array_equal(back.item_emb, m.item_emb)
+    assert np.array_equal(back.beta_raw, m.beta_raw)
+    assert back.tau == m.tau
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path):
     m = make_model(seed=12)
     p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
-    save_checkpoint(m, p1, anchor=7, meta={"config": {"lr": 0.1}})
-    save_checkpoint(m, p2, anchor=7, meta={"config": {"lr": 0.1}})
+    save_checkpoint(m, p1, meta={"config": {"lr": 0.1}})
+    save_checkpoint(m, p2, meta={"config": {"lr": 0.1}})
     assert p1.read_bytes() == p2.read_bytes()
 
 

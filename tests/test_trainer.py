@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tide.baselines import pda_coefficient
 from tide.dataset import ChronoSplit, InteractionLog, chrono_split
-from tide.model import ConformityIndex, TideModel
+from tide.model import FULL, ConformityIndex, TideModel
 from tide.numerics import bounded_tanh, bpr_loss, sigmoid, softplus
 from tide.trainer import (
     LINKS,
@@ -370,13 +370,13 @@ def test_selection_mode_matches_training_objective():
     assert selection_mode(TrainConfig(method="tide", variant="noc")).kind == "intervened"
 
 
-def synthetic_split(seed=0, n=4000, n_users=60, n_items=30):
+def synthetic_split(seed=0, n=4000, n_users=60, n_items=30, horizon=1_000_000):
     rng = np.random.default_rng(seed)
     pref = rng.normal(size=(n_users, 4)) @ rng.normal(size=(4, n_items))
     users = rng.integers(0, n_users, n)
     logits = pref[users] + rng.gumbel(0, 1.0, (n, n_items))
     items = logits.argmax(axis=1)
-    times = np.sort(rng.integers(0, 1_000_000, n))
+    times = np.sort(rng.integers(0, horizon, n))
     log = InteractionLog.build(users, items, times, None, n_users, n_items)
     return chrono_split(log, parts=10, split_seed=seed)
 
@@ -397,6 +397,22 @@ def test_fit_runs_and_tracks_history(method, variant):
         assert math.isfinite(row["loss"])
     metrics = [row["val_cp_rec"] for row in out.history]
     assert math.isclose(out.best_metric, max(metrics), rel_tol=1e-12)
+
+
+def test_year_long_log_trains_and_scores_at_tau_3e4():
+    # a span of ~1050 tau: far past where exp((t - t_0) / tau) overflows
+    split = synthetic_split(seed=4, horizon=365 * 86_400)
+    tau = 3e4
+    index = ConformityIndex.from_log(split.train, tau)
+    sums = index.query_at(split.train.t_max)
+    assert np.isfinite(sums).all() and sums.max() > 0.0
+    cfg = TrainConfig(method="tide", variant="full", embed_dim=8, epochs=1,
+                      batch_size=1024, tau=tau, seed=4)
+    out = fit(split, cfg)
+    assert math.isfinite(out.history[0]["loss"]) and out.best_metric is not None
+    scores = make_scorer(out.model, "tide", FULL, t_eval=split.train.t_max, index=index)(np.arange(5))
+    assert scores.shape == (5, split.train.n_items)
+    assert np.isfinite(scores).all() and (scores > 0).all()
 
 
 def test_fit_rejects_a_user_who_clicked_every_item():
