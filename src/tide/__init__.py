@@ -10,7 +10,6 @@ both ranking tasks, and the log-level bias diagnostics.
 
 from .dataset import (
     ChronoSplit,
-    ColumnFormat,
     DataFormatError,
     InteractionLog,
     chrono_split,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChronoSplit",
-    "ColumnFormat",
     "ConformityIndex",
     "DataFormatError",
     "FULL",

@@ -71,20 +71,41 @@ class CorrReport:
 
 
 def pearson(x, y) -> float | None:
-    """Sample Pearson r; None when either side has zero variance."""
+    """Sample Pearson r; None when either side is constant (max == min)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("pearson needs two equal-length vectors")
     if x.size < 2:
         raise ValueError("pearson needs at least 2 points")
-    vx = x - x.mean()
-    vy = y - y.mean()
-    sx = math.sqrt(float(vx @ vx))
-    sy = math.sqrt(float(vy @ vy))
-    if sx == 0.0 or sy == 0.0:
-        return None
-    return float(np.clip((vx @ vy) / (sx * sy), -1.0, 1.0))
+    r = float(_pearson_rows(x[None, :], y[None, :])[0])
+    return None if math.isnan(r) else r
+
+
+def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson r of each row of x with the same row of y; NaN where either row is constant.
+
+    Rows are centred on their means and reduced by stacked matmul, which runs
+    the same dot product per row as ``@`` on that row alone, so a row's r
+    does not depend on what it is stacked with.
+    """
+    vx = x - x.mean(axis=1, keepdims=True)
+    vy = y - y.mean(axis=1, keepdims=True)
+    sxy, sxx, syy = (np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0] for a, b in ((vx, vy), (vx, vx), (vy, vy)))
+    constant = (x.max(axis=1) == x.min(axis=1)) | (y.max(axis=1) == y.min(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(constant, np.nan, np.clip(sxy / (np.sqrt(sxx) * np.sqrt(syy)), -1.0, 1.0))
+
+
+def _runs_by_length(starts: np.ndarray, size: int):
+    """Group the runs ``starts[g]:starts[g + 1]`` (the last ends at ``size``) by length m.
+
+    Yields each length's run indices and their (runs, m) row indices: one Python step per length.
+    """
+    n = np.diff(np.append(starts, size))
+    for m in np.unique(n):
+        runs = np.flatnonzero(n == m)
+        yield runs, starts[runs, None] + np.arange(m)
 
 
 def kendall_tau(a, b) -> float | None:
@@ -209,48 +230,37 @@ def per_item_rating_instant_pop_corr(
 ) -> CorrReport:
     """Correlate each rated click's rating with the item's popularity right then.
 
-    Items need at least ``min_ratings`` rated interactions and nonzero
-    variance on both sides; the rest get screened by the two-sided p-value.
+    Items need at least ``min_ratings`` rated interactions and neither side
+    constant; the rest get screened by the two-sided p-value.
     With ``weekly_aggregate`` both series are first averaged inside calendar
     weeks (anchored at the log's first click) before correlating.
     """
     window = instant_popularities(log, t_o).astype(np.float64)
     rated = np.flatnonzero(~np.isnan(log.ratings))
-    # rated rows grouped by item once; stable, so each item's rows keep log order
-    by_item = rated[np.argsort(log.items[rated], kind="stable")]
-    grouped = log.items[by_item]
-    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-    ends = np.append(starts[1:], grouped.size)
-    t0 = log.t_min if len(log) else 0
-
-    items_out, n_out, r_out = [], [], []
-    for item, s, e in zip(grouped[starts], starts, ends):
-        ts = log.times[by_item[s:e]]
-        ys = log.ratings[by_item[s:e]]
-        xs = window[by_item[s:e]]
-        if weekly_aggregate:
-            week = (ts - t0) // WEEK_SECONDS
-            uniq = np.unique(week)
-            xs = np.array([xs[week == w].mean() for w in uniq])
-            ys = np.array([ys[week == w].mean() for w in uniq])
-        if xs.size < min_ratings:
-            continue
-        r = pearson(xs, ys)
-        if r is None:
-            continue
-        items_out.append(int(item))
-        n_out.append(int(xs.size))
-        r_out.append(r)
-
-    r_arr = np.asarray(r_out, dtype=np.float64)
-    n_arr = np.asarray(n_out, dtype=np.int64)
+    # rated rows grouped by item; stable, so each item's rows keep log (time) order
+    rows = rated[np.argsort(log.items[rated], kind="stable")]
+    items, xs, ys = log.items[rows], window[rows], log.ratings[rows]
+    if weekly_aggregate:
+        week = (log.times[rows] - (log.t_min if len(log) else 0)) // WEEK_SECONDS
+        starts = np.flatnonzero(np.diff(items, prepend=-1) | np.diff(week, prepend=-1))
+        x_week, y_week = np.empty(starts.size), np.empty(starts.size)
+        for runs, idx in _runs_by_length(starts, items.size):
+            x_week[runs], y_week[runs] = xs[idx].mean(axis=1), ys[idx].mean(axis=1)
+        items, xs, ys = items[starts], x_week, y_week
+    starts = np.flatnonzero(np.diff(items, prepend=-1))
+    n, r = np.diff(np.append(starts, items.size)), np.full(starts.size, np.nan)
+    for runs, idx in _runs_by_length(starts, items.size):
+        if idx.shape[1] >= min_ratings:
+            r[runs] = _pearson_rows(xs[idx], ys[idx])
+    keep = ~np.isnan(r)
+    r_arr, n_arr = r[keep], n[keep]
     p_arr = corr_p_values(r_arr, n_arr)
     return CorrReport(
-        items=np.asarray(items_out, dtype=np.int64),
+        items=items[starts[keep]],
         n=n_arr,
         r=r_arr,
         p=p_arr,
-        retained=p_arr <= p_threshold if p_arr.size else np.zeros(0, dtype=bool),
+        retained=p_arr <= p_threshold,
         p_threshold=p_threshold,
         t_o=int(t_o),
         weekly=weekly_aggregate,

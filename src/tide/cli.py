@@ -102,6 +102,13 @@ def resolve_config(args: argparse.Namespace, defaults: dict, flag_map: dict) -> 
     return config
 
 
+def _check_at_least(config: dict, **minimums) -> None:
+    """Reject a config value below its minimum, naming the key and the value."""
+    for key, lo in minimums.items():
+        if config[key] < lo:
+            raise ValueError(f"{key} must be >= {lo}, got {config[key]}")
+
+
 def make_run_dir(outdir, config: dict) -> Path:
     rid = run_id(config)
     run_dir = Path(outdir) / rid
@@ -116,7 +123,7 @@ def _checkpoint_file(path) -> Path:
     return path / "checkpoint.npz" if path.is_dir() else path
 
 
-def _load_log(path: Path, delimiter: str = "\t") -> dataset.InteractionLog:
+def _load_log(path: Path) -> dataset.InteractionLog:
     """Accept a raw interaction file, a split directory, or a synth run dir."""
     path = Path(path)
     if path.is_dir():
@@ -126,7 +133,7 @@ def _load_log(path: Path, delimiter: str = "\t") -> dataset.InteractionLog:
         if (path / "interactions.tsv").exists():
             return dataset.load_interactions(path / "interactions.tsv")
         raise FileNotFoundError(f"{path} holds neither a split manifest nor interactions.tsv")
-    return dataset.load_interactions(path, dataset.ColumnFormat(delimiter=delimiter))
+    return dataset.load_interactions(path)
 
 
 def _concat_logs(*logs: dataset.InteractionLog) -> dataset.InteractionLog:
@@ -163,9 +170,7 @@ def cmd_prepare(args) -> int:
     flag_map = {"data": "data", "core_n": "core_n", "parts": "parts", "seed": "split_seed"}
     config = resolve_config(args, PREPARE_DEFAULTS, flag_map)
     config["data"] = str(config["data"])
-    log = dataset.load_interactions(
-        config["data"], dataset.ColumnFormat(delimiter=config["delimiter"])
-    )
+    log = dataset.load_interactions(config["data"], config["delimiter"])
     if config["core_n"] > 1:
         log = dataset.n_core_filter(log, config["core_n"])
     split = dataset.chrono_split(log, parts=config["parts"], split_seed=config["split_seed"])
@@ -257,6 +262,7 @@ def cmd_evaluate(args) -> int:
         "per_user": "per_user", "gamma": "gamma",
     }
     config = resolve_config(args, EVALUATE_DEFAULTS, flag_map)
+    _check_at_least(config, k_click=1, k_pref=1)
     if not config["checkpoint"]:
         raise ValueError("missing required option: checkpoint")
     ckpt_path = _checkpoint_file(config["checkpoint"])
@@ -336,6 +342,9 @@ def cmd_analyze(args) -> int:
         "n_buckets": "n_buckets", "p_threshold": "p_threshold", "min_ratings": "min_ratings",
     }
     config = resolve_config(args, ANALYZE_DEFAULTS, flag_map)
+    if config["t_o"] <= 0:
+        raise ValueError(f"t_o must be positive, got {config['t_o']}")
+    _check_at_least(config, n_buckets=1, min_ratings=3)  # a p-value needs 3 points
     config["data"] = str(config["data"])
     model = None
     if config["checkpoint"]:
@@ -416,6 +425,8 @@ def _grid_worker(job: tuple) -> dict:
 
 
 def cmd_grid(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     config = resolve_config(args, {**TRAIN_DEFAULTS, "grid": {}}, _train_flag_map())
     config["data"] = str(config["data"])
     if args.grid:
@@ -431,11 +442,12 @@ def cmd_grid(args) -> int:
         _train_config({**base, **point})
     run_dir = make_run_dir(args.outdir, config)
     jobs = [({**base, **point}, str(run_dir)) for point in points]
-    threads = args.threads or 1
-    if threads <= 1 or len(jobs) == 1:
+    # a pool starts all its workers at once, so more workers than points only cost forks
+    workers = min(args.threads, len(jobs))
+    if workers == 1:
         results = [_grid_worker(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_grid_worker, jobs))
     ranked = sorted(
         results,

@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,18 +19,6 @@ import numpy as np
 
 class DataFormatError(ValueError):
     """Raised for unreadable or malformed interaction files."""
-
-
-@dataclass(frozen=True)
-class ColumnFormat:
-    """Column layout of a delimiter-separated interaction file."""
-
-    delimiter: str = "\t"
-    user_col: int = 0
-    item_col: int = 1
-    rating_col: int | None = 2
-    time_col: int = 3
-    skip_header: bool = False
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -110,6 +99,11 @@ class InteractionLog:
             raise ValueError("empty log has no t_max")
         return int(self.times[-1])
 
+    @cached_property
+    def pairs(self) -> "PairSet":
+        """The log's distinct (user, item) pairs, derived on first use and kept."""
+        return PairSet(self)
+
     def subset(self, mask: np.ndarray) -> "InteractionLog":
         """Row-filtered copy keeping the parent id space (no recompaction)."""
         return InteractionLog(
@@ -134,17 +128,35 @@ class ChronoSplit:
     split_seed: int
 
 
-def pair_keys(log: InteractionLog) -> np.ndarray:
-    """Sorted distinct ``user * n_items + item`` keys of the log's (user, item) pairs."""
-    return np.unique(log.users * np.int64(log.n_items) + log.items)
+class PairSet:
+    """The distinct (user, item) pairs of a log, sorted by (user, item).
 
+    ``items[offsets[u]:offsets[u + 1]]`` are user u's items, ascending.
+    ``last_row[j]`` is the log row of pair j's latest click: rows are in time
+    order, so of equal-time clicks the later row. The pairs are found by one
+    stable argsort of the keys ``user * n_items + item``; no other module
+    knows that encoding. Every array is read-only.
+    """
 
-def in_sorted(sorted_keys: np.ndarray, keys) -> np.ndarray:
-    """Elementwise membership of ``keys`` in an ascending key array, by binary search."""
-    if sorted_keys.size == 0:
-        return np.zeros(np.shape(keys), dtype=bool)
-    idx = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-    return sorted_keys[idx] == keys
+    def __init__(self, log: InteractionLog):
+        self.n_items = log.n_items
+        keys = log.users * np.int64(log.n_items) + log.items
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        last = np.diff(keys, append=-1) != 0
+        self._keys = _frozen(keys[last])
+        self.last_row = _frozen(order[last])
+        self.items = _frozen(log.items[self.last_row])
+        user_starts = np.arange(log.n_users + 1) * np.int64(log.n_items)
+        self.offsets = _frozen(np.searchsorted(self._keys, user_starts))
+
+    def contains(self, users, items) -> np.ndarray:
+        """Whether each (user, item) is a pair of the set, by binary search; the arguments broadcast."""
+        keys = np.asarray(users) * np.int64(self.n_items) + items
+        if self._keys.size == 0:
+            return np.zeros(keys.shape, dtype=bool)
+        idx = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        return self._keys[idx] == keys
 
 
 class ItemTimeline:
@@ -189,43 +201,35 @@ def _search_left(sorted_arr: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _read_rows(path, fmt: ColumnFormat):
-    """Parse raw token rows; user/item kept as strings for later compaction."""
+def _read_rows(path, delimiter: str = "\t"):
+    """Parse (user, item, rating, time) rows; user/item stay strings for later compaction."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such interaction file: {path}")
     users, items, ratings, times = [], [], [], []
-    needed = max(
-        fmt.user_col, fmt.item_col, fmt.time_col,
-        fmt.rating_col if fmt.rating_col is not None else 0,
-    )
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if fmt.skip_header and lineno == 1:
-                continue
             line = line.strip("\n\r")
             if not line.strip():
                 continue
-            parts = line.split(fmt.delimiter)
-            if len(parts) <= needed:
-                raise DataFormatError(f"line {lineno}: expected at least {needed + 1} columns")
+            parts = line.split(delimiter)
+            if len(parts) < 4:
+                raise DataFormatError(f"line {lineno}: expected at least 4 columns")
             try:
-                t = int(parts[fmt.time_col].strip())
+                t = int(parts[3].strip())
             except ValueError:
-                raise DataFormatError(f"line {lineno}: non-numeric timestamp {parts[fmt.time_col]!r}") from None
+                raise DataFormatError(f"line {lineno}: non-numeric timestamp {parts[3]!r}") from None
             if t < 0:
                 raise DataFormatError(f"line {lineno}: negative timestamp")
-            r = math.nan
-            if fmt.rating_col is not None:
-                tok = parts[fmt.rating_col].strip()
-                try:
-                    r = float(tok)
-                except ValueError:
-                    raise DataFormatError(f"line {lineno}: non-numeric rating {tok!r}") from None
-                if not math.isnan(r) and not (0.5 <= r <= 5.0):  # half stars allowed
-                    raise DataFormatError(f"line {lineno}: rating {r} outside [0.5, 5]")
-            users.append(parts[fmt.user_col].strip())
-            items.append(parts[fmt.item_col].strip())
+            tok = parts[2].strip()
+            try:
+                r = float(tok)
+            except ValueError:
+                raise DataFormatError(f"line {lineno}: non-numeric rating {tok!r}") from None
+            if not math.isnan(r) and not (0.5 <= r <= 5.0):  # half stars allowed
+                raise DataFormatError(f"line {lineno}: rating {r} outside [0.5, 5]")
+            users.append(parts[0].strip())
+            items.append(parts[1].strip())
             ratings.append(r)
             times.append(t)
     if not users:
@@ -245,32 +249,23 @@ def _compact(tokens: list[str]) -> tuple[np.ndarray, int]:
     return np.fromiter((index[t] for t in tokens), dtype=np.int64, count=len(tokens)), len(ordered)
 
 
-def load_interactions(path, fmt: ColumnFormat = ColumnFormat()) -> InteractionLog:
-    """Load a delimiter-separated log, compacting ids and sorting by time."""
-    users, items, ratings, times = _read_rows(path, fmt)
+def load_interactions(path, delimiter: str = "\t") -> InteractionLog:
+    """Load a user, item, rating, time log, compacting ids and sorting by time."""
+    users, items, ratings, times = _read_rows(path, delimiter)
     u_ids, n_users = _compact(users)
     i_ids, n_items = _compact(items)
     return InteractionLog.build(u_ids, i_ids, times, ratings, n_users, n_items)
 
 
-def save_interactions(log: InteractionLog, path, fmt: ColumnFormat = ColumnFormat()) -> None:
-    """Write a log in the same delimiter-separated layout ``load_interactions`` reads."""
-    if fmt.rating_col is None:
-        cols = sorted([(fmt.user_col, "u"), (fmt.item_col, "i"), (fmt.time_col, "t")])
-    else:
-        cols = sorted([(fmt.user_col, "u"), (fmt.item_col, "i"),
-                       (fmt.rating_col, "r"), (fmt.time_col, "t")])
+def save_interactions(log: InteractionLog, path, delimiter: str = "\t") -> None:
+    """Write a log in the user, item, rating, time layout ``load_interactions`` reads."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    field = {
-        "u": map(str, log.users.tolist()),
-        "i": map(str, log.items.tolist()),
-        "t": map(str, log.times.tolist()),
-        "r": ("nan" if math.isnan(r) else format(r, "g") for r in log.ratings.tolist()),
-    }
+    ratings = ("nan" if math.isnan(r) else format(r, "g") for r in log.ratings.tolist())
+    columns = (map(str, log.users.tolist()), map(str, log.items.tolist()), ratings, map(str, log.times.tolist()))
     with path.open("w", encoding="utf-8") as fh:
-        for row in zip(*(field[tag] for _, tag in cols)):
-            fh.write(fmt.delimiter.join(row) + "\n")
+        for row in zip(*columns):
+            fh.write(delimiter.join(row) + "\n")
 
 
 def n_core_filter(log: InteractionLog, n: int) -> InteractionLog:
@@ -379,12 +374,11 @@ def load_split(indir) -> ChronoSplit:
     logs = {}
     for name, fname in _SPLIT_FILES.items():
         path = indir / fname
-        if manifest["counts"][name] == 0:
-            logs[name] = InteractionLog.build(
-                [], [], [], None, manifest["n_users"], manifest["n_items"]
-            )
-            continue
-        users, items, ratings, times = _read_rows(path, ColumnFormat())
+        expected = manifest["counts"][name]
+        # an empty partition is an empty file, which _read_rows rejects as input
+        users, items, ratings, times = _read_rows(path) if path.stat().st_size else ([], [], [], [])
+        if len(users) != expected:
+            raise DataFormatError(f"{path} holds {len(users)} rows; the manifest counts {expected}")
         logs[name] = InteractionLog.build(
             [int(u) for u in users], [int(i) for i in items], times, ratings,
             manifest["n_users"], manifest["n_items"],

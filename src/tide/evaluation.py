@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dataset import InteractionLog, in_sorted, pair_keys
+from .dataset import InteractionLog
 
 # Scores held at once while ranking (about 1 MB of float64): a block has
 # max(1, BLOCK_ELEMENTS // n_items) user rows.
@@ -205,27 +205,28 @@ class _ClickTask(_Task):
     """Click prediction over all non-training items, for users with new clicks."""
 
     def __init__(self, train: InteractionLog, eval_log: InteractionLog, k: int):
-        n_items = self.n_items = train.n_items
-        self.seen = pair_keys(train)
-        held = pair_keys(eval_log)
-        self.relevant = held[~in_sorted(self.seen, held)]
-        eval_users = np.unique(eval_log.users)
-        n_users = max(train.n_users, eval_log.n_users)
-        n_relevant = np.bincount(self.relevant // n_items, minlength=n_users)[eval_users]
-        n_seen = np.bincount(self.seen // n_items, minlength=n_users)[eval_users]
-        keep = (n_relevant > 0) & (n_seen < n_items)
+        if (train.n_users, train.n_items) != (eval_log.n_users, eval_log.n_items):
+            raise ValueError("training and held-out logs must share one id space")
+        self.seen = train.pairs
+        self.relevant = eval_log.subset(~self.seen.contains(eval_log.users, eval_log.items)).pairs
+        eval_users = np.flatnonzero(np.diff(eval_log.pairs.offsets))
+        # a user who clicked every item in training has no relevant item left
+        n_relevant = np.diff(self.relevant.offsets)[eval_users]
+        keep = n_relevant > 0
         super().__init__(k, eval_users[keep], eval_users.size - keep.sum(), ("recall", "precision", "ndcg"),
                          {"n_relevant": n_relevant[keep]})
 
     def rank(self, a: int, b: int, scores: np.ndarray) -> None:
-        users, n_items = self.users[a:b], self.n_items
-        lo, hi = np.searchsorted(self.seen, [users[0] * n_items, (users[-1] + 1) * n_items])
-        seen = self.seen[lo:hi]
-        seen = seen[in_sorted(users, seen // n_items)]
+        users = self.users[a:b]
+        # the block users' training items: pairs lo[r] .. lo[r] + n[r] - 1 for block row r
+        lo = self.seen.offsets[users]
+        n = self.seen.offsets[users + 1] - lo
+        row = np.repeat(np.arange(users.size), n)
+        pair = np.arange(row.size) + np.repeat(lo - (np.cumsum(n) - n), n)
         excluded = np.zeros(scores.shape, dtype=bool)
-        excluded[np.searchsorted(users, seen // n_items), seen % n_items] = True
+        excluded[row, self.seen.items[pair]] = True
         top = topk_rows(scores, self.k, excluded)
-        hits = (top >= 0) & in_sorted(self.relevant, users[:, None] * n_items + top)
+        hits = (top >= 0) & self.relevant.contains(users[:, None], top)
         n_relevant = self.counts["n_relevant"][a:b]
         self.metrics["recall"][a:b] = recall_rows(hits, n_relevant)
         self.metrics["precision"][a:b] = precision_rows(hits, self.k)
@@ -235,21 +236,19 @@ class _ClickTask(_Task):
 class _PreferenceTask(_Task):
     """Preference prediction over each user's rated held-out items."""
 
-    def __init__(self, eval_log: InteractionLog, k: int, positive_rating: float = POSITIVE_RATING):
+    def __init__(self, eval_log: InteractionLog, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
-        rated = np.flatnonzero(~np.isnan(eval_log.ratings))
-        # stable: equal (user, item, time) rows keep log order, so the last row wins
-        order = rated[np.lexsort((eval_log.times[rated], eval_log.items[rated], eval_log.users[rated]))]
-        keys = eval_log.users[order] * np.int64(eval_log.n_items) + eval_log.items[order]
-        latest = order[np.diff(keys, append=-1) != 0]
-        users, items = eval_log.users[latest], eval_log.items[latest]
-        positive = eval_log.ratings[latest] == positive_rating
-        n_rated = np.bincount(users, minlength=eval_log.n_users)
+        rated = eval_log.subset(~np.isnan(eval_log.ratings))
+        latest = rated.pairs.last_row
+        users, items = rated.users[latest], rated.items[latest]
+        positive = rated.ratings[latest] == POSITIVE_RATING
+        n_rated = np.diff(rated.pairs.offsets)
         n_positive = np.bincount(users[positive], minlength=eval_log.n_users)
         mixed = (n_positive > 0) & (n_positive < n_rated)
         kept = np.flatnonzero(mixed)
-        super().__init__(k, kept, np.unique(eval_log.users).size - kept.size, ("recall", "precision"),
+        n_eval_users = np.count_nonzero(np.diff(eval_log.pairs.offsets))
+        super().__init__(k, kept, n_eval_users - kept.size, ("recall", "precision"),
                          {"n_rated": n_rated[kept], "n_positive": n_positive[kept]})
         keep = mixed[users]
         self.pair_users, self.pair_items, self.pair_positive = users[keep], items[keep], positive[keep]
@@ -323,7 +322,6 @@ def preference_prediction_eval(
     score_block,
     eval_log: InteractionLog,
     k: int = 3,
-    positive_rating: float = POSITIVE_RATING,
     collect_per_user: bool = False,
 ) -> dict:
     """Rank each user's rated held-out items; positives are top-rated ones.
@@ -333,7 +331,7 @@ def preference_prediction_eval(
     than once in the held-out window, the latest rating stands. Precision
     keeps the fixed denominator k even for users with fewer than k items.
     """
-    task = _PreferenceTask(eval_log, k, positive_rating)
+    task = _PreferenceTask(eval_log, k)
     _rank_in_blocks(score_block, eval_log.n_items, [task])
     return task.result(collect_per_user)
 

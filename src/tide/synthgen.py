@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ColumnFormat, InteractionLog, save_interactions
+from .dataset import InteractionLog, save_interactions
 from .numerics import bounded_tanh, softplus
 
 
@@ -134,7 +134,7 @@ def save_synth(log: InteractionLog, truth: SynthTruth, config: SynthConfig, outd
     """Write interactions.tsv (loader-compatible) plus a JSON truth file."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    save_interactions(log, outdir / "interactions.tsv", ColumnFormat())
+    save_interactions(log, outdir / "interactions.tsv")
     payload = {
         "true_quality": truth.true_quality.tolist(),
         "true_beta": truth.true_beta.tolist(),

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .baselines import PopularityTable, check_gamma, ips_instance_weights, pda_coefficient, pda_infer
-from .dataset import ChronoSplit, in_sorted, pair_keys, part_assignments
+from .dataset import ChronoSplit, PairSet, part_assignments
 from .evaluation import click_prediction_eval
 from .model import (
     FULL,
@@ -62,6 +62,9 @@ VARIANTS = {
 METHODS = tuple(LINKS)
 TIDE_VARIANTS = tuple(VARIANTS)
 PARAMS = ("user_emb", "item_emb", "q_raw", "beta_raw")
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -149,8 +152,7 @@ class TrainBatch:
 class AdamState:
     """Sparse Adam: moments advance only on rows the batch touched."""
 
-    def __init__(self, model: TideModel, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, model: TideModel):
         self.step = 0
         self.m1 = {name: np.zeros_like(getattr(model, name)) for name in PARAMS}
         self.m2 = {name: np.zeros_like(v) for name, v in self.m1.items()}
@@ -158,14 +160,14 @@ class AdamState:
     def apply(self, model: TideModel, grads: dict, lrs: dict, decay: dict) -> None:
         """Update each parameter's rows from ``grads``: name -> (rows, row gradients)."""
         self.step += 1
-        bc1 = 1.0 - self.beta1 ** self.step
-        bc2 = 1.0 - self.beta2 ** self.step
+        bc1 = 1.0 - ADAM_BETA1 ** self.step
+        bc2 = 1.0 - ADAM_BETA2 ** self.step
         for name, (rows, g) in grads.items():
-            m1 = self.beta1 * self.m1[name][rows] + (1.0 - self.beta1) * g
-            m2 = self.beta2 * self.m2[name][rows] + (1.0 - self.beta2) * g * g
+            m1 = ADAM_BETA1 * self.m1[name][rows] + (1.0 - ADAM_BETA1) * g
+            m2 = ADAM_BETA2 * self.m2[name][rows] + (1.0 - ADAM_BETA2) * g * g
             self.m1[name][rows] = m1
             self.m2[name][rows] = m2
-            update = (m1 / bc1) / (np.sqrt(m2 / bc2) + self.eps)
+            update = (m1 / bc1) / (np.sqrt(m2 / bc2) + ADAM_EPS)
             param = getattr(model, name)
             values = param[rows] - lrs[name] * update
             if decay.get(name, 0.0):
@@ -306,14 +308,13 @@ def grad_step(model: TideModel, batch: TrainBatch, cfg: TrainConfig, adam: AdamS
     return loss
 
 
-def sample_negatives(users: np.ndarray, pos_keys: np.ndarray, n_items: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform negatives outside each user's training positives, by vectorized rejection."""
-    neg = rng.integers(0, n_items, users.size)
-    bad = np.flatnonzero(in_sorted(pos_keys, users * n_items + neg))
+def sample_negatives(users: np.ndarray, seen: PairSet, rng: np.random.Generator) -> np.ndarray:
+    """Uniform negatives outside each user's pairs in ``seen``, by vectorized rejection."""
+    neg = rng.integers(0, seen.n_items, users.size)
+    bad = np.flatnonzero(seen.contains(users, neg))
     while bad.size:
-        neg[bad] = rng.integers(0, n_items, bad.size)
-        still = in_sorted(pos_keys, users[bad] * n_items + neg[bad])
-        bad = bad[still]
+        neg[bad] = rng.integers(0, seen.n_items, bad.size)
+        bad = bad[seen.contains(users[bad], neg[bad])]
     return neg
 
 
@@ -395,8 +396,7 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     if cfg.method == "mf-ips":
         weights = ips_instance_weights(train, table, cfg.ips_cap)
 
-    pos_keys = pair_keys(train)
-    full_users = np.flatnonzero(np.bincount(pos_keys // train.n_items) >= train.n_items)
+    full_users = np.flatnonzero(np.diff(train.pairs.offsets) >= train.n_items)
     if full_users.size:
         raise ValueError(f"user {full_users[0]} interacted with every item; no negative exists")
 
@@ -424,7 +424,7 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
         users = train.users[perm]
         pos = train.items[perm]
         times = train.times[perm]
-        neg = sample_negatives(users, pos_keys, train.n_items, rng)
+        neg = sample_negatives(users, train.pairs, rng)
         s_neg = index.query(neg, times) if index is not None else None
         pop_neg = norm[periods[perm], neg] if norm is not None else None
         loss_sum = 0.0

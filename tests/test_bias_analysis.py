@@ -93,6 +93,9 @@ def test_pearson_matches_brute_force_on_random_instances():
 
 def test_pearson_edge_cases():
     assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
+    # constant but not exactly centred: the mean of three 0.1s is not 0.1
+    assert pearson([0.1] * 3, [1.0, 2.0, 3.0]) is None
+    assert pearson([1.0, 2.0, 3.0], [10 / 3] * 3) is None
     assert pearson([1.0, 2.0], [5.0, 7.0]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         pearson([1.0], [2.0])
@@ -306,6 +309,49 @@ def test_per_item_corr_p_screen_filters():
     tight = per_item_rating_instant_pop_corr(log, t_o=1000, p_threshold=1e-9, min_ratings=3)
     assert loose.retained.sum() >= tight.retained.sum()
     assert (loose.p >= 0).all() and (loose.p <= 1).all()
+
+
+def loop_corr(log, t_o, min_ratings, weekly):
+    """The per-item loop the grouped scan replaced: {item: (points, pearson r)}."""
+    window = instant_popularities(log, t_o).astype(np.float64)
+    out = {}
+    for item in range(log.n_items):
+        rows = np.flatnonzero((log.items == item) & ~np.isnan(log.ratings))
+        xs, ys = window[rows], log.ratings[rows]
+        if weekly:
+            week = (log.times[rows] - log.t_min) // WEEK_SECONDS
+            xs = np.array([xs[week == w].mean() for w in np.unique(week)])
+            ys = np.array([ys[week == w].mean() for w in np.unique(week)])
+        if xs.size >= min_ratings and (r := pearson(xs, ys)) is not None:
+            out[item] = (xs.size, r)
+    return out
+
+
+@pytest.mark.parametrize("weekly", [False, True])
+def test_grouped_scan_equals_the_per_item_pearson_loop(weekly):
+    logs = []
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n, n_items = int(rng.integers(1, 300)), int(rng.integers(1, 12))
+        ratings = rng.integers(1, 11, n) / 2.0
+        ratings[rng.random(n) < 0.1] = np.nan
+        ratings[rng.integers(0, n_items, n) == 0] = 4.0  # some items rate one value
+        logs.append(InteractionLog.build(
+            rng.integers(0, 9, n), rng.integers(0, n_items, n), rng.integers(0, 8 * WEEK_SECONDS, n),
+            ratings, 9, n_items,
+        ))
+    # seven weekly rating means of 10/3: constant, though their centred sum is not 0
+    times = [w * WEEK_SECONDS + d for w in range(7) for d in (0, 1, 2)]
+    constant_weeks = InteractionLog.build([0] * 21, [0] * 21, times, [3.0, 3.0, 4.0] * 7, 1, 1)
+    assert per_item_rating_instant_pop_corr(constant_weeks, WEEK_SECONDS, 1.0, 3, True).items.size == 0
+    logs.append(constant_weeks)
+    for log in logs:
+        for t_o, min_ratings in ((WEEK_SECONDS, 3), (3 * WEEK_SECONDS, 5)):
+            rep = per_item_rating_instant_pop_corr(log, t_o, 1.0, min_ratings, weekly)
+            want = loop_corr(log, t_o, min_ratings, weekly)
+            assert rep.items.tolist() == sorted(want)
+            assert rep.n.tolist() == [want[i][0] for i in sorted(want)]
+            assert np.allclose(rep.r, [want[i][1] for i in sorted(want)], rtol=0, atol=1e-12)
 
 
 def test_per_item_corr_weekly_aggregation_reduces_points():

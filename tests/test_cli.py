@@ -312,9 +312,16 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
     (["prepare", "--data", "nothere.tsv"], "no such interaction file"),
     (["analyze", "--data", "nothere"], "no such interaction file"),
     (["analyze", "--data", "{prep}", "--checkpoint", "nothere.npz"], "nothere.npz"),
-], ids=["synth", "prepare", "analyze-data", "analyze-checkpoint"])
+    (["evaluate", "--data", "{prep}", "--checkpoint", "{train}", "--k", 0], "k_click must be >= 1, got 0"),
+    (["evaluate", "--data", "{prep}", "--checkpoint", "{train}", "--k-pref", 0], "k_pref must be >= 1, got 0"),
+    (["analyze", "--data", "{prep}", "--t-o", 0], "t_o must be positive, got 0"),
+    (["analyze", "--data", "{prep}", "--n-buckets", 0], "n_buckets must be >= 1, got 0"),
+    (["analyze", "--data", "{prep}", "--min-ratings", 2], "min_ratings must be >= 3, got 2"),
+    (["grid", "--data", "{prep}", "--threads", 0], "threads must be >= 1, got 0"),
+], ids=["synth", "prepare", "analyze-data", "analyze-checkpoint", "evaluate-k", "evaluate-k-pref",
+        "analyze-t-o", "analyze-n-buckets", "analyze-min-ratings", "grid-threads"])
 def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv, message):
-    argv = [str(a).format(prep=pipeline["prep"]) for a in argv]
+    argv = [str(a).format(prep=pipeline["prep"], train=pipeline["train"]) for a in argv]
     assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -428,6 +435,36 @@ def test_grid_ranks_points_and_matches_parallel_execution(pipeline, tmp_path):
     assert run_cli(base + ["--outdir", tmp_path / "par", "--threads", 2]) == 0
     par_dir = only_entry(tmp_path / "par")
     assert (par_dir / "leaderboard.json").read_bytes() == (serial_dir / "leaderboard.json").read_bytes()
+
+
+def test_grid_starts_no_more_workers_than_points(pipeline, tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Runs the jobs in this process and records the worker count it was asked for."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps({"lr_qb": [0.01, 0.03]}))
+    rc = run_cli([
+        "grid", "--data", pipeline["prep"], "--method", "mf", "--embed-dim", 8, "--epochs", 1,
+        "--grid", grid_file, "--threads", 64, "--outdir", tmp_path / "out",
+    ])
+    assert rc == 0
+    assert pools == [2]
+    assert len(json.loads((only_entry(tmp_path / "out") / "leaderboard.json").read_text())) == 2
 
 
 def test_grid_rejects_unknown_parameter(pipeline, tmp_path, capsys):

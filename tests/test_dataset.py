@@ -1,11 +1,14 @@
 """Loading, filtering, and chronological splitting of interaction logs."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tide.dataset import (
     ChronoSplit,
-    ColumnFormat,
     DataFormatError,
     InteractionLog,
     chrono_split,
@@ -16,6 +19,7 @@ from tide.dataset import (
     save_interactions,
     save_split,
 )
+from tide.evaluation import POSITIVE_RATING
 
 
 def write_lines(path, lines):
@@ -70,6 +74,13 @@ def test_load_accepts_half_star_ratings_and_names_the_range(tmp_path):
             load_interactions(p)
 
 
+def test_parsed_ratings_compare_exactly_with_the_positive_rating(tmp_path):
+    # "5", "5.0" and "4.5" parse to exactly representable floats, so == needs no tolerance
+    p = tmp_path / "ratings.tsv"
+    write_lines(p, ["1\t1\t5\t100", "1\t2\t5.0\t200", "1\t3\t4.5\t300"])
+    assert (load_interactions(p).ratings == POSITIVE_RATING).tolist() == [True, True, False]
+
+
 def test_save_load_roundtrip_with_missing_ratings(tmp_path):
     log = InteractionLog.build(
         users=[0, 1, 0],
@@ -99,6 +110,47 @@ def test_arrays_are_read_only():
     log = InteractionLog.build(users=[0], items=[0], times=[1])
     with pytest.raises(ValueError):
         log.users[0] = 5
+
+
+@st.composite
+def small_logs(draw):
+    """Logs with repeated pairs and equal times; possibly empty, possibly one item."""
+    n_users = draw(st.integers(1, 6))
+    n_items = draw(st.integers(1, 5))
+    row = st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1), st.integers(0, 3))
+    rows = draw(st.lists(row, max_size=40))
+    return InteractionLog.build(
+        [u for u, _, _ in rows], [i for _, i, _ in rows], [t for _, _, t in rows], None, n_users, n_items
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_logs())
+def test_pair_set_matches_a_set_of_tuples(log):
+    pairs = log.pairs
+    want = sorted(set(zip(log.users.tolist(), log.items.tolist())))
+    got = pairs.contains(np.arange(log.n_users)[:, None], np.arange(log.n_items)[None, :])
+    assert got.shape == (log.n_users, log.n_items)
+    assert sorted(zip(*map(np.ndarray.tolist, np.nonzero(got)))) == want
+    assert pairs.offsets.size == log.n_users + 1 and pairs.offsets[0] == 0
+    for u in range(log.n_users):
+        assert pairs.items[pairs.offsets[u] : pairs.offsets[u + 1]].tolist() == [i for v, i in want if v == u]
+    # the latest click of each pair; of equal-time clicks, the later log row
+    assert list(zip(log.users[pairs.last_row].tolist(), log.items[pairs.last_row].tolist())) == want
+    for row in pairs.last_row.tolist():
+        same = [r for r in range(len(log)) if (log.users[r], log.items[r]) == (log.users[row], log.items[row])]
+        assert row == max(same, key=lambda r: (log.times[r], r))
+
+
+def test_pair_set_is_computed_once_and_read_only():
+    log = InteractionLog.build(users=[0, 1, 0], items=[1, 0, 1], times=[3, 2, 1], n_users=2, n_items=2)
+    assert log.pairs is log.pairs
+    assert log.pairs.items.tolist() == [1, 0] and log.pairs.offsets.tolist() == [0, 1, 2]
+    for arr in (log.pairs.offsets, log.pairs.items, log.pairs.last_row):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    empty = InteractionLog.build([], [], [], None, 3, 2).pairs
+    assert empty.offsets.tolist() == [0, 0, 0, 0] and empty.contains([0, 2], [1, 0]).tolist() == [False, False]
 
 
 def test_n_core_filter_removes_sparse_users_iteratively():
@@ -221,3 +273,20 @@ def test_split_save_load_roundtrip(tmp_path):
     # ids must keep the parent space, not recompact per part
     assert back.train.n_users == split.train.n_users
     assert back.train.n_items == split.train.n_items
+
+
+def test_load_split_rejects_a_partition_whose_row_count_disagrees(tmp_path):
+    split = chrono_split(make_random_log(5), parts=10, split_seed=0)
+    save_split(split, tmp_path)
+    path = tmp_path / "test.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-3]))
+    n = len(split.test)
+    with pytest.raises(DataFormatError, match=rf"test\.tsv holds {n - 3} rows; the manifest counts {n}"):
+        load_split(tmp_path)
+    # a partition the manifest counts as empty is still read
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["counts"]["test"] = 0
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match=rf"test\.tsv holds {n - 3} rows; the manifest counts 0"):
+        load_split(tmp_path)

@@ -355,8 +355,9 @@ def test_sample_negatives_never_hits_training_pairs():
     users_train = rng.integers(0, n_users, 600)
     items_train = rng.integers(0, n_items, 600)
     pos_keys = np.unique(users_train * n_items + items_train)
+    train = InteractionLog.build(users_train, items_train, np.zeros(600, dtype=int), None, n_users, n_items)
     users = rng.integers(0, n_users, 5000)
-    neg = sample_negatives(users, pos_keys, n_items, rng)
+    neg = sample_negatives(users, train.pairs, rng)
     keys = users * n_items + neg
     assert not np.isin(keys, pos_keys).any()
     # all items outside the positives are reachable
