@@ -257,15 +257,24 @@ def load_interactions(path, delimiter: str = "\t") -> InteractionLog:
     return InteractionLog.build(u_ids, i_ids, times, ratings, n_users, n_items)
 
 
+# rows per write: each chunk of rows is joined into one string
+_WRITE_ROWS = 1 << 13
+
+
 def save_interactions(log: InteractionLog, path, delimiter: str = "\t") -> None:
     """Write a log in the user, item, rating, time layout ``load_interactions`` reads."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    ratings = ("nan" if math.isnan(r) else format(r, "g") for r in log.ratings.tolist())
-    columns = (map(str, log.users.tolist()), map(str, log.items.tolist()), ratings, map(str, log.times.tolist()))
     with path.open("w", encoding="utf-8") as fh:
-        for row in zip(*columns):
-            fh.write(delimiter.join(row) + "\n")
+        for lo in range(0, len(log), _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            columns = (
+                map(str, log.users[rows].tolist()),
+                map(str, log.items[rows].tolist()),
+                [format(r, "g") for r in log.ratings[rows].tolist()],  # nan prints as "nan"
+                map(str, log.times[rows].tolist()),
+            )
+            fh.write("\n".join(map(delimiter.join, zip(*columns))) + "\n")
 
 
 def n_core_filter(log: InteractionLog, n: int) -> InteractionLog:

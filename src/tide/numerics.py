@@ -8,8 +8,8 @@ from scipy.special import expit
 # tanh saturates to exactly +/-1.0 in float64 near |x| ~ 19, which would leak
 # zero-gradient, boundary-valued scores; clamp to the largest open-interval
 # representables instead.
-_TANH_HI = np.nextafter(1.0, 0.0)
-_TANH_LO = np.nextafter(-1.0, 0.0)
+TANH_HI = np.nextafter(1.0, 0.0)
+TANH_LO = np.nextafter(-1.0, 0.0)
 
 
 def softplus(x):
@@ -43,7 +43,7 @@ def sigmoid(x):
 
 def bounded_tanh(x):
     """tanh clamped to the open interval (-1, 1)."""
-    return np.clip(np.tanh(x), _TANH_LO, _TANH_HI)
+    return np.clip(np.tanh(x), TANH_LO, TANH_HI)
 
 
 def bpr_loss(pos_scores, neg_scores):

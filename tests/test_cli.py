@@ -309,6 +309,7 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
 
 @pytest.mark.parametrize("argv,message", [
     (["synth", "--n-events", 0], "counts must be >= 1"),
+    (["synth", "--config", "{nonfinite}"], "tau must be finite, got nan"),
     (["prepare", "--data", "nothere.tsv"], "no such interaction file"),
     (["analyze", "--data", "nothere"], "no such interaction file"),
     (["analyze", "--data", "{prep}", "--checkpoint", "nothere.npz"], "nothere.npz"),
@@ -318,10 +319,12 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
     (["analyze", "--data", "{prep}", "--n-buckets", 0], "n_buckets must be >= 1, got 0"),
     (["analyze", "--data", "{prep}", "--min-ratings", 2], "min_ratings must be >= 3, got 2"),
     (["grid", "--data", "{prep}", "--threads", 0], "threads must be >= 1, got 0"),
-], ids=["synth", "prepare", "analyze-data", "analyze-checkpoint", "evaluate-k", "evaluate-k-pref",
+], ids=["synth", "synth-non-finite", "prepare", "analyze-data", "analyze-checkpoint", "evaluate-k", "evaluate-k-pref",
         "analyze-t-o", "analyze-n-buckets", "analyze-min-ratings", "grid-threads"])
 def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv, message):
-    argv = [str(a).format(prep=pipeline["prep"], train=pipeline["train"]) for a in argv]
+    nonfinite = tmp_path / "nonfinite.json"
+    nonfinite.write_text(json.dumps({"tau": float("nan")}))
+    argv = [str(a).format(prep=pipeline["prep"], train=pipeline["train"], nonfinite=nonfinite) for a in argv]
     assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

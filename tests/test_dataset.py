@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tide import dataset
 from tide.dataset import (
     ChronoSplit,
     DataFormatError,
@@ -99,6 +100,24 @@ def test_save_load_roundtrip_with_missing_ratings(tmp_path):
     assert np.array_equal(np.isnan(back.ratings), np.isnan(log.ratings))
     mask = ~np.isnan(log.ratings)
     assert np.array_equal(back.ratings[mask], log.ratings[mask])
+
+
+def test_saved_text_is_one_formatted_line_per_row_across_write_chunks(tmp_path, monkeypatch):
+    # chunks of 3 rows, so rows 3 and 6 open a new write
+    monkeypatch.setattr(dataset, "_WRITE_ROWS", 3)
+    ratings = [4.0, np.nan, 2.5, 5.0, 1.0, np.nan, 3.0]
+    log = InteractionLog.build(
+        users=[0, 1, 0, 2, 1, 2, 0], items=[2, 0, 1, 1, 2, 0, 0], times=[10, 20, 30, 30, 40, 50, 60],
+        ratings=ratings, n_users=3, n_items=3,
+    )
+    expected = "".join(
+        f"{u}\t{i}\t{'nan' if np.isnan(r) else format(r, 'g')}\t{t}\n"
+        for u, i, r, t in zip(log.users.tolist(), log.items.tolist(), log.ratings.tolist(), log.times.tolist())
+    )
+    save_interactions(log, tmp_path / "log.tsv")
+    assert (tmp_path / "log.tsv").read_text() == expected
+    save_interactions(log.subset(np.zeros(len(log), dtype=bool)), tmp_path / "empty.tsv")
+    assert (tmp_path / "empty.tsv").read_bytes() == b""
 
 
 def test_build_sorts_stably_on_equal_times():

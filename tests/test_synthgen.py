@@ -1,11 +1,24 @@
 """Synthetic log generator: determinism, planted truth, and feedback."""
 
+import time
+
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
+from tide import synthgen
 from tide.dataset import load_interactions
 from tide.model import ConformityIndex
-from tide.synthgen import SynthConfig, SynthTruth, generate, load_truth, sample_truth, save_synth
+from tide.numerics import bounded_tanh, softplus
+from tide.synthgen import (
+    SynthConfig,
+    SynthTruth,
+    ThinningSampler,
+    generate,
+    load_truth,
+    sample_truth,
+    save_synth,
+)
 
 SMALL = SynthConfig(
     n_users=50,
@@ -57,6 +70,25 @@ def test_planted_truth_is_respected():
     # config seed would have drawn a different truth
     log2, _ = generate(SMALL, truth)
     assert np.array_equal(log1.items, log2.items)
+
+
+def test_ratings_are_the_per_event_formula_on_the_drawn_noise():
+    # times, users, the first proposals' uniforms and the rating noise come
+    # off the seeded stream in that order, right after the planted truth
+    log, truth = generate(SMALL)
+    rng = np.random.default_rng(SMALL.seed)
+    sample_truth(SMALL, rng)
+    times = np.sort(rng.integers(0, SMALL.horizon, SMALL.n_events))
+    users = rng.integers(0, SMALL.n_users, SMALL.n_events)
+    rng.random(SMALL.n_events)
+    eps = rng.normal(0.0, 1.0, SMALL.n_events)
+    assert np.array_equal(log.times, times) and np.array_equal(log.users, users)
+    q, q_mean = truth.true_quality, truth.true_quality.mean()
+    expected = [
+        float(np.clip(np.round(3.0 + SMALL.quality_scale * (q[i] - q_mean) + SMALL.rating_noise * e), 1.0, 5.0))
+        for i, e in zip(log.items.tolist(), eps.tolist())
+    ]
+    assert log.ratings.tolist() == expected
 
 
 def test_truth_validation_rejects_bad_shapes():
@@ -169,3 +201,133 @@ def test_save_synth_roundtrip(tmp_path):
     assert np.allclose(q, truth.true_quality, rtol=1e-15)
     assert np.allclose(b, truth.true_beta, rtol=1e-15)
     assert cfg["n_users"] == SMALL.n_users and cfg["seed"] == SMALL.seed
+
+
+@pytest.mark.parametrize("key", ["tau", "horizon", "quality_scale", "beta_scale", "rating_noise", "emb_std"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_validation_rejects_non_finite_values(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite, got {value}"):
+        SynthConfig(**{**SMALL.__dict__, key: value}).validate()
+
+
+def test_truth_validation_rejects_non_finite_values():
+    truth = sample_truth(SMALL, np.random.default_rng(0))
+    beta = truth.true_beta.copy()
+    beta[3] = np.nan
+    bad = SynthTruth(truth.true_quality, beta, truth.true_user_emb, truth.true_item_emb)
+    with pytest.raises(ValueError, match="planted truth must be finite"):
+        generate(SMALL, bad)
+
+
+# ------------------------------------------------ the thinning sampler
+
+TAU = 50.0
+HISTORY_ITEMS = np.array([0, 0, 3, 0, 3, 5, 7, 7, 7, 2])
+# two clicks share t = 120, and the last one lands at the query time itself
+HISTORY_TIMES = np.array([0, 40, 60, 100, 120, 120, 130, 150, 170, 200])
+T_QUERY, USER = 200, 2
+
+
+def fixed_truth(quality_scale=0.6):
+    rng = np.random.default_rng(21)
+    return SynthTruth(
+        true_quality=rng.uniform(0.05, 1.0, 12) * quality_scale,
+        true_beta=rng.uniform(0.5, 2.0, 12),
+        true_user_emb=rng.normal(0.0, 0.8, (4, 3)),
+        true_item_emb=rng.normal(0.0, 0.8, (12, 3)),
+    )
+
+
+def naive_distribution(truth, conformity=True):
+    """weights / weights.sum() at (USER, T_QUERY), S from the conformity index."""
+    index = ConformityIndex(HISTORY_ITEMS, HISTORY_TIMES, 12, TAU)
+    s = index.query_at(T_QUERY) if conformity else np.zeros(12)
+    weights = bounded_tanh(truth.true_quality + truth.true_beta * s)
+    weights = weights * softplus(truth.true_user_emb[USER] @ truth.true_item_emb.T)
+    return weights / weights.sum()
+
+
+def draws_at_fixed_state(truth, n, seed=0):
+    """n events by USER at T_QUERY: they share one timestamp, so all see the same history."""
+    rng = np.random.default_rng(seed)
+    sampler = ThinningSampler(truth, TAU, rng)
+    for j, t in zip(HISTORY_ITEMS.tolist(), HISTORY_TIMES.tolist()):
+        sampler.click(j, t)
+    items = sampler.draw(np.full(n, USER), np.full(n, T_QUERY), rng.random(n))
+    return np.bincount(items, minlength=12), sampler
+
+
+@pytest.mark.parametrize("cap", [synthgen.MAX_REJECTIONS, 0], ids=["thinning", "fallback"])
+def test_sampler_matches_the_naive_distribution_at_a_fixed_state(monkeypatch, cap):
+    monkeypatch.setattr(synthgen, "MAX_REJECTIONS", cap)
+    truth = fixed_truth()
+    n = 20_000
+    counts, sampler = draws_at_fixed_state(truth, n)
+    assert sampler.fallbacks == (n if cap == 0 else 0)
+    p = naive_distribution(truth)
+    assert chisquare(counts, n * p).pvalue > 1e-3
+    # the same test tells the history apart from no history at all
+    assert chisquare(counts, n * naive_distribution(truth, conformity=False)).pvalue < 1e-6
+
+
+def test_near_zero_quality_falls_back_at_the_cap_and_stays_exact():
+    # q ~ 1e-9 and beta = 0: almost every proposal is rejected, so each event
+    # reaches the cap and is drawn from its full weight vector
+    base = fixed_truth(quality_scale=1e-9)
+    truth = SynthTruth(base.true_quality, np.zeros(12), base.true_user_emb, base.true_item_emb)
+    n = 5000
+    started = time.perf_counter()
+    counts, sampler = draws_at_fixed_state(truth, n)
+    assert sampler.fallbacks == n
+    assert chisquare(counts, n * naive_distribution(truth)).pvalue > 1e-3
+
+    cfg = SynthConfig(**{**SMALL.__dict__, "quality_scale": 1e-9, "beta_scale": 0.0})
+    log, _ = generate(cfg)
+    assert len(log) == cfg.n_events
+    assert time.perf_counter() - started < 20.0
+
+
+def test_events_at_one_time_see_only_strictly_earlier_clicks(monkeypatch):
+    # item A = 0 is the only item with conformity, and quality is ~0, so every
+    # event clicks A; each must be accepted with tanh(beta_A * S_A(t)) where
+    # S_A(t) counts the one click before t, not the events at t itself
+    n_items, a, t0, t = 6, 0, 0, 10
+    rng = np.random.default_rng(4)
+    truth = SynthTruth(
+        true_quality=np.full(n_items, 1e-12),
+        true_beta=np.where(np.arange(n_items) == a, 3.0, 0.0),
+        true_user_emb=rng.normal(0.0, 0.5, (3, 2)),
+        true_item_emb=rng.normal(0.0, 0.5, (n_items, 2)),
+    )
+    seen = []
+    acceptance = ThinningSampler.acceptance
+
+    def recording(self, j, when):
+        p = acceptance(self, j, when)
+        seen.append((j, when, p))
+        return p
+
+    monkeypatch.setattr(ThinningSampler, "acceptance", recording)
+    rng = np.random.default_rng(0)
+    sampler = ThinningSampler(truth, 10.0, rng)
+    sampler.click(a, t0)
+    n_tied = 8
+    items = sampler.draw(np.arange(n_tied) % 3, np.full(n_tied, t), rng.random(n_tied))
+    assert items.tolist() == [a] * n_tied
+
+    s_a = ConformityIndex(np.array([a]), np.array([t0]), n_items, 10.0).query([a], [t])[0]
+    tested = [p for j, when, p in seen if j == a and when == t]
+    assert len(tested) >= n_tied
+    assert np.allclose(tested, np.tanh(1e-12 + 3.0 * s_a), rtol=1e-12, atol=0.0)
+
+    # a later event sees the earlier click and all eight tied ones
+    later = 25
+    clicks = ConformityIndex(np.array([a] * (1 + n_tied)), np.array([t0] + [t] * n_tied), n_items, 10.0)
+    assert sampler.level(a, later) == pytest.approx(clicks.query([a], [later])[0], rel=1e-12)
+
+
+def test_sampler_rejects_events_out_of_time_order():
+    rng = np.random.default_rng(0)
+    sampler = ThinningSampler(fixed_truth(), TAU, rng)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        sampler.draw(np.array([0, 1]), np.array([5, 3]), rng.random(2))
