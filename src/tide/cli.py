@@ -16,7 +16,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -24,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bias_analysis, baselines, dataset, evaluation, synthgen, trainer
+from .dataset import atomic_write_text, write_json
 from .model import MATCHING_ONLY, ConformityIndex, InferenceMode, load_checkpoint, parse_mode, save_checkpoint
 
 SCHEMA_VERSION = 1
@@ -66,25 +66,11 @@ def run_id(config: dict) -> str:
     return hashlib.sha1(canonical.encode()).hexdigest()[:12]
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
+    """defaults <- config file <- explicit flags; unknown file keys rejected.
 
-
-def write_json(path: Path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def resolve_config(args: argparse.Namespace, defaults: dict, flag_map: dict) -> dict:
-    """defaults <- config file <- explicit flags; unknown file keys rejected."""
+    A flag sets the key named by its argparse dest: each key of ``defaults`` reads ``args.<key>``.
+    """
     config = dict(defaults)
     if getattr(args, "config", None):
         loaded = json.loads(Path(args.config).read_text())
@@ -92,13 +78,14 @@ def resolve_config(args: argparse.Namespace, defaults: dict, flag_map: dict) -> 
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+    for key in defaults:
+        value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    missing = [k for k, v in config.items() if v is None and k in ("data",)]
-    if missing:
-        raise ValueError(f"missing required option: {missing[0]}")
+    if "data" in config:
+        if config["data"] is None:
+            raise ValueError("missing required option: data")
+        config["data"] = str(config["data"])
     return config
 
 
@@ -154,9 +141,7 @@ def _concat_logs(*logs: dataset.InteractionLog) -> dataset.InteractionLog:
 
 
 def cmd_synth(args) -> int:
-    defaults = asdict(synthgen.SynthConfig())
-    flag_map = {"seed": "seed", "n_events": "n_events"}
-    config = resolve_config(args, defaults, flag_map)
+    config = resolve_config(args, asdict(synthgen.SynthConfig()))
     synth_cfg = synthgen.SynthConfig(**config)
     synth_cfg.validate()
     run_dir = make_run_dir(args.outdir, config)
@@ -167,9 +152,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    flag_map = {"data": "data", "core_n": "core_n", "parts": "parts", "seed": "split_seed"}
-    config = resolve_config(args, PREPARE_DEFAULTS, flag_map)
-    config["data"] = str(config["data"])
+    config = resolve_config(args, PREPARE_DEFAULTS)
     log = dataset.load_interactions(config["data"], config["delimiter"])
     if config["core_n"] > 1:
         log = dataset.n_core_filter(log, config["core_n"])
@@ -181,14 +164,6 @@ def cmd_prepare(args) -> int:
         f"train/val/test = {len(split.train)}/{len(split.validation)}/{len(split.test)} -> {run_dir}"
     )
     return 0
-
-
-def _train_flag_map() -> dict:
-    keys = (
-        "data method variant fixed_q embed_dim lr_emb lr_qb weight_decay_emb init_qb "
-        "init_std batch_size epochs seed early_stop_patience tau gamma ips_cap"
-    ).split()
-    return {k: k for k in keys}
 
 
 def _train_config(config: dict) -> trainer.TrainConfig:
@@ -222,11 +197,8 @@ def run_training(config: dict, outdir) -> dict:
 
 
 def cmd_train(args) -> int:
-    config = resolve_config(args, TRAIN_DEFAULTS, _train_flag_map())
-    config["data"] = str(config["data"])
-    summary = run_training(config, args.outdir)
-    metric = summary["val_cp_rec"]
-    shown = "n/a" if metric is None else f"{metric:.6f}"
+    summary = run_training(resolve_config(args, TRAIN_DEFAULTS), args.outdir)
+    shown = _shown(summary["val_cp_rec"])
     print(f"train: best val CP-Rec = {shown} at epoch {summary['best_epoch']} -> {summary['run_dir']}")
     return 0
 
@@ -242,26 +214,8 @@ def _parse_eval_mode(method: str, mode_text: str) -> InferenceMode:
     return parse_mode(mode_text) if method == "tide" else MATCHING_ONLY
 
 
-def _scorer_for_mode(model, method, mode, split, gamma, index_cache):
-    """A block scorer for one parsed mode; the conformity index is built once and cached."""
-    index = None
-    if mode.needs_history():
-        if "index" not in index_cache:
-            index_cache["index"] = ConformityIndex.from_log(split.train, model.tau)
-        index = index_cache["index"]
-    table = baselines.PopularityTable.from_split(split) if method == "pda" else None
-    return trainer.make_scorer(
-        model, method, mode, t_eval=split.train.t_max, index=index, table=table, gamma=gamma
-    )
-
-
 def cmd_evaluate(args) -> int:
-    flag_map = {
-        "data": "data", "checkpoint": "checkpoint", "method": "method",
-        "modes": "modes", "k_click": "k_click", "k_pref": "k_pref", "on": "on",
-        "per_user": "per_user", "gamma": "gamma",
-    }
-    config = resolve_config(args, EVALUATE_DEFAULTS, flag_map)
+    config = resolve_config(args, EVALUATE_DEFAULTS)
     _check_at_least(config, k_click=1, k_pref=1)
     if not config["checkpoint"]:
         raise ValueError("missing required option: checkpoint")
@@ -275,8 +229,7 @@ def cmd_evaluate(args) -> int:
     if method == "pda":
         baselines.check_gamma(gamma)
     variant = meta_config.get("variant", "full")
-    config.update({"checkpoint": str(ckpt_path), "data": str(config["data"]),
-                   "method": method, "gamma": gamma})
+    config.update({"checkpoint": str(ckpt_path), "method": method, "gamma": gamma})
     modes = config["modes"]
     if isinstance(modes, str):
         modes = [m.strip() for m in modes.split(",") if m.strip()]
@@ -290,10 +243,14 @@ def cmd_evaluate(args) -> int:
     run_dir = make_run_dir(args.outdir, config)
 
     eval_log = split.test if config["on"] == "test" else split.validation
+    # the serving inputs do not depend on the mode: build each at most once
+    index = ConformityIndex.from_log(split.train, model.tau) if any(m.needs_history() for m in parsed) else None
+    table = baselines.PopularityTable.from_split(split) if method == "pda" else None
     reports = []
-    index_cache: dict = {}
     for mode_text, mode in zip(modes, parsed):
-        scorer = _scorer_for_mode(model, method, mode, split, gamma, index_cache)
+        scorer = trainer.make_scorer(
+            model, method, mode, t_eval=split.train.t_max, index=index, table=table, gamma=gamma
+        )
         # one pass per mode: both tasks rank from the same score rows
         click = evaluation.click_prediction_eval(
             scorer, split.train, eval_log, k=config["k_click"],
@@ -311,41 +268,38 @@ def cmd_evaluate(args) -> int:
         "reports": [r.to_dict() for r in reports],
     }
     write_json(run_dir / "eval.json", payload)
-    _write_eval_csv(run_dir / "eval.csv", reports)
+    columns = "method mode k_click k_pref cp_rec cp_pre cp_ndcg pp_rec pp_pre n_users_click n_users_pref".split()
+    _write_csv(run_dir / "eval.csv", columns, [[getattr(r, c) for c in columns] for r in reports])
     for r in reports:
-        fmt = lambda v: "n/a" if v is None else f"{v:.6f}"
         print(
-            f"evaluate[{r.mode}]: CP-Rec@{r.k_click}={fmt(r.cp_rec)} "
-            f"CP-Pre@{r.k_click}={fmt(r.cp_pre)} CP-NDCG@{r.k_click}={fmt(r.cp_ndcg)} "
-            f"PP-Rec@{r.k_pref}={fmt(r.pp_rec)} PP-Pre@{r.k_pref}={fmt(r.pp_pre)}"
+            f"evaluate[{r.mode}]: CP-Rec@{r.k_click}={_shown(r.cp_rec)} "
+            f"CP-Pre@{r.k_click}={_shown(r.cp_pre)} CP-NDCG@{r.k_click}={_shown(r.cp_ndcg)} "
+            f"PP-Rec@{r.k_pref}={_shown(r.pp_rec)} PP-Pre@{r.k_pref}={_shown(r.pp_pre)}"
         )
     print(f"evaluate: wrote {run_dir / 'eval.json'}")
     return 0
 
 
-def _write_eval_csv(path: Path, reports) -> None:
-    rows = []
-    for r in reports:
-        rows.append([
-            r.method, r.mode, r.k_click, r.k_pref,
-            *("" if v is None else f"{v:.10g}" for v in (r.cp_rec, r.cp_pre, r.cp_ndcg, r.pp_rec, r.pp_pre)),
-            r.n_users_click, r.n_users_pref,
-        ])
-    out = ["method,mode,k_click,k_pref,cp_rec,cp_pre,cp_ndcg,pp_rec,pp_pre,n_users_click,n_users_pref"]
-    out += [",".join(str(c) for c in row) for row in rows]
-    atomic_write_text(path, "\n".join(out) + "\n")
+def _shown(metric: float | None) -> str:
+    return "n/a" if metric is None else f"{metric:.6f}"
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One report CSV: a float cell as %.10g, None as an empty cell, anything else by str."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return f"{value:.10g}" if isinstance(value, float) else str(value)
+
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_analyze(args) -> int:
-    flag_map = {
-        "data": "data", "checkpoint": "checkpoint", "t_o": "t_o", "weekly": "weekly",
-        "n_buckets": "n_buckets", "p_threshold": "p_threshold", "min_ratings": "min_ratings",
-    }
-    config = resolve_config(args, ANALYZE_DEFAULTS, flag_map)
+    config = resolve_config(args, ANALYZE_DEFAULTS)
     if config["t_o"] <= 0:
         raise ValueError(f"t_o must be positive, got {config['t_o']}")
     _check_at_least(config, n_buckets=1, min_ratings=3)  # a p-value needs 3 points
-    config["data"] = str(config["data"])
     model = None
     if config["checkpoint"]:
         config["checkpoint"] = str(config["checkpoint"])
@@ -370,18 +324,12 @@ def cmd_analyze(args) -> int:
         min_ratings=config["min_ratings"],
         weekly_aggregate=config["weekly"],
     )
-    corr_lines = ["item,n,r,p,retained"]
-    corr_lines += [
-        f"{int(corr.items[k])},{int(corr.n[k])},{corr.r[k]:.10g},{corr.p[k]:.10g},{int(corr.retained[k])}"
-        for k in range(corr.items.size)
-    ]
-    atomic_write_text(analysis_dir / "instant_corr.csv", "\n".join(corr_lines) + "\n")
+    corr_columns = (corr.items, corr.n, corr.r, corr.p, corr.retained.astype(int))
+    _write_csv(analysis_dir / "instant_corr.csv", ["item", "n", "r", "p", "retained"],
+               zip(*(c.tolist() for c in corr_columns)))
     counts, edges = corr.histogram()
-    hist_lines = ["bin_lo,bin_hi,count"]
-    hist_lines += [
-        f"{edges[k]:.10g},{edges[k + 1]:.10g},{int(counts[k])}" for k in range(counts.size)
-    ]
-    atomic_write_text(analysis_dir / "r_histogram.csv", "\n".join(hist_lines) + "\n")
+    _write_csv(analysis_dir / "r_histogram.csv", ["bin_lo", "bin_hi", "count"],
+               zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     summary["n_corr_items"] = int(corr.items.size)
     summary["n_retained"] = int(corr.retained.sum())
     summary["negative_fraction"] = corr.negative_fraction()
@@ -399,17 +347,9 @@ def cmd_analyze(args) -> int:
 
 
 def _write_bucket_csv(path: Path, report: bias_analysis.BucketReport) -> None:
-    lines = ["bucket,lo,hi,item_count,avg_rating"]
-    for k in range(report.n_buckets):
-        avg = report.avg_rating[k]
-        lines.append(",".join([
-            str(k),
-            f"{report.bucket_bounds[k]:.10g}",
-            f"{report.bucket_bounds[k + 1]:.10g}",
-            str(report.item_counts[k]),
-            "" if avg is None else f"{avg:.10g}",
-        ]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    bounds = report.bucket_bounds
+    _write_csv(path, ["bucket", "lo", "hi", "item_count", "avg_rating"],
+               zip(range(report.n_buckets), bounds[:-1], bounds[1:], report.item_counts, report.avg_rating))
 
 
 def _grid_points(grid: dict) -> list[dict]:
@@ -427,10 +367,9 @@ def _grid_worker(job: tuple) -> dict:
 def cmd_grid(args) -> int:
     if args.threads < 1:
         raise ValueError(f"threads must be >= 1, got {args.threads}")
-    config = resolve_config(args, {**TRAIN_DEFAULTS, "grid": {}}, _train_flag_map())
-    config["data"] = str(config["data"])
-    if args.grid:
-        config["grid"] = json.loads(Path(args.grid).read_text())
+    config = resolve_config(args, {**TRAIN_DEFAULTS, "grid": {}})
+    if args.grid_file:
+        config["grid"] = json.loads(Path(args.grid_file).read_text())
     unknown = set(config["grid"]) - set(TRAIN_DEFAULTS)
     if unknown:
         raise ValueError(f"grid varies unknown parameters: {sorted(unknown)}")
@@ -461,7 +400,7 @@ def cmd_grid(args) -> int:
     write_json(run_dir / "leaderboard.json", leaderboard)
     write_json(run_dir / "best.json", leaderboard[0])
     top = leaderboard[0]
-    shown = "n/a" if top["val_cp_rec"] is None else f"{top['val_cp_rec']:.6f}"
+    shown = _shown(top["val_cp_rec"])
     print(f"grid: {len(points)} points, best val CP-Rec = {shown} ({top['run_id']}) -> {run_dir}")
     return 0
 
@@ -476,11 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def common(p, seed_key="seed"):
         p.add_argument("--config", type=Path, help="JSON config file; explicit flags override it")
         p.add_argument("--outdir", type=Path, default=Path("runs"), help="artifact root directory")
-        if seeded:  # evaluate and analyze draw no random numbers, so they take no seed
-            p.add_argument("--seed", type=int, default=None)
+        if seed_key:  # evaluate and analyze draw no random numbers, so they take no seed
+            p.add_argument("--seed", dest=seed_key, metavar="SEED", type=int, default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic log with planted parameters")
     common(p)
@@ -488,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("prepare", help="filter and chronologically split a raw log")
-    common(p)
+    common(p, seed_key="split_seed")
     p.add_argument("--data", type=Path, default=None, help="raw interaction file")
     p.add_argument("--core-n", dest="core_n", type=int, default=None)
     p.add_argument("--parts", type=int, default=None)
@@ -515,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="run both ranking tasks on a checkpoint")
-    common(p, seeded=False)
+    common(p, seed_key=None)
     p.add_argument("--data", type=Path, default=None, help="prepared split directory")
     p.add_argument("--checkpoint", type=Path, default=None, help="checkpoint.npz or its run directory")
     p.add_argument("--method", choices=trainer.METHODS, default=None)
@@ -528,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="popularity/rating diagnostics over a log")
-    common(p, seeded=False)
+    common(p, seed_key=None)
     p.add_argument("--data", type=Path, default=None, help="raw file, split dir, or synth run dir")
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--t-o", dest="t_o", type=int, default=None, help="instant-popularity window seconds")
@@ -542,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", type=Path, default=None, help="prepared split directory")
     p.add_argument("--method", choices=trainer.METHODS, default=None)
-    p.add_argument("--grid", type=Path, default=None, help="JSON file of {param: [values]}")
+    p.add_argument("--grid", dest="grid_file", metavar="GRID", type=Path, default=None,
+                   help="JSON file of {param: [values]}")
     p.add_argument("--threads", type=int, default=1, help="parallel training processes")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)

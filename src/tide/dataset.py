@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -354,6 +356,25 @@ def chrono_split(log: InteractionLog, parts: int = 10, split_seed: int = 0) -> C
     )
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(path: Path, obj) -> None:
+    """The one JSON artifact format: indented, keys sorted, newline-terminated."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 _SPLIT_FILES = {"train": "train.tsv", "validation": "validation.tsv", "test": "test.tsv"}
 
 
@@ -372,7 +393,7 @@ def save_split(split: ChronoSplit, outdir) -> Path:
         "counts": {name: len(getattr(split, name)) for name in _SPLIT_FILES},
     }
     manifest_path = outdir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 

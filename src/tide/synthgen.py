@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import InteractionLog, save_interactions
+from .dataset import InteractionLog, save_interactions, write_json
 from .numerics import TANH_HI, bounded_tanh, softplus
 
 # Events whose proposals are drawn in one vectorized round, and the proposals
@@ -267,7 +267,7 @@ def save_synth(log: InteractionLog, truth: SynthTruth, config: SynthConfig, outd
         "config": asdict(config),
     }
     truth_path = outdir / "truth.json"
-    truth_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(truth_path, payload)
     return truth_path
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -365,11 +366,21 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     Keeps the best-validation parameters and stops once the metric has not
     improved for ``early_stop_patience`` epochs. With an empty validation
     partition the final parameters stand and no early stopping happens.
+
+    A user who clicked every item has no negative: their rows are left out of
+    the pairwise loss (with a warning) but still feed the index and tables.
     """
     cfg.validate()
     train = split.train
     if not len(train):
         raise ValueError("training partition is empty")
+    full_user = np.diff(train.pairs.offsets) >= train.n_items
+    rows = np.flatnonzero(~full_user[train.users])  # the loss's rows; all of them unless a user is full
+    if not rows.size:
+        raise ValueError("every training user interacted with every item; no negative exists")
+    if rows.size < len(train):
+        warnings.warn(f"{int(full_user.sum())} user(s) interacted with every item and have no negative; "
+                      f"skipping their {len(train) - rows.size} training rows")
     model = init_model(cfg, train.n_users, train.n_items)
     adam = AdamState(model)
     rng = np.random.default_rng(cfg.seed)
@@ -396,10 +407,6 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     if cfg.method == "mf-ips":
         weights = ips_instance_weights(train, table, cfg.ips_cap)
 
-    full_users = np.flatnonzero(np.diff(train.pairs.offsets) >= train.n_items)
-    if full_users.size:
-        raise ValueError(f"user {full_users[0]} interacted with every item; no negative exists")
-
     t_eval = train.t_max
     has_val = len(split.validation) > 0
 
@@ -418,9 +425,9 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     best_metric = -np.inf
     since_best = 0
     t0 = time.perf_counter()
-    n = len(train)
+    n = rows.size
     for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
+        perm = rows[rng.permutation(n)]
         users = train.users[perm]
         pos = train.items[perm]
         times = train.times[perm]

@@ -7,10 +7,12 @@ artifact bytes; history.csv is compared column-wise because its wall_time field
 measures the run itself.
 """
 
+import argparse
 import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from tide import cli
 from tide.dataset import load_split
 from tide.model import load_checkpoint
+from tide.synthgen import SynthConfig
 
 SYNTH_OVERRIDES = {
     "n_users": 60,
@@ -118,6 +121,40 @@ def test_missing_required_data_option_fails(tmp_path, capsys):
     rc = run_cli(["prepare", "--outdir", tmp_path])
     assert rc == 1
     assert "missing required option" in capsys.readouterr().err
+
+
+def test_every_flag_sets_a_key_of_its_command_defaults():
+    # a dest that is not a config key would be parsed and then never read
+    defaults = {
+        "synth": asdict(SynthConfig()),
+        "prepare": cli.PREPARE_DEFAULTS,
+        "train": cli.TRAIN_DEFAULTS,
+        "evaluate": cli.EVALUATE_DEFAULTS,
+        "analyze": cli.ANALYZE_DEFAULTS,
+        "grid": {**cli.TRAIN_DEFAULTS, "grid": {}},
+    }
+    not_config = {"help", "config", "outdir", "threads", "grid_file"}
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(defaults)
+    for name, sub in commands.items():
+        dests = {a.dest for a in sub._actions} - not_config
+        assert dests <= set(defaults[name]), (name, sorted(dests - set(defaults[name])))
+
+
+def test_flag_with_a_renamed_dest_reaches_its_config_key(pipeline, tmp_path):
+    assert run_cli(pipeline["prepare_args"] + ["--seed", 3, "--outdir", tmp_path / "prep"]) == 0
+    config = json.loads((only_entry(tmp_path / "prep") / "config.json").read_text())
+    assert config["split_seed"] == 3
+    assert json.loads((only_entry(tmp_path / "prep") / "manifest.json").read_text())["seed"] == 3
+
+    rc = run_cli([
+        "evaluate", "--data", pipeline["prep"], "--checkpoint", pipeline["train"],
+        "--modes", "int", "--k", 7, "--outdir", tmp_path / "eval",
+    ])
+    assert rc == 0
+    config = json.loads((only_entry(tmp_path / "eval") / "config.json").read_text())
+    assert config["k_click"] == 7
 
 
 # ---------------------------------------------------------------- synth + prepare

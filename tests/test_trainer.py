@@ -416,13 +416,29 @@ def test_year_long_log_trains_and_scores_at_tau_3e4():
     assert np.isfinite(scores).all() and (scores > 0).all()
 
 
-def test_fit_rejects_a_user_who_clicked_every_item():
-    # user 1 clicked both items (item 0 twice); user 0 leaves a negative
-    users, items = [0, 1, 1, 1], [0, 0, 1, 0]
-    train = InteractionLog.build(users, items, [0, 1, 2, 3], None, 2, 2)
-    empty = InteractionLog.build([], [], [], None, 2, 2)
-    split = ChronoSplit(train=train, validation=empty, test=empty, boundaries=[0.0, 4.0], parts=2, split_seed=0)
-    with pytest.raises(ValueError, match="user 1 interacted with every item"):
+def _train_only_split(users, items) -> ChronoSplit:
+    train = InteractionLog.build(users, items, list(range(len(users))), None, 3, 2)
+    empty = InteractionLog.build([], [], [], None, 3, 2)
+    return ChronoSplit(train=train, validation=empty, test=empty,
+                       boundaries=[0.0, float(len(users))], parts=2, split_seed=0)
+
+
+def test_fit_skips_a_user_who_clicked_every_item():
+    # user 1 clicked both items (item 0 twice) and user 2 both once: 5 rows
+    # without a negative; user 0 leaves a negative and is trained
+    split = _train_only_split([0, 1, 1, 1, 2, 2], [0, 0, 1, 0, 1, 0])
+    cfg = TrainConfig(method="mf", embed_dim=2, epochs=3)
+    with pytest.warns(UserWarning, match=r"2 user\(s\) interacted with every item.*skipping their 5 training rows"):
+        out = fit(split, cfg)
+    start = init_model(cfg, 3, 2)
+    assert np.array_equal(out.model.user_emb[1:], start.user_emb[1:])
+    assert not np.array_equal(out.model.user_emb[0], start.user_emb[0])
+    assert len(out.history) == 3 and all(math.isfinite(row["loss"]) for row in out.history)
+
+
+def test_fit_rejects_a_split_where_every_user_clicked_every_item():
+    split = _train_only_split([0, 0, 1, 1, 2, 2], [0, 1, 1, 0, 0, 1])
+    with pytest.raises(ValueError, match="every training user interacted with every item"):
         fit(split, TrainConfig(method="mf", embed_dim=2, epochs=1))
 
 
