@@ -9,6 +9,7 @@ bucketed by the same uniform time parts the chronological split uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,67 +19,59 @@ from .numerics import elu_plus_one
 
 @dataclass(frozen=True)
 class PopularityTable:
-    """Per-item training click counts, globally and per uniform time part."""
+    """Per-item training click counts, one row per uniform time part.
 
-    global_counts: np.ndarray
+    ``t_min``/``t_max`` are the split's time range, so ``query`` assigns a
+    time to its part exactly as the split assigned the training records.
+    """
+
     per_period: np.ndarray
-    parts: int
-
-    def __post_init__(self):
-        if self.per_period.shape != (self.parts, self.global_counts.size):
-            raise ValueError("per_period shape must be (parts, n_items)")
-        if not np.array_equal(self.per_period.sum(axis=0), self.global_counts):
-            raise ValueError("per-period counts must sum to the global counts")
+    t_min: int
+    t_max: int
 
     @property
-    def n_items(self) -> int:
-        return int(self.global_counts.size)
+    def parts(self) -> int:
+        return self.per_period.shape[0]
 
     @classmethod
     def from_train(cls, train: InteractionLog, t_min: int, t_max: int, parts: int) -> "PopularityTable":
         periods = part_assignments(train.times, t_min, t_max, parts)
         per_period = np.zeros((parts, train.n_items), dtype=np.int64)
         np.add.at(per_period, (periods, train.items), 1)
-        return cls(
-            global_counts=per_period.sum(axis=0),
-            per_period=per_period,
-            parts=parts,
-        )
+        return cls(per_period=per_period, t_min=t_min, t_max=t_max)
 
     @classmethod
     def from_split(cls, split: ChronoSplit) -> "PopularityTable":
-        t_min = int(split.boundaries[0])
-        t_max = int(split.boundaries[-1])
-        return cls.from_train(split.train, t_min, t_max, split.parts)
+        return cls.from_train(split.train, int(split.boundaries[0]), int(split.boundaries[-1]), split.parts)
 
-    def normalized(self, period: int) -> np.ndarray:
-        """Period-local popularity scaled into [0, 1] by the period max."""
-        counts = self.per_period[period].astype(np.float64)
-        return counts / max(counts.max(), 1.0)
+    @cached_property
+    def _normalized(self) -> np.ndarray:
+        """Each part's counts scaled into [0, 1] by that part's max; an empty part stays 0."""
+        counts = self.per_period.astype(np.float64)
+        return counts / np.maximum(counts.max(axis=1, keepdims=True), 1.0)
 
-    def last_train_normalized(self) -> np.ndarray:
-        """Persistence predictor of serving-time popularity.
+    def query(self, items, times) -> np.ndarray:
+        """Normalized popularity of each item in the part that holds its time (broadcast).
 
-        The final part is held out, so the newest observed popularity is the
-        part just before it; fall back to earlier parts if that one is empty.
+        A time past ``t_max`` reads the last part, as the split assigns it;
+        a time before ``t_min`` has no part and is rejected.
         """
-        for period in range(self.parts - 2, -1, -1):
-            if self.per_period[period].sum() > 0:
-                return self.normalized(period)
-        raise ValueError("popularity table has no populated training period")
+        times = np.asarray(times, dtype=np.int64)
+        if times.size and times.min() < self.t_min:
+            raise ValueError(f"time {int(times.min())} precedes the popularity table's start {self.t_min}")
+        return self._normalized[part_assignments(times, self.t_min, self.t_max, self.parts), items]
 
 
-def ips_weights_raw(table: PopularityTable, cap: float) -> np.ndarray:
-    """Per-item inverse-popularity weight min(N / max(P_i, 1), cap)."""
+def ips_weights_raw(counts: np.ndarray, cap: float) -> np.ndarray:
+    """Per-item inverse-popularity weight min(N / max(P_i, 1), cap) from click counts P."""
     if cap <= 0:
         raise ValueError("cap must be positive")
-    total = float(table.global_counts.sum())
-    return np.minimum(total / np.maximum(table.global_counts, 1), cap)
+    return np.minimum(float(counts.sum()) / np.maximum(counts, 1), cap)
 
 
-def ips_instance_weights(train: InteractionLog, table: PopularityTable, cap: float) -> np.ndarray:
+def ips_instance_weights(train: InteractionLog, cap: float) -> np.ndarray:
     """Per-interaction loss weights, normalized to mean exactly 1."""
-    raw = ips_weights_raw(table, cap)[train.items]
+    raw = ips_weights_raw(np.bincount(train.items, minlength=train.n_items), cap)[train.items]
     return raw / raw.mean()
 
 

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ TRAIN_DEFAULTS = {"data": None, **asdict(trainer.TrainConfig())}
 EVALUATE_DEFAULTS = {
     "data": None,
     "checkpoint": None,
-    "method": None,
     "modes": None,
     "k_click": 20,
     "k_pref": 3,
@@ -203,10 +202,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _default_modes(method: str, variant: str) -> list[str]:
-    return list(trainer.VARIANTS[variant][2]) if method == "tide" else ["native"]
-
-
 def _parse_eval_mode(method: str, mode_text: str) -> InferenceMode:
     """The baselines serve only their native mode, alias "e"."""
     if method != "tide" and mode_text not in ("native", "e"):
@@ -221,20 +216,22 @@ def cmd_evaluate(args) -> int:
         raise ValueError("missing required option: checkpoint")
     ckpt_path = _checkpoint_file(config["checkpoint"])
     model, meta = load_checkpoint(ckpt_path)
-    meta_config = meta.get("config", {})
-    method = config["method"] or meta_config.get("method", "tide")
-    if config["gamma"] is not None and method != "pda":
-        raise ValueError(f"gamma is read only by pda; method {method!r} does not use it")
-    gamma = config["gamma"] if config["gamma"] is not None else meta_config.get("gamma", 0.0)
-    if method == "pda":
-        baselines.check_gamma(gamma)
-    variant = meta_config.get("variant", "full")
-    config.update({"checkpoint": str(ckpt_path), "method": method, "gamma": gamma})
+    if "config" not in meta:
+        raise ValueError(f"{ckpt_path} carries no training config; evaluate reads its method from it")
+    cfg = _train_config(meta["config"])
+    method = cfg.method
+    if config["gamma"] is not None:
+        if method != "pda":
+            raise ValueError(f"gamma is read only by pda; method {method!r} does not use it")
+        cfg = replace(cfg, gamma=config["gamma"])
+        cfg.validate()
+    # the resolved method and gamma stay in config.json, so run ids keep them
+    config.update({"checkpoint": str(ckpt_path), "method": method, "gamma": cfg.gamma})
     modes = config["modes"]
     if isinstance(modes, str):
         modes = [m.strip() for m in modes.split(",") if m.strip()]
     if not modes:
-        modes = _default_modes(method, variant)
+        modes = list(trainer.VARIANTS[cfg.variant][2]) if method == "tide" else ["native"]
     config["modes"] = modes
     parsed = [_parse_eval_mode(method, mode_text) for mode_text in modes]
     split = dataset.load_split(Path(config["data"]))
@@ -249,7 +246,7 @@ def cmd_evaluate(args) -> int:
     reports = []
     for mode_text, mode in zip(modes, parsed):
         scorer = trainer.make_scorer(
-            model, method, mode, t_eval=split.train.t_max, index=index, table=table, gamma=gamma
+            model, method, mode, t_eval=split.train.t_max, index=index, table=table, gamma=cfg.gamma
         )
         # one pass per mode: both tasks rank from the same score rows
         click = evaluation.click_prediction_eval(
@@ -302,8 +299,8 @@ def cmd_analyze(args) -> int:
     _check_at_least(config, n_buckets=1, min_ratings=3)  # a p-value needs 3 points
     model = None
     if config["checkpoint"]:
-        config["checkpoint"] = str(config["checkpoint"])
-        model, _ = load_checkpoint(_checkpoint_file(config["checkpoint"]))
+        config["checkpoint"] = str(_checkpoint_file(config["checkpoint"]))
+        model, _ = load_checkpoint(config["checkpoint"])
     log = _load_log(Path(config["data"]))
     run_dir = make_run_dir(args.outdir, config)
     analysis_dir = run_dir / "analysis"
@@ -457,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed_key=None)
     p.add_argument("--data", type=Path, default=None, help="prepared split directory")
     p.add_argument("--checkpoint", type=Path, default=None, help="checkpoint.npz or its run directory")
-    p.add_argument("--method", choices=trainer.METHODS, default=None)
     p.add_argument("--modes", type=str, default=None, help="comma list: full,int,e,noq,noc,fixq:<v>")
     p.add_argument("--k", dest="k_click", type=int, default=None, help="click-task cutoff")
     p.add_argument("--k-pref", dest="k_pref", type=int, default=None, help="preference-task cutoff")

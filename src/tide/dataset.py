@@ -344,8 +344,7 @@ def chrono_split(log: InteractionLog, parts: int = 10, split_seed: int = 0) -> C
     rng = np.random.default_rng(split_seed)
     perm = rng.permutation(last_users)
     n_val = math.ceil(perm.size / 2)
-    val_users = set(perm[:n_val].tolist())
-    val_mask = np.fromiter((int(u) in val_users for u in last.users), dtype=bool, count=len(last))
+    val_mask = np.isin(last.users, perm[:n_val])
     return ChronoSplit(
         train=train,
         validation=last.subset(val_mask),

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 
 from .baselines import PopularityTable, check_gamma, ips_instance_weights, pda_coefficient, pda_infer
-from .dataset import ChronoSplit, PairSet, part_assignments
+from .dataset import ChronoSplit, PairSet
 from .evaluation import click_prediction_eval
 from .model import (
     FULL,
@@ -332,6 +332,9 @@ def make_scorer(
 
     Everything that does not depend on the user (conformity sums, the pda
     popularity coefficient) is computed once here and shared by every block.
+    pda serves each item's popularity in the training part holding ``t_eval``.
+    At ``t_eval = train.t_max`` that is the latest populated training part:
+    the persistence predictor of serving-time popularity.
     """
     if method == "tide":
         raw = None
@@ -339,9 +342,9 @@ def make_scorer(
             raw = index.query_at(t_eval)
         return lambda users: model.score_all_items(users, mode=mode, raw_conformity=raw)
     if method == "pda":
-        if table is None:
-            raise ValueError("pda scoring needs a popularity table")
-        coef = pda_coefficient(table.last_train_normalized(), gamma)
+        if table is None or t_eval is None:
+            raise ValueError("pda scoring needs a popularity table and t_eval")
+        coef = pda_coefficient(table.query(np.arange(model.n_items), t_eval), gamma)
         return lambda users: pda_infer(model.user_emb[users] @ model.item_emb.T, coef)
     link = LINKS[method][0]
     return lambda users: link(model.user_emb[users] @ model.item_emb.T)
@@ -385,40 +388,29 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     adam = AdamState(model)
     rng = np.random.default_rng(cfg.seed)
 
-    index = None
-    s_pos = None
-    if cfg.uses_conformity():
-        index = ConformityIndex.from_log(train, cfg.tau)
-        s_pos = index.query(train.items, train.times)
+    index = ConformityIndex.from_log(train, cfg.tau) if cfg.uses_conformity() else None
+    table = PopularityTable.from_split(split) if cfg.method in ("pd", "pda") else None
 
-    table = None
-    pop_hat_pos = None
-    periods = None
-    norm = None
-    if cfg.method in ("pd", "pda", "mf-ips"):
-        table = PopularityTable.from_split(split)
-        if cfg.method in ("pd", "pda"):
-            t_lo, t_hi = int(split.boundaries[0]), int(split.boundaries[-1])
-            periods = part_assignments(train.times, t_lo, t_hi, split.parts)
-            norm = np.stack([table.normalized(k) for k in range(split.parts)])
-            pop_hat_pos = norm[periods, train.items]
+    lookups = {name: source for name, source in (("s", index), ("pop", table)) if source is not None}
 
-    weights = None
+    def side_inputs(items, times, side: str) -> dict:
+        """One side's (item, time) forward inputs: s_<side> conformity sums, pop_<side> period popularity."""
+        return {f"{name}_{side}": source.query(items, times) for name, source in lookups.items()}
+
+    # the positive side of every pair, one column per TrainBatch field
+    positives = {"users": train.users[rows], "pos": train.items[rows], "times": train.times[rows]}
+    positives.update(side_inputs(positives["pos"], positives["times"], "pos"))
     if cfg.method == "mf-ips":
-        weights = ips_instance_weights(train, table, cfg.ips_cap)
-
-    t_eval = train.t_max
-    has_val = len(split.validation) > 0
+        positives["weights"] = ips_instance_weights(train, cfg.ips_cap)[rows]
 
     def validation_metric(current: TideModel) -> float | None:
-        if not has_val:
+        if not len(split.validation):
             return None
         scorer = make_scorer(
             current, cfg.method, selection_mode(cfg),
-            t_eval=t_eval, index=index, table=table, gamma=cfg.gamma,
+            t_eval=train.t_max, index=index, table=table, gamma=cfg.gamma,
         )
-        report = click_prediction_eval(scorer, train, split.validation, k=cfg.k_select)
-        return report["recall"]
+        return click_prediction_eval(scorer, train, split.validation, k=cfg.k_select)["recall"]
 
     result = FitResult(model=model)
     best = model.copy()
@@ -427,25 +419,14 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     t0 = time.perf_counter()
     n = rows.size
     for epoch in range(cfg.epochs):
-        perm = rows[rng.permutation(n)]
-        users = train.users[perm]
-        pos = train.items[perm]
-        times = train.times[perm]
-        neg = sample_negatives(users, train.pairs, rng)
-        s_neg = index.query(neg, times) if index is not None else None
-        pop_neg = norm[periods[perm], neg] if norm is not None else None
+        order = rng.permutation(n)
+        columns = {name: col[order] for name, col in positives.items()}
+        columns["neg"] = sample_negatives(columns["users"], train.pairs, rng)
+        columns.update(side_inputs(columns["neg"], columns["times"], "neg"))
         loss_sum = 0.0
         for lo in range(0, n, cfg.batch_size):
             hi = min(lo + cfg.batch_size, n)
-            sl = slice(lo, hi)
-            batch = TrainBatch(
-                users=users[sl], pos=pos[sl], neg=neg[sl], times=times[sl],
-                s_pos=s_pos[perm[sl]] if s_pos is not None else None,
-                s_neg=s_neg[sl] if s_neg is not None else None,
-                pop_pos=pop_hat_pos[perm[sl]] if pop_hat_pos is not None else None,
-                pop_neg=pop_neg[sl] if pop_neg is not None else None,
-                weights=weights[perm[sl]] if weights is not None else None,
-            )
+            batch = TrainBatch(**{name: col[lo:hi] for name, col in columns.items()})
             loss_sum += grad_step(model, batch, cfg, adam) * (hi - lo)
         epoch_loss = loss_sum / n
         metric = validation_metric(model)

@@ -19,7 +19,7 @@ import pytest
 
 from tide import cli
 from tide.dataset import load_split
-from tide.model import load_checkpoint
+from tide.model import load_checkpoint, save_checkpoint
 from tide.synthgen import SynthConfig
 
 SYNTH_OVERRIDES = {
@@ -323,6 +323,33 @@ def test_non_tide_checkpoint_rejects_tide_modes(pipeline, tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+def test_evaluate_reads_the_method_from_the_checkpoint_only(pipeline, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evaluate", "--data", pipeline["prep"], "--checkpoint", pipeline["train"],
+                 "--method", "mf", "--outdir", tmp_path / "flag"])
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
+
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"method": "mf"}))
+    rc = run_cli(["evaluate", "--data", pipeline["prep"], "--checkpoint", pipeline["train"],
+                  "--config", cfg, "--outdir", tmp_path / "file"])
+    assert rc == 1
+    assert "unknown config keys: ['method']" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
+
+
+def test_evaluate_refuses_a_checkpoint_without_a_training_config(pipeline, tmp_path, capsys):
+    model, _ = load_checkpoint(pipeline["train"] / "checkpoint.npz")
+    bare = tmp_path / "bare.npz"
+    save_checkpoint(model, bare, meta=None)
+    rc = run_cli(["evaluate", "--data", pipeline["prep"], "--checkpoint", bare, "--outdir", tmp_path / "out"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(bare) in err and "no training config" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsys):
     rc = run_cli([
         "train", "--data", pipeline["prep"], "--method", "pd", "--gamma", 1.5,
@@ -436,6 +463,16 @@ def test_analyze_with_checkpoint_adds_quality_diagnostics(pipeline, tmp_path):
     assert (analysis / "quality_buckets.csv").exists()
     summary = json.loads((analysis / "summary.json").read_text())
     assert "rcc_quality_ar" in summary and "rcc_popularity_ar" in summary
+
+
+def test_analyze_gives_a_run_directory_and_its_checkpoint_file_one_run_id(pipeline, tmp_path):
+    args = ["analyze", "--data", pipeline["prep"]]
+    assert run_cli(args + ["--checkpoint", pipeline["train"], "--outdir", tmp_path / "dir"]) == 0
+    ckpt = pipeline["train"] / "checkpoint.npz"
+    assert run_cli(args + ["--checkpoint", ckpt, "--outdir", tmp_path / "file"]) == 0
+    from_dir, from_file = only_entry(tmp_path / "dir"), only_entry(tmp_path / "file")
+    assert from_dir.name == from_file.name
+    assert json.loads((from_dir / "config.json").read_text())["checkpoint"] == str(ckpt)
 
 
 def test_analyze_rerun_is_byte_identical(pipeline, tmp_path):

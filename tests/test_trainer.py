@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tide.baselines import pda_coefficient
+from tide import trainer
+from tide.baselines import PopularityTable, ips_weights_raw, pda_coefficient
 from tide.dataset import ChronoSplit, InteractionLog, chrono_split
 from tide.model import FULL, ConformityIndex, TideModel
 from tide.numerics import bounded_tanh, bpr_loss, sigmoid, softplus
@@ -398,6 +399,49 @@ def test_fit_runs_and_tracks_history(method, variant):
         assert math.isfinite(row["loss"])
     metrics = [row["val_cp_rec"] for row in out.history]
     assert math.isclose(out.best_metric, max(metrics), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["tide", "pda", "mf-ips"])
+def test_fit_batches_keep_every_column_in_step(method, monkeypatch):
+    split = synthetic_split(seed=5)
+    train = split.train
+    cfg = TrainConfig(method=method, embed_dim=4, epochs=2, batch_size=700, tau=2e5, seed=5)
+    batches = []
+
+    def recording_step(model, batch, cfg, adam):
+        batches.append(batch)
+        return grad_step(model, batch, cfg, adam)
+
+    monkeypatch.setattr(trainer, "grad_step", recording_step)
+    fit(split, cfg)
+    assert len(batches) == 2 * math.ceil(len(train) / cfg.batch_size)
+
+    index = ConformityIndex.from_log(train, cfg.tau)
+    table = PopularityTable.from_split(split)
+    ips = ips_weights_raw(np.bincount(train.items, minlength=train.n_items), cfg.ips_cap)
+    ips /= ips[train.items].mean()
+    rows = sorted(zip(train.users.tolist(), train.items.tolist(), train.times.tolist()))
+    seen = []
+    for batch in batches:
+        seen += zip(batch.users.tolist(), batch.pos.tolist(), batch.times.tolist())
+        sides = {"pos": batch.pos, "neg": batch.neg}
+        for side, items in sides.items():
+            s, pop = getattr(batch, f"s_{side}"), getattr(batch, f"pop_{side}")
+            if method == "tide":
+                assert np.array_equal(s, index.query(items, batch.times))
+            else:
+                assert s is None
+            if method == "pda":
+                assert np.array_equal(pop, table.query(items, batch.times))
+            else:
+                assert pop is None
+        if method == "mf-ips":
+            assert np.array_equal(batch.weights, ips[batch.pos])
+        else:
+            assert batch.weights is None
+    # each epoch visits every training row once, with its user, item and time together
+    half = len(seen) // 2
+    assert sorted(seen[:half]) == rows and sorted(seen[half:]) == rows
 
 
 def test_year_long_log_trains_and_scores_at_tau_3e4():
