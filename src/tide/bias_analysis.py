@@ -18,7 +18,6 @@ import numpy as np
 from scipy import stats
 
 from .dataset import InteractionLog, ItemTimeline
-from .numerics import softplus
 
 HALF_YEAR_SECONDS = 15_768_000  # 182.5 days
 WEEK_SECONDS = 604_800
@@ -186,9 +185,9 @@ def popularity_buckets(log: InteractionLog, n_buckets: int = 30) -> BucketReport
     return _bucketize(pop[sel].astype(np.float64), ar[sel], n_buckets)
 
 
-def quality_buckets(quality, log: InteractionLog, n_buckets: int = 30) -> BucketReport:
-    """Mean item average-rating per uniform learned-quality bucket."""
-    q = _quality_vector(quality)
+def quality_buckets(quality: np.ndarray, log: InteractionLog, n_buckets: int = 30) -> BucketReport:
+    """Mean item average-rating per uniform bucket of the per-item quality vector."""
+    q = np.asarray(quality, dtype=np.float64)
     _, ar, n_rated = item_stats(log)
     if q.size != log.n_items:
         raise ValueError("quality vector length does not match item count")
@@ -196,12 +195,6 @@ def quality_buckets(quality, log: InteractionLog, n_buckets: int = 30) -> Bucket
     if not sel.any():
         raise ValueError("no rated interactions to bucket")
     return _bucketize(q[sel], ar[sel], n_buckets)
-
-
-def _quality_vector(quality) -> np.ndarray:
-    if hasattr(quality, "q_raw"):
-        return softplus(np.asarray(quality.q_raw, dtype=np.float64))
-    return np.asarray(quality, dtype=np.float64)
 
 
 def instant_popularity(log: InteractionLog, item: int, t: int, t_o: int = HALF_YEAR_SECONDS) -> int:
@@ -267,9 +260,9 @@ def per_item_rating_instant_pop_corr(
     )
 
 
-def quality_rating_rcc(quality, log: InteractionLog) -> tuple[float | None, float | None]:
+def quality_rating_rcc(quality: np.ndarray, log: InteractionLog) -> tuple[float | None, float | None]:
     """(tau(quality, AR), tau(popularity, AR)) over items carrying ratings."""
-    q = _quality_vector(quality)
+    q = np.asarray(quality, dtype=np.float64)
     pop, ar, n_rated = item_stats(log)
     if q.size != log.n_items:
         raise ValueError("quality vector length does not match item count")

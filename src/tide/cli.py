@@ -235,43 +235,44 @@ def cmd_evaluate(args) -> int:
     config["modes"] = modes
     parsed = [_parse_eval_mode(method, mode_text) for mode_text in modes]
     split = dataset.load_split(Path(config["data"]))
-    if model.n_items != split.train.n_items or model.n_users != split.train.n_users:
-        raise ValueError("checkpoint and split disagree on user/item counts")
+    if (model.n_users, model.n_items) != (split.train.n_users, split.train.n_items):
+        raise ValueError(f"checkpoint and split disagree on user/item counts: checkpoint has "
+                         f"{(model.n_users, model.n_items)}, split has {(split.train.n_users, split.train.n_items)}")
     run_dir = make_run_dir(args.outdir, config)
 
     eval_log = split.test if config["on"] == "test" else split.validation
     # the serving inputs do not depend on the mode: build each at most once
     index = ConformityIndex.from_log(split.train, model.tau) if any(m.needs_history() for m in parsed) else None
     table = baselines.PopularityTable.from_split(split) if method == "pda" else None
+    tasks = [evaluation.ClickTask(split.train, eval_log, config["k_click"]),
+             evaluation.PreferenceTask(eval_log, config["k_pref"])]
     reports = []
     for mode_text, mode in zip(modes, parsed):
         scorer = trainer.make_scorer(
             model, method, mode, t_eval=split.train.t_max, index=index, table=table, gamma=cfg.gamma
         )
         # one pass per mode: both tasks rank from the same score rows
-        click = evaluation.click_prediction_eval(
-            scorer, split.train, eval_log, k=config["k_click"],
-            collect_per_user=config["per_user"], pref_k=config["k_pref"],
-        )
-        pref = click.pop("pref")
-        reports.append(evaluation.combine_report(
-            method, mode_text, click, pref, k_click=config["k_click"], k_pref=config["k_pref"]
-        ))
+        click, pref = evaluation.rank_tasks(scorer, tasks, config["per_user"])
+        report = {
+            "method": method, "mode": mode_text, "k_click": config["k_click"], "k_pref": config["k_pref"],
+            "cp_rec": click["recall"], "cp_pre": click["precision"], "cp_ndcg": click["ndcg"],
+            "pp_rec": pref["recall"], "pp_pre": pref["precision"],
+            "n_users_click": click["n_users"], "n_users_pref": pref["n_users"],
+            "n_skipped_click": click["n_skipped"], "n_skipped_pref": pref["n_skipped"],
+        }
+        if config["per_user"]:
+            report["per_user"] = {"click": click["per_user"], "pref": pref["per_user"]}
+        reports.append(report)
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "method": method,
-        "on": config["on"],
-        "reports": [r.to_dict() for r in reports],
-    }
+    payload = {"schema_version": SCHEMA_VERSION, "method": method, "on": config["on"], "reports": reports}
     write_json(run_dir / "eval.json", payload)
     columns = "method mode k_click k_pref cp_rec cp_pre cp_ndcg pp_rec pp_pre n_users_click n_users_pref".split()
-    _write_csv(run_dir / "eval.csv", columns, [[getattr(r, c) for c in columns] for r in reports])
+    _write_csv(run_dir / "eval.csv", columns, [[r[c] for c in columns] for r in reports])
     for r in reports:
         print(
-            f"evaluate[{r.mode}]: CP-Rec@{r.k_click}={_shown(r.cp_rec)} "
-            f"CP-Pre@{r.k_click}={_shown(r.cp_pre)} CP-NDCG@{r.k_click}={_shown(r.cp_ndcg)} "
-            f"PP-Rec@{r.k_pref}={_shown(r.pp_rec)} PP-Pre@{r.k_pref}={_shown(r.pp_pre)}"
+            f"evaluate[{r['mode']}]: CP-Rec@{r['k_click']}={_shown(r['cp_rec'])} "
+            f"CP-Pre@{r['k_click']}={_shown(r['cp_pre'])} CP-NDCG@{r['k_click']}={_shown(r['cp_ndcg'])} "
+            f"PP-Rec@{r['k_pref']}={_shown(r['pp_rec'])} PP-Pre@{r['k_pref']}={_shown(r['pp_pre'])}"
         )
     print(f"evaluate: wrote {run_dir / 'eval.json'}")
     return 0
@@ -302,6 +303,8 @@ def cmd_analyze(args) -> int:
         config["checkpoint"] = str(_checkpoint_file(config["checkpoint"]))
         model, _ = load_checkpoint(config["checkpoint"])
     log = _load_log(Path(config["data"]))
+    if model is not None and model.n_items != log.n_items:
+        raise ValueError(f"checkpoint scores {model.n_items} items but the log has {log.n_items}")
     run_dir = make_run_dir(args.outdir, config)
     analysis_dir = run_dir / "analysis"
     analysis_dir.mkdir(exist_ok=True)
@@ -332,9 +335,9 @@ def cmd_analyze(args) -> int:
     summary["negative_fraction"] = corr.negative_fraction()
 
     if model is not None:
-        qbuckets = bias_analysis.quality_buckets(model, log, n_buckets=config["n_buckets"])
+        qbuckets = bias_analysis.quality_buckets(model.quality, log, n_buckets=config["n_buckets"])
         _write_bucket_csv(analysis_dir / "quality_buckets.csv", qbuckets)
-        rcc_q, rcc_p = bias_analysis.quality_rating_rcc(model, log)
+        rcc_q, rcc_p = bias_analysis.quality_rating_rcc(model.quality, log)
         summary["rcc_quality_ar"] = rcc_q
         summary["rcc_popularity_ar"] = rcc_p
 

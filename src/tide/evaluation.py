@@ -6,12 +6,13 @@ top K. Preference prediction ranks only the user's rated held-out items and
 asks whether the top-rated ones come first; it probes whether a score orders
 by true preference rather than by exposure.
 
-Both tasks, and validation inside training, run on one blocked engine. A
-scorer maps an array of user ids to a (users, n_items) score block; users
-are scored ``BLOCK_ELEMENTS // n_items`` at a time, so each user's score row
-is computed once and shared by both tasks while the working set stays
-bounded whatever the catalog size. Ranking stays exact over the full
-catalog: the top k come from ``argpartition`` and are ordered by
+Both tasks, and validation inside training, run on one blocked engine,
+``rank_tasks``; a task is built once from its logs and ranked for any number
+of scorers. A scorer maps an array of user ids to a (users, n_items) score
+block; users are scored ``BLOCK_ELEMENTS // n_items`` at a time, so each
+user's score row is computed once and shared by both tasks while the working
+set stays bounded whatever the catalog size. Ranking stays exact over the
+full catalog: the top k come from ``argpartition`` and are ordered by
 (-score, id), and a row whose k-th score ties a score outside the selection
 (or is not finite) falls back to a full (-score, id) sort of its candidates.
 """
@@ -19,7 +20,7 @@ catalog: the top k come from ``argpartition`` and are ordered by
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -45,30 +46,6 @@ class RankedList:
     def __post_init__(self):
         if self.items.shape != self.scores.shape:
             raise ValueError("items and scores lengths differ")
-
-
-@dataclass
-class EvalReport:
-    method: str
-    mode: str
-    k_click: int
-    k_pref: int
-    cp_rec: float | None = None
-    cp_pre: float | None = None
-    cp_ndcg: float | None = None
-    pp_rec: float | None = None
-    pp_pre: float | None = None
-    n_users_click: int = 0
-    n_users_pref: int = 0
-    n_skipped_click: int = 0
-    n_skipped_pref: int = 0
-    per_user: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if not self.per_user:
-            out.pop("per_user")
-        return out
 
 
 # ------------------------------------------------------------------ ranking
@@ -182,10 +159,16 @@ def ndcg_at_k(top: RankedList, relevant, k: int) -> float:
 
 
 class _Task:
-    """A ranking task's users (ascending), skip count, and per-user metric columns."""
+    """A ranking task's users (ascending), skip count, and per-user metric columns.
 
-    def __init__(self, k: int, users: np.ndarray, n_skipped: int, metrics: tuple, counts: dict):
-        self.k, self.users, self.n_skipped = k, users, int(n_skipped)
+    A task is built once from its logs and can be ranked for any number of
+    scorers: each ``rank_tasks`` pass overwrites every user's metric columns,
+    and ``result`` copies the values out, so reusing a task cannot leak an
+    earlier scorer's numbers.
+    """
+
+    def __init__(self, k: int, n_items: int, users: np.ndarray, n_skipped: int, metrics: tuple, counts: dict):
+        self.k, self.n_items, self.users, self.n_skipped = k, int(n_items), users, int(n_skipped)
         self.metrics = {name: np.empty(users.size) for name in metrics}
         self.counts = counts
 
@@ -201,8 +184,15 @@ class _Task:
         return out
 
 
-class _ClickTask(_Task):
-    """Click prediction over all non-training items, for users with new clicks."""
+class ClickTask(_Task):
+    """Macro-averaged Recall/Precision/NDCG@k over held-out click lists.
+
+    Candidates are all items minus the user's training positives; relevant
+    items are the user's held-out items restricted to those candidates (an
+    item already consumed in training cannot be recommended again, so it
+    cannot count against the ranking either). Users left with no relevant
+    item are skipped.
+    """
 
     def __init__(self, train: InteractionLog, eval_log: InteractionLog, k: int):
         if (train.n_users, train.n_items) != (eval_log.n_users, eval_log.n_items):
@@ -213,8 +203,8 @@ class _ClickTask(_Task):
         # a user who clicked every item in training has no relevant item left
         n_relevant = np.diff(self.relevant.offsets)[eval_users]
         keep = n_relevant > 0
-        super().__init__(k, eval_users[keep], eval_users.size - keep.sum(), ("recall", "precision", "ndcg"),
-                         {"n_relevant": n_relevant[keep]})
+        super().__init__(k, train.n_items, eval_users[keep], eval_users.size - keep.sum(),
+                         ("recall", "precision", "ndcg"), {"n_relevant": n_relevant[keep]})
 
     def rank(self, a: int, b: int, scores: np.ndarray) -> None:
         users = self.users[a:b]
@@ -233,8 +223,14 @@ class _ClickTask(_Task):
         self.metrics["ndcg"][a:b] = ndcg_rows(hits, n_relevant, self.k)
 
 
-class _PreferenceTask(_Task):
-    """Preference prediction over each user's rated held-out items."""
+class PreferenceTask(_Task):
+    """Rank each user's rated held-out items; positives are top-rated ones.
+
+    Users whose rated items are all positive or all negative carry no
+    within-user ranking signal and are skipped. When an item was rated more
+    than once in the held-out window, the latest rating stands. Precision
+    keeps the fixed denominator k even for users with fewer than k items.
+    """
 
     def __init__(self, eval_log: InteractionLog, k: int):
         if k < 1:
@@ -248,7 +244,7 @@ class _PreferenceTask(_Task):
         mixed = (n_positive > 0) & (n_positive < n_rated)
         kept = np.flatnonzero(mixed)
         n_eval_users = np.count_nonzero(np.diff(eval_log.pairs.offsets))
-        super().__init__(k, kept, n_eval_users - kept.size, ("recall", "precision"),
+        super().__init__(k, eval_log.n_items, kept, n_eval_users - kept.size, ("recall", "precision"),
                          {"n_rated": n_rated[kept], "n_positive": n_positive[kept]})
         keep = mixed[users]
         self.pair_users, self.pair_items, self.pair_positive = users[keep], items[keep], positive[keep]
@@ -268,10 +264,17 @@ class _PreferenceTask(_Task):
         self.metrics["precision"][a:b] = precision_rows(hits, self.k)
 
 
-def _rank_in_blocks(score_block, n_items: int, tasks) -> None:
-    """Score the union of the tasks' users block by block; each task ranks its rows."""
+def rank_tasks(score_block, tasks, collect_per_user: bool = False) -> list[dict]:
+    """Rank every task from one scoring pass; returns each task's ``result``, in order.
+
+    ``score_block(users)`` must return a (len(users), n_items) score block.
+    The union of the tasks' users is scored block by block, so a user ranked
+    by several tasks is scored once; each task ranks its own rows of a block.
+    """
+    if len({task.n_items for task in tasks}) != 1:
+        raise ValueError("tasks ranked together must share one catalog")
     users = np.unique(np.concatenate([task.users for task in tasks]))
-    step = max(1, BLOCK_ELEMENTS // max(n_items, 1))
+    step = max(1, BLOCK_ELEMENTS // max(tasks[0].n_items, 1))
     for lo in range(0, users.size, step):
         block = users[lo : lo + step]
         scores = score_block(block)
@@ -281,83 +284,18 @@ def _rank_in_blocks(score_block, n_items: int, tasks) -> None:
                 continue
             rows = scores if b - a == block.size else scores[np.searchsorted(block, task.users[a:b])]
             task.rank(a, b, rows)
+    return [task.result(collect_per_user) for task in tasks]
 
 
 def click_prediction_eval(
-    score_block,
-    train: InteractionLog,
-    eval_log: InteractionLog,
-    k: int = 20,
-    collect_per_user: bool = False,
-    pref_k: int | None = None,
+    score_block, train: InteractionLog, eval_log: InteractionLog, k: int = 20, collect_per_user: bool = False
 ) -> dict:
-    """Macro-averaged Recall/Precision/NDCG@k over held-out click lists.
-
-    ``score_block(users)`` must return a (len(users), n_items) score block.
-    Candidates are all items minus the user's training positives; relevant
-    items are the user's held-out items restricted to those candidates (an
-    item already consumed in training cannot be recommended again, so it
-    cannot count against the ranking either). Users left with no relevant
-    item are skipped.
-
-    With ``pref_k`` set, the preference task (``preference_prediction_eval``)
-    is ranked from the same score rows, so each user is scored once for both
-    tasks; its result is returned under ``"pref"``, for the caller to take
-    out beside the click result. The click result stays the returned dict
-    itself, so callers that read only ``"recall"`` or ``"n_users"`` are
-    unaffected.
-    """
-    click = _ClickTask(train, eval_log, k)
-    tasks = [click]
-    if pref_k is not None:
-        tasks.append(_PreferenceTask(eval_log, pref_k))
-    _rank_in_blocks(score_block, train.n_items, tasks)
-    out = click.result(collect_per_user)
-    if pref_k is not None:
-        out["pref"] = tasks[1].result(collect_per_user)
-    return out
+    """The result of ranking a ``ClickTask`` alone."""
+    return rank_tasks(score_block, [ClickTask(train, eval_log, k)], collect_per_user)[0]
 
 
 def preference_prediction_eval(
-    score_block,
-    eval_log: InteractionLog,
-    k: int = 3,
-    collect_per_user: bool = False,
+    score_block, eval_log: InteractionLog, k: int = 3, collect_per_user: bool = False
 ) -> dict:
-    """Rank each user's rated held-out items; positives are top-rated ones.
-
-    Users whose rated items are all positive or all negative carry no
-    within-user ranking signal and are skipped. When an item was rated more
-    than once in the held-out window, the latest rating stands. Precision
-    keeps the fixed denominator k even for users with fewer than k items.
-    """
-    task = _PreferenceTask(eval_log, k)
-    _rank_in_blocks(score_block, eval_log.n_items, [task])
-    return task.result(collect_per_user)
-
-
-def combine_report(
-    method: str,
-    mode: str,
-    click: dict | None,
-    pref: dict | None,
-    k_click: int = 20,
-    k_pref: int = 3,
-) -> EvalReport:
-    report = EvalReport(method=method, mode=mode, k_click=k_click, k_pref=k_pref)
-    if click is not None:
-        report.cp_rec = click["recall"]
-        report.cp_pre = click["precision"]
-        report.cp_ndcg = click["ndcg"]
-        report.n_users_click = click["n_users"]
-        report.n_skipped_click = click["n_skipped"]
-        if "per_user" in click:
-            report.per_user["click"] = click["per_user"]
-    if pref is not None:
-        report.pp_rec = pref["recall"]
-        report.pp_pre = pref["precision"]
-        report.n_users_pref = pref["n_users"]
-        report.n_skipped_pref = pref["n_skipped"]
-        if "per_user" in pref:
-            report.per_user["pref"] = pref["per_user"]
-    return report
+    """The result of ranking a ``PreferenceTask`` alone."""
+    return rank_tasks(score_block, [PreferenceTask(eval_log, k)], collect_per_user)[0]

@@ -27,7 +27,7 @@ from scipy import sparse
 
 from .baselines import PopularityTable, check_gamma, ips_instance_weights, pda_coefficient, pda_infer
 from .dataset import ChronoSplit, PairSet
-from .evaluation import click_prediction_eval
+from .evaluation import ClickTask, rank_tasks
 from .model import (
     FULL,
     INTERVENED,
@@ -403,14 +403,17 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     if cfg.method == "mf-ips":
         positives["weights"] = ips_instance_weights(train, cfg.ips_cap)[rows]
 
+    # neither log changes while training: build the validation task once, rank it every epoch
+    validation = ClickTask(train, split.validation, cfg.k_select) if len(split.validation) else None
+
     def validation_metric(current: TideModel) -> float | None:
-        if not len(split.validation):
+        if validation is None:
             return None
         scorer = make_scorer(
             current, cfg.method, selection_mode(cfg),
             t_eval=train.t_max, index=index, table=table, gamma=cfg.gamma,
         )
-        return click_prediction_eval(scorer, train, split.validation, k=cfg.k_select)["recall"]
+        return rank_tasks(scorer, [validation])[0]["recall"]
 
     result = FitResult(model=model)
     best = model.copy()

@@ -23,7 +23,6 @@ from tide.bias_analysis import (
     quality_rating_rcc,
 )
 from tide.dataset import InteractionLog
-from tide.numerics import inv_softplus
 
 
 def brute_pearson(x, y):
@@ -248,17 +247,11 @@ def test_buckets_degenerate_single_popularity():
     assert rep.avg_rating[0] == pytest.approx(4.0)
 
 
-def test_quality_buckets_accepts_model_or_vector():
+def test_quality_buckets_bin_items_by_the_quality_vector():
     log = InteractionLog.build([0, 1], [0, 1], [1, 2], [3.0, 5.0], 2, 2)
-
-    class Stub:
-        q_raw = inv_softplus(np.array([1.0, 2.0]))
-
-    via_model = quality_buckets(Stub(), log, n_buckets=2)
-    via_vector = quality_buckets(np.array([1.0, 2.0]), log, n_buckets=2)
-    assert via_model.avg_rating == via_vector.avg_rating
-    assert via_vector.avg_rating[0] == pytest.approx(3.0)
-    assert via_vector.avg_rating[-1] == pytest.approx(5.0)
+    rep = quality_buckets(np.array([1.0, 2.0]), log, n_buckets=2)
+    assert rep.avg_rating[0] == pytest.approx(3.0)
+    assert rep.avg_rating[-1] == pytest.approx(5.0)
     with pytest.raises(ValueError, match="length"):
         quality_buckets(np.array([1.0]), log)
 

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from tide import cli
+from tide import cli, evaluation
 from tide.dataset import load_split
-from tide.model import load_checkpoint, save_checkpoint
+from tide.model import TideModel, load_checkpoint, save_checkpoint
 from tide.synthgen import SynthConfig
 
 SYNTH_OVERRIDES = {
@@ -222,6 +222,12 @@ def test_train_rerun_is_deterministic_up_to_wall_time(pipeline, tmp_path):
 # ---------------------------------------------------------------- evaluate
 
 
+REPORT_KEYS = {
+    "method", "mode", "k_click", "k_pref", "cp_rec", "cp_pre", "cp_ndcg", "pp_rec", "pp_pre",
+    "n_users_click", "n_users_pref", "n_skipped_click", "n_skipped_pref",
+}
+
+
 def test_evaluate_emits_one_report_per_mode(pipeline, tmp_path, capsys):
     rc = run_cli([
         "evaluate", "--data", pipeline["prep"], "--checkpoint", pipeline["train"],
@@ -234,12 +240,32 @@ def test_evaluate_emits_one_report_per_mode(pipeline, tmp_path, capsys):
     assert payload["method"] == "tide"
     assert [r["mode"] for r in payload["reports"]] == ["full", "int", "e"]
     for report in payload["reports"]:
+        assert set(report) == REPORT_KEYS
         assert report["k_click"] == 5 and report["k_pref"] == 2
         assert 0.0 <= report["cp_rec"] <= 1.0
     lines = (run_dir / "eval.csv").read_text().strip().split("\n")
     assert lines[0].startswith("method,mode,k_click,k_pref,cp_rec")
     assert len(lines) == 4
     assert capsys.readouterr().out.count("evaluate[") == 3
+
+
+def test_evaluate_builds_each_task_once_for_all_modes(pipeline, tmp_path, monkeypatch):
+    built = []
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+        return build
+
+    for name in ("ClickTask", "PreferenceTask"):
+        monkeypatch.setattr(evaluation, name, counting(getattr(evaluation, name)))
+    assert run_cli([
+        "evaluate", "--data", pipeline["prep"], "--checkpoint", pipeline["train"],
+        "--modes", "full,int,e", "--outdir", tmp_path,
+    ]) == 0
+    assert len(json.loads((only_entry(tmp_path) / "eval.json").read_text())["reports"]) == 3
+    assert sorted(built) == ["ClickTask", "PreferenceTask"]
 
 
 def test_evaluate_defaults_to_variant_mode_set(pipeline, tmp_path):
@@ -276,6 +302,7 @@ def test_evaluate_per_user_rows_average_to_the_aggregates(pipeline, tmp_path):
     assert run_cli(args + ["--per-user", "--outdir", tmp_path / "rows"]) == 0
     payload = json.loads((only_entry(tmp_path / "rows") / "eval.json").read_text())
     for report in payload["reports"]:
+        assert set(report) == REPORT_KEYS | {"per_user"}
         rows = report["per_user"]
         assert set(rows) == {"click", "pref"}
         assert len(rows["click"]) == report["n_users_click"] > 0
@@ -383,12 +410,17 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
     (["analyze", "--data", "{prep}", "--n-buckets", 0], "n_buckets must be >= 1, got 0"),
     (["analyze", "--data", "{prep}", "--min-ratings", 2], "min_ratings must be >= 3, got 2"),
     (["grid", "--data", "{prep}", "--threads", 0], "threads must be >= 1, got 0"),
+    (["analyze", "--data", "{prep}", "--checkpoint", "{wide}"],
+     f"checkpoint scores 40 items but the log has {SYNTH_OVERRIDES['n_items']}"),
 ], ids=["synth", "synth-non-finite", "prepare", "analyze-data", "analyze-checkpoint", "evaluate-k", "evaluate-k-pref",
-        "analyze-t-o", "analyze-n-buckets", "analyze-min-ratings", "grid-threads"])
+        "analyze-t-o", "analyze-n-buckets", "analyze-min-ratings", "grid-threads", "analyze-catalog"])
 def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv, message):
     nonfinite = tmp_path / "nonfinite.json"
     nonfinite.write_text(json.dumps({"tau": float("nan")}))
-    argv = [str(a).format(prep=pipeline["prep"], train=pipeline["train"], nonfinite=nonfinite) for a in argv]
+    wide = tmp_path / "wide.npz"  # a checkpoint of another catalog
+    save_checkpoint(TideModel.init(SYNTH_OVERRIDES["n_users"], 40, dim=2, seed=0), wide)
+    argv = [str(a).format(prep=pipeline["prep"], train=pipeline["train"], nonfinite=nonfinite, wide=wide)
+            for a in argv]
     assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -11,13 +11,14 @@ from hypothesis.extra import numpy as hnp
 from tide import evaluation
 from tide.dataset import InteractionLog
 from tide.evaluation import (
-    EvalReport,
+    ClickTask,
+    PreferenceTask,
     RankedList,
     click_prediction_eval,
-    combine_report,
     ndcg_at_k,
     precision_at_k,
     preference_prediction_eval,
+    rank_tasks,
     rank_topk,
     recall_at_k,
     topk_rows,
@@ -207,24 +208,6 @@ def test_preference_eval_ignores_unrated_records():
     assert out["precision"] == 1.0
 
 
-def test_combine_report_merges_both_tasks():
-    click = {"recall": 0.5, "precision": 0.25, "ndcg": 0.4, "n_users": 7, "n_skipped": 1}
-    pref = {"recall": 0.8, "precision": 0.6, "n_users": 5, "n_skipped": 2}
-    rep = combine_report("tide", "int", click, pref, k_click=20, k_pref=3)
-    assert isinstance(rep, EvalReport)
-    assert rep.cp_rec == 0.5 and rep.pp_pre == 0.6
-    assert rep.n_users_click == 7 and rep.n_users_pref == 5
-    d = rep.to_dict()
-    assert d["method"] == "tide" and d["mode"] == "int"
-    assert "per_user" not in d
-
-
-def test_combine_report_click_only():
-    click = {"recall": 0.5, "precision": 0.25, "ndcg": 0.4, "n_users": 7, "n_skipped": 0}
-    rep = combine_report("mf", "native", click, None)
-    assert rep.pp_rec is None and rep.pp_pre is None
-
-
 def test_click_and_preference_share_one_pass():
     train = InteractionLog.build([0, 1], [0, 1], [0, 1], None, 2, 4)
     test = rated_log([(0, 1, 10, 5.0), (0, 2, 11, 1.0), (1, 0, 12, 5.0), (1, 3, 13, 2.0)], 2, 4)
@@ -235,20 +218,20 @@ def test_click_and_preference_share_one_pass():
         calls.append(list(users))
         return fixed_scorer(scores)(users)
 
-    out = click_prediction_eval(scorer, train, test, k=2, pref_k=1, collect_per_user=True)
+    click, pref = rank_tasks(scorer, [ClickTask(train, test, 2), PreferenceTask(test, 1)], collect_per_user=True)
     assert calls == [[0, 1]]
-    assert out["pref"] == preference_prediction_eval(fixed_scorer(scores), test, k=1, collect_per_user=True)
-    assert out["pref"]["per_user"][0]["precision"] == 1.0  # item 1 outscores item 2
-    assert out["pref"]["per_user"][1]["precision"] == 0.0  # item 3 outscores item 0
+    assert click == click_prediction_eval(fixed_scorer(scores), train, test, k=2, collect_per_user=True)
+    assert pref == preference_prediction_eval(fixed_scorer(scores), test, k=1, collect_per_user=True)
+    assert pref["per_user"][0]["precision"] == 1.0  # item 1 outscores item 2
+    assert pref["per_user"][1]["precision"] == 0.0  # item 3 outscores item 0
 
 
-def test_combine_report_keeps_per_user_rows_of_both_tasks():
-    click = {"recall": 1.0, "precision": 0.5, "ndcg": 1.0, "n_users": 1, "n_skipped": 0,
-             "per_user": {3: {"recall": 1.0, "precision": 0.5, "ndcg": 1.0, "n_relevant": 1}}}
-    pref = {"recall": 0.0, "precision": 0.0, "n_users": 1, "n_skipped": 0,
-            "per_user": {3: {"recall": 0.0, "precision": 0.0, "n_rated": 2, "n_positive": 1}}}
-    d = combine_report("tide", "int", click, pref).to_dict()
-    assert d["per_user"] == {"click": click["per_user"], "pref": pref["per_user"]}
+def test_rank_tasks_refuses_tasks_of_two_catalogs():
+    train = InteractionLog.build([0], [0], [0], None, 1, 4)
+    test = rated_log([(0, 1, 10, 5.0), (0, 2, 11, 1.0)], 1, 4)
+    other = rated_log([(0, 1, 10, 5.0), (0, 2, 11, 1.0)], 1, 3)
+    with pytest.raises(ValueError, match="one catalog"):
+        rank_tasks(fixed_scorer({0: [0.0] * 4}), [ClickTask(train, test, 2), PreferenceTask(other, 1)])
 
 
 # ------------------------------------------- blocked ranker vs brute-force oracles
@@ -370,15 +353,15 @@ def test_blocked_tasks_match_per_user_oracles(case):
     table = {u: scores[u] for u in range(scores.shape[0])}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "BLOCK_ELEMENTS", block_elements)
-        out = click_prediction_eval(
-            fixed_scorer(table), train, test, k=k_click, collect_per_user=True, pref_k=k_pref,
-        )
+        # the tasks are built once and ranked twice: the first scorer's numbers must not survive
+        tasks = [ClickTask(train, test, k_click), PreferenceTask(test, k_pref)]
+        rank_tasks(fixed_scorer({u: -row for u, row in table.items()}), tasks, collect_per_user=True)
+        out, pref = rank_tasks(fixed_scorer(table), tasks, collect_per_user=True)
         alone = preference_prediction_eval(fixed_scorer(table), test, k=k_pref, collect_per_user=True)
     want_click, skipped_click = oracle_click(scores, train, test, k_click)
     assert (out["n_users"], out["n_skipped"]) == (len(want_click), skipped_click)
     assert_rows_match(out["per_user"], want_click)
     want_pref, skipped_pref = oracle_pref(scores, test, k_pref)
-    pref = out["pref"]
     assert (pref["n_users"], pref["n_skipped"]) == (len(want_pref), skipped_pref)
     assert_rows_match(pref["per_user"], want_pref)
     assert alone == pref

@@ -500,6 +500,20 @@ def test_fit_restores_best_checkpoint():
     assert math.isclose(rec, out.best_metric, rel_tol=1e-12)
 
 
+def test_fit_builds_the_validation_task_once(monkeypatch):
+    built, task = [], trainer.ClickTask
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return task(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "ClickTask", counting)
+    cfg = TrainConfig(method="mf", embed_dim=8, epochs=3, early_stop_patience=10, batch_size=1024, seed=1)
+    out = fit(synthetic_split(seed=1), cfg)
+    assert len(out.history) == 3 and all(row["val_cp_rec"] is not None for row in out.history)
+    assert len(built) == 1
+
+
 def test_fit_early_stops_when_patience_runs_out():
     split = synthetic_split(seed=2)
     cfg = TrainConfig(
