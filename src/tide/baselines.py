@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import ChronoSplit, InteractionLog, part_assignments
-from .numerics import elu_plus_one
 
 
 @dataclass(frozen=True)
@@ -85,12 +84,3 @@ def pda_coefficient(pop, gamma: float) -> np.ndarray:
     """(period-normalized popularity)^gamma, the PD/PDA popularity factor."""
     check_gamma(gamma)
     return np.asarray(pop, dtype=np.float64) ** gamma
-
-
-def pda_infer(m: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Serving score re-injecting predicted (persisted) popularity.
-
-    ``coef`` is ``pda_coefficient(pop_tilde, gamma)``, computed once per
-    scorer and broadcast over a block of users' matching scores.
-    """
-    return coef * elu_plus_one(m)

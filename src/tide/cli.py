@@ -152,6 +152,7 @@ def cmd_synth(args) -> int:
 
 def cmd_prepare(args) -> int:
     config = resolve_config(args, PREPARE_DEFAULTS)
+    _check_at_least(config, core_n=1)
     log = dataset.load_interactions(config["data"], config["delimiter"])
     if config["core_n"] > 1:
         log = dataset.n_core_filter(log, config["core_n"])
@@ -181,7 +182,8 @@ def run_training(config: dict, outdir) -> dict:
     split = dataset.load_split(Path(config["data"]))
     run_dir = make_run_dir(outdir, config)
     result = trainer.fit(split, cfg)
-    trainer.write_history(result.history, run_dir / "history.csv")
+    _write_csv(run_dir / "history.csv", ["epoch", "loss", "val_cp_rec", "wall_time"],
+               ([r["epoch"], r["loss"], r["val_cp_rec"], f"{r['wall_time']:.3f}"] for r in result.history))
     tmp = run_dir / "checkpoint.tmp.npz"
     save_checkpoint(result.model, tmp, meta={"config": config})
     os.replace(tmp, run_dir / "checkpoint.npz")
@@ -242,7 +244,7 @@ def cmd_evaluate(args) -> int:
 
     eval_log = split.test if config["on"] == "test" else split.validation
     # the serving inputs do not depend on the mode: build each at most once
-    index = ConformityIndex.from_log(split.train, model.tau) if any(m.needs_history() for m in parsed) else None
+    index = ConformityIndex.from_log(split.train, model.tau) if any(m.conformity for m in parsed) else None
     table = baselines.PopularityTable.from_split(split) if method == "pda" else None
     tasks = [evaluation.ClickTask(split.train, eval_log, config["k_click"]),
              evaluation.PreferenceTask(eval_log, config["k_pref"])]
@@ -297,6 +299,8 @@ def cmd_analyze(args) -> int:
     config = resolve_config(args, ANALYZE_DEFAULTS)
     if config["t_o"] <= 0:
         raise ValueError(f"t_o must be positive, got {config['t_o']}")
+    if not 0.0 <= config["p_threshold"] <= 1.0:
+        raise ValueError(f"p_threshold must be in [0, 1], got {config['p_threshold']}")
     _check_at_least(config, n_buckets=1, min_ratings=3)  # a p-value needs 3 points
     model = None
     if config["checkpoint"]:

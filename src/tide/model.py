@@ -43,9 +43,6 @@ class InferenceMode:
     conformity: bool = False
     fixed_quality: float | None = None
 
-    def needs_history(self) -> bool:
-        return self.conformity
-
     def popularity_input(self, quality, scale, raw) -> np.ndarray | None:
         """The Tanh input a, or None when the mode scores by matching alone.
 
@@ -202,29 +199,6 @@ class TideModel:
     def conformity_scale(self) -> np.ndarray:
         return softplus(self.beta_raw)
 
-    def matching(self, users, items) -> np.ndarray:
-        """Backbone match m_ui, a plain embedding dot product."""
-        users = np.atleast_1d(np.asarray(users, dtype=np.int64))
-        items = np.atleast_1d(np.asarray(items, dtype=np.int64))
-        return np.einsum("ij,ij->i", self.user_emb[users], self.item_emb[items])
-
-    def score(
-        self,
-        users,
-        items,
-        times=None,
-        index: ConformityIndex | None = None,
-        mode: InferenceMode = FULL,
-    ) -> np.ndarray:
-        """Scores under an inference mode; history-dependent modes need times + index."""
-        users = np.atleast_1d(np.asarray(users, dtype=np.int64))
-        items = np.atleast_1d(np.asarray(items, dtype=np.int64))
-        raw = None
-        if mode.conformity and index is not None and times is not None:
-            raw = index.query(items, times)
-        a = mode.popularity_input(self.quality[items], self.conformity_scale[items], raw)
-        return _combine(self.matching(users, items), a)
-
     def score_all_items(
         self,
         users,
@@ -233,16 +207,22 @@ class TideModel:
         mode: InferenceMode = FULL,
         raw_conformity: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Scores over every item at one time: a row per user, (len(users), n_items).
+        """Tanh(a) * Softplus(m) over every item at one time: a row per user, (len(users), n_items).
 
-        A scalar user gives one 1-D row. ``raw_conformity`` may carry a
-        precomputed ``index.query_at(t)`` so the per-item sums are shared
-        across blocks during ranking.
+        A mode with no Tanh input a serves the bare match m. A scalar user
+        gives one 1-D row. ``raw_conformity`` may carry a precomputed
+        ``index.query_at(t)`` so the per-item sums are shared across blocks
+        during ranking.
         """
         if raw_conformity is None and mode.conformity and index is not None and t is not None:
             raw_conformity = index.query_at(t)
         a = mode.popularity_input(self.quality, self.conformity_scale, raw_conformity)
-        return _combine(self.user_emb[users] @ self.item_emb.T, a)
+        m = self.user_emb[users] @ self.item_emb.T
+        if a is None:
+            return m
+        out = softplus(m)
+        out *= bounded_tanh(a)
+        return out
 
     def copy(self) -> "TideModel":
         return replace(
@@ -252,15 +232,6 @@ class TideModel:
             q_raw=self.q_raw.copy(),
             beta_raw=self.beta_raw.copy(),
         )
-
-
-def _combine(m: np.ndarray, a: np.ndarray | None) -> np.ndarray:
-    """Tanh(a) * Softplus(m), or the bare match m when there is no a."""
-    if a is None:
-        return m
-    out = softplus(m)
-    out *= bounded_tanh(a)
-    return out
 
 
 def save_checkpoint(model: TideModel, path, meta: dict | None = None) -> None:

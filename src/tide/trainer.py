@@ -15,17 +15,15 @@ of a pair see the same conformity landscape.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
 
-from .baselines import PopularityTable, check_gamma, ips_instance_weights, pda_coefficient, pda_infer
+from .baselines import PopularityTable, check_gamma, ips_instance_weights, pda_coefficient
 from .dataset import ChronoSplit, PairSet
 from .evaluation import ClickTask, rank_tasks
 from .model import (
@@ -89,26 +87,24 @@ class TrainConfig:
     k_select: int = 20           # validation CP-Rec@K for model selection
 
     def validate(self) -> None:
+        """Reject every value ``fit`` would fail on or silently misuse, naming the key and the value."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "tide" and self.variant not in TIDE_VARIANTS:
             raise ValueError(f"unknown tide variant {self.variant!r}")
-        if self.lr_emb <= 0 or self.lr_qb <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0 or self.early_stop_patience < 0:
-            raise ValueError("epochs and patience must be nonnegative")
-        if self.weight_decay_emb < 0:
-            raise ValueError("weight decay must be nonnegative")
+        for key, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            if key in ("lr_emb", "lr_qb", "tau", "ips_cap") and value <= 0:
+                raise ValueError(f"{key} must be positive, got {value}")
+            if key in ("weight_decay_emb", "init_std", "epochs", "early_stop_patience") and value < 0:
+                raise ValueError(f"{key} must be nonnegative, got {value}")
+            if key in ("batch_size", "embed_dim", "k_select") and value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         if self.method == "tide" and self.variant == "fixq" and self.fixed_q <= 0:
-            raise ValueError("fixq needs a positive quality value")
+            raise ValueError(f"fixed_q must be positive for the fixq variant, got {self.fixed_q}")
         if self.method in ("pd", "pda"):
             check_gamma(self.gamma)
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.k_select < 1:
-            raise ValueError(f"k_select must be >= 1, got {self.k_select}")
 
     def train_mode(self) -> InferenceMode | None:
         """The terms inside Tanh during training; None for the non-tide methods."""
@@ -243,7 +239,7 @@ def batch_loss_and_row_grads(model: TideModel, batch: TrainBatch, cfg: TrainConf
     per_item = _segment_sum(item_inv, item_rows.size)
 
     e_u, e_p, e_n = model.user_emb[u], model.item_emb[p], model.item_emb[n]
-    m_p = np.einsum("ij,ij->i", e_u, e_p)  # TideModel.matching on the gathered rows
+    m_p = np.einsum("ij,ij->i", e_u, e_p)  # the backbone match m_ui on the gathered rows
     m_n = np.einsum("ij,ij->i", e_u, e_n)
     c_p, a_p = _coefficient(model, cfg, mode, p, batch.s_pos, batch.pop_pos)
     c_n, a_n = _coefficient(model, cfg, mode, n, batch.s_neg, batch.pop_neg)
@@ -341,13 +337,13 @@ def make_scorer(
         if mode.conformity and index is not None and t_eval is not None:
             raw = index.query_at(t_eval)
         return lambda users: model.score_all_items(users, mode=mode, raw_conformity=raw)
-    if method == "pda":
-        if table is None or t_eval is None:
-            raise ValueError("pda scoring needs a popularity table and t_eval")
-        coef = pda_coefficient(table.query(np.arange(model.n_items), t_eval), gamma)
-        return lambda users: pda_infer(model.user_emb[users] @ model.item_emb.T, coef)
     link = LINKS[method][0]
-    return lambda users: link(model.user_emb[users] @ model.item_emb.T)
+    if method != "pda":
+        return lambda users: link(model.user_emb[users] @ model.item_emb.T)
+    if table is None or t_eval is None:
+        raise ValueError("pda scoring needs a popularity table and t_eval")
+    coef = pda_coefficient(table.query(np.arange(model.n_items), t_eval), gamma)
+    return lambda users: coef * link(model.user_emb[users] @ model.item_emb.T)
 
 
 def selection_mode(cfg: TrainConfig) -> InferenceMode:
@@ -403,17 +399,12 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     if cfg.method == "mf-ips":
         positives["weights"] = ips_instance_weights(train, cfg.ips_cap)[rows]
 
-    # neither log changes while training: build the validation task once, rank it every epoch
+    # neither log nor the serving inputs change while training: build the
+    # validation task and its scorer once, rank them every epoch. The scorer
+    # reads the parameters when called, and Adam updates them in place.
     validation = ClickTask(train, split.validation, cfg.k_select) if len(split.validation) else None
-
-    def validation_metric(current: TideModel) -> float | None:
-        if validation is None:
-            return None
-        scorer = make_scorer(
-            current, cfg.method, selection_mode(cfg),
-            t_eval=train.t_max, index=index, table=table, gamma=cfg.gamma,
-        )
-        return rank_tasks(scorer, [validation])[0]["recall"]
+    scorer = make_scorer(model, cfg.method, selection_mode(cfg),
+                         t_eval=train.t_max, index=index, table=table, gamma=cfg.gamma)
 
     result = FitResult(model=model)
     best = model.copy()
@@ -432,7 +423,7 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
             batch = TrainBatch(**{name: col[lo:hi] for name, col in columns.items()})
             loss_sum += grad_step(model, batch, cfg, adam) * (hi - lo)
         epoch_loss = loss_sum / n
-        metric = validation_metric(model)
+        metric = rank_tasks(scorer, [validation])[0]["recall"] if validation is not None else None
         result.history.append({
             "epoch": epoch,
             "loss": epoch_loss,
@@ -452,19 +443,3 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
                     break
     result.model = best if result.best_epoch is not None else model
     return result
-
-
-def write_history(history: list, path) -> None:
-    """Emit the per-epoch log as CSV: epoch, loss, val_CP-Rec@20, wall_time."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "val_cp_rec", "wall_time"])
-        for row in history:
-            writer.writerow([
-                row["epoch"],
-                f"{row['loss']:.10g}",
-                "" if row["val_cp_rec"] is None else f"{row['val_cp_rec']:.10g}",
-                f"{row['wall_time']:.3f}",
-            ])

@@ -10,7 +10,6 @@ from tide.baselines import (
     ips_instance_weights,
     ips_weights_raw,
     pda_coefficient,
-    pda_infer,
 )
 from tide.dataset import InteractionLog, chrono_split, part_assignments
 from tide.model import MATCHING_ONLY, TideModel
@@ -138,7 +137,7 @@ def test_pda_serves_the_latest_populated_training_part():
     model = TideModel.init(4, n_items, 3, seed=8, init_std=0.5)
     gamma = 0.2
     got = make_scorer(model, "pda", MATCHING_ONLY, t_eval=split.train.t_max, table=table, gamma=gamma)(np.arange(4))
-    assert np.array_equal(got, pda_infer(model.user_emb @ model.item_emb.T, pda_coefficient(want, gamma)))
+    assert np.array_equal(got, pda_coefficient(want, gamma) * elu_plus_one(model.user_emb @ model.item_emb.T))
     with pytest.raises(ValueError, match="t_eval"):
         make_scorer(model, "pda", MATCHING_ONLY, table=table, gamma=gamma)
 
@@ -167,12 +166,20 @@ def test_ips_instance_weights_have_mean_one():
     assert rare.min() >= common.max()
 
 
+def pda_scores(gamma, seed):
+    """pda's served rows for every user of a random model on a random split, with their m and popularity."""
+    split = chrono_split(make_log(seed), parts=4, split_seed=0)
+    table = PopularityTable.from_split(split)
+    n_items = split.train.n_items
+    model = TideModel.init(split.train.n_users, n_items, 4, seed=seed, init_std=0.8)
+    pop = table.query(np.arange(n_items), split.train.t_max)
+    scorer = make_scorer(model, "pda", MATCHING_ONLY, t_eval=split.train.t_max, table=table, gamma=gamma)
+    return scorer(np.arange(model.n_users)), model.user_emb @ model.item_emb.T, pop
+
+
 def test_pda_scores_match_hand_formula():
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=20)
-    pop = rng.uniform(0.0, 1.0, 20)
     for gamma in PDA_GAMMA_GRID:
-        got = pda_infer(m, pda_coefficient(pop, gamma))
+        got, m, pop = pda_scores(gamma, seed=5)
         assert np.allclose(got, pop**gamma * elu_plus_one(m), rtol=1e-15)
     with pytest.raises(ValueError):
         pda_coefficient(pop, 1.5)
@@ -188,7 +195,5 @@ def test_pd_infer_is_popularity_free_and_rank_preserving():
 
 
 def test_gamma_zero_reduces_pda_to_pd():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=30)
-    pop = rng.uniform(0.001, 1.0, 30)
-    assert np.allclose(pda_infer(m, pda_coefficient(pop, 0.0)), elu_plus_one(m), rtol=1e-15)
+    got, m, _ = pda_scores(0.0, seed=7)
+    assert np.array_equal(got, elu_plus_one(m))

@@ -198,11 +198,18 @@ def test_train_artifacts(pipeline):
     assert model.n_items == split.train.n_items
     assert meta["config"]["method"] == "tide"
 
-    history = (run_dir / "history.csv").read_text().strip().split("\n")
-    assert history[0] == "epoch,loss,val_cp_rec,wall_time"
+    text = (run_dir / "history.csv").read_bytes().decode()
+    assert "\r" not in text and text.endswith("\n")
+    history = [line.split(",") for line in text.splitlines()]
+    assert history[0] == ["epoch", "loss", "val_cp_rec", "wall_time"]
     assert len(history) == 3
-
     summary = json.loads((run_dir / "train_summary.json").read_text())
+    for epoch, (shown_epoch, loss, val, wall) in enumerate(history[1:]):
+        assert shown_epoch == str(epoch)
+        assert loss == f"{float(loss):.10g}" and val == f"{float(val):.10g}"
+        assert wall == f"{float(wall):.3f}"
+    assert max(float(row[2]) for row in history[1:]) == float(f"{summary['val_cp_rec']:.10g}")
+
     assert summary["run_id"] == run_dir.name
     assert summary["epochs_run"] == 2
     assert summary["best_epoch"] in (0, 1)
@@ -412,14 +419,26 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
     (["grid", "--data", "{prep}", "--threads", 0], "threads must be >= 1, got 0"),
     (["analyze", "--data", "{prep}", "--checkpoint", "{wide}"],
      f"checkpoint scores 40 items but the log has {SYNTH_OVERRIDES['n_items']}"),
+    (["prepare", "--data", "{raw}", "--core-n", -3], "core_n must be >= 1, got -3"),
+    (["analyze", "--data", "{prep}", "--p-threshold", 7], "p_threshold must be in [0, 1], got 7.0"),
+    (["train", "--data", "{prep}", "--lr-emb", "nan"], "lr_emb must be finite, got nan"),
+    (["train", "--data", "{prep}", "--weight-decay", "nan"], "weight_decay_emb must be finite, got nan"),
+    (["train", "--data", "{prep}", "--ablation", "fixq", "--fixed-q", "nan"], "fixed_q must be finite, got nan"),
+    (["train", "--data", "{prep}", "--tau", 0], "tau must be positive, got 0.0"),
+    (["train", "--data", "{prep}", "--method", "mf", "--tau", -5], "tau must be positive, got -5.0"),
+    (["train", "--data", "{prep}", "--method", "mf-ips", "--ips-cap", 0], "ips_cap must be positive, got 0.0"),
+    (["train", "--data", "{prep}", "--init-std", -1], "init_std must be nonnegative, got -1.0"),
 ], ids=["synth", "synth-non-finite", "prepare", "analyze-data", "analyze-checkpoint", "evaluate-k", "evaluate-k-pref",
-        "analyze-t-o", "analyze-n-buckets", "analyze-min-ratings", "grid-threads", "analyze-catalog"])
+        "analyze-t-o", "analyze-n-buckets", "analyze-min-ratings", "grid-threads", "analyze-catalog",
+        "prepare-core-n", "analyze-p-threshold", "train-lr-emb", "train-weight-decay", "train-fixed-q", "train-tau",
+        "train-mf-tau", "train-ips-cap", "train-init-std"])
 def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv, message):
     nonfinite = tmp_path / "nonfinite.json"
     nonfinite.write_text(json.dumps({"tau": float("nan")}))
     wide = tmp_path / "wide.npz"  # a checkpoint of another catalog
     save_checkpoint(TideModel.init(SYNTH_OVERRIDES["n_users"], 40, dim=2, seed=0), wide)
-    argv = [str(a).format(prep=pipeline["prep"], train=pipeline["train"], nonfinite=nonfinite, wide=wide)
+    raw = pipeline["synth"] / "interactions.tsv"
+    argv = [str(a).format(prep=pipeline["prep"], train=pipeline["train"], nonfinite=nonfinite, wide=wide, raw=raw)
             for a in argv]
     assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 1
     assert message in capsys.readouterr().err

@@ -169,11 +169,26 @@ def test_quality_and_conformity_scale_are_softplus_of_raw():
     assert np.allclose(m.conformity_scale, softplus(m.beta_raw), rtol=1e-15)
 
 
+def served(model, users, items, times, index, mode):
+    """Each (user, item, time)'s entry of that user's score_all_items row at that time."""
+    return np.array([
+        model.score_all_items(u, t=t, index=index, mode=mode)[i] for u, i, t in zip(users, items, times)
+    ])
+
+
+def pairwise_forward(model, users, items, times, index, mode):
+    """Tanh(a) * Softplus(m) per pair, from einsum matches and point conformity queries."""
+    mm = np.einsum("ij,ij->i", model.user_emb[users], model.item_emb[items])
+    raw = index.query(items, times) if mode.conformity else None
+    a = mode.popularity_input(model.quality[items], model.conformity_scale[items], raw)
+    return mm if a is None else np.tanh(a) * softplus(mm)
+
+
 def test_matching_is_dot_product():
     m = make_model()
     u, i = 1, 4
     want = float(m.user_emb[u] @ m.item_emb[i])
-    assert math.isclose(float(m.matching([u], [i])[0]), want, rel_tol=1e-15)
+    assert math.isclose(float(m.score_all_items(u, mode=MATCHING_ONLY)[i]), want, rel_tol=1e-12)
 
 
 def test_score_mode_formulas_agree_with_hand_composition():
@@ -182,27 +197,28 @@ def test_score_mode_formulas_agree_with_hand_composition():
     users = np.array([0, 1, 2, 3])
     items = np.array([5, 0, 3, 2])
     times = np.array([100, 250, 400, 499])
-    mm = m.matching(users, items)
+    # a block row's @ and a pair's einsum may round differently
+    mm = np.einsum("ij,ij->i", m.user_emb[users], m.item_emb[items])
     raw = idx.query(items, times)
     q = m.quality[items]
     c = m.conformity_scale[items] * raw
 
-    full = m.score(users, items, times, idx, FULL)
+    full = served(m, users, items, times, idx, FULL)
     assert np.allclose(full, np.tanh(q + c) * softplus(mm), rtol=1e-12)
 
-    inter = m.score(users, items, times, idx, INTERVENED)
+    inter = served(m, users, items, times, idx, INTERVENED)
     assert np.allclose(inter, np.tanh(q) * softplus(mm), rtol=1e-12)
 
-    noc = m.score(users, items, times, idx, NO_CONFORMITY)
+    noc = served(m, users, items, times, idx, NO_CONFORMITY)
     assert np.array_equal(inter, noc)
 
-    noq = m.score(users, items, times, idx, NO_QUALITY)
+    noq = served(m, users, items, times, idx, NO_QUALITY)
     assert np.allclose(noq, np.tanh(c) * softplus(mm), rtol=1e-12)
 
-    match_only = m.score(users, items, times, idx, MATCHING_ONLY)
-    assert np.array_equal(match_only, mm)
+    match_only = served(m, users, items, times, idx, MATCHING_ONLY)
+    assert np.allclose(match_only, mm, rtol=1e-12)
 
-    fq = m.score(users, items, times, idx, fixed_quality(1.0))
+    fq = served(m, users, items, times, idx, fixed_quality(1.0))
     assert np.allclose(fq, math.tanh(1.0) * softplus(mm), rtol=1e-12)
 
 
@@ -211,35 +227,35 @@ def test_score_scalar_closed_form():
     m = make_model()
     m.q_raw[:] = inv_softplus(np.ones(m.n_items))
     m.user_emb[:] = 0.0
-    got = float(m.score([0], [0], mode=INTERVENED)[0])
+    got = float(m.score_all_items(0, mode=INTERVENED)[0])
     assert math.isclose(got, math.tanh(1.0) * math.log(2.0), rel_tol=1e-12)
 
 
 def test_history_modes_require_index():
     m = make_model()
-    with pytest.raises(ValueError, match="requires interaction history"):
-        m.score([0], [1], mode=FULL)
+    idx = make_index(m)
+    for kwargs in ({}, {"index": idx}, {"t": 100}):
+        with pytest.raises(ValueError, match="requires interaction history"):
+            m.score_all_items(0, mode=FULL, **kwargs)
     with pytest.raises(ValueError, match="requires interaction history"):
         m.score_all_items(0, mode=NO_QUALITY)
 
 
-def test_score_all_items_matches_score():
+def test_score_all_items_matches_the_pairwise_forward():
     m = make_model(seed=6)
     idx = make_index(m, seed=7)
     t = 321
     for mode in (FULL, INTERVENED, MATCHING_ONLY, NO_QUALITY, NO_CONFORMITY, fixed_quality(0.7)):
         per_item = m.score_all_items(2, t=t, index=idx, mode=mode)
-        pairwise = m.score(
-            np.full(m.n_items, 2), np.arange(m.n_items), np.full(m.n_items, t), idx, mode
-        )
+        pairwise = pairwise_forward(m, np.full(m.n_items, 2), np.arange(m.n_items), np.full(m.n_items, t), idx, mode)
         assert np.allclose(per_item, pairwise, rtol=1e-12, atol=1e-15)
 
 
 def test_intervened_scores_ignore_query_time():
     m = make_model(seed=8)
     idx = make_index(m, seed=9)
-    a = m.score([1], [2], [0], idx, INTERVENED)
-    b = m.score([1], [2], [10**9], idx, INTERVENED)
+    a = m.score_all_items(1, t=0, index=idx, mode=INTERVENED)
+    b = m.score_all_items(1, t=10**9, index=idx, mode=INTERVENED)
     assert np.array_equal(a, b)
 
 
@@ -249,8 +265,8 @@ def test_full_scores_react_to_new_clicks():
     times = [100, 110, 120]
     before = ConformityIndex(items, times, m.n_items, m.tau)
     after = ConformityIndex(items + [3], times + [150], m.n_items, m.tau)
-    s_before = float(m.score([0], [3], [200], before, FULL)[0])
-    s_after = float(m.score([0], [3], [200], after, FULL)[0])
+    s_before = float(m.score_all_items(0, t=200, index=before, mode=FULL)[3])
+    s_after = float(m.score_all_items(0, t=200, index=after, mode=FULL)[3])
     assert s_after > s_before
 
 
@@ -269,12 +285,12 @@ def test_parse_mode_aliases_and_fixq():
 
 
 def test_needs_history_only_for_conformity_dependent_modes():
-    assert FULL.needs_history()
-    assert NO_QUALITY.needs_history()
-    assert not INTERVENED.needs_history()
-    assert not MATCHING_ONLY.needs_history()
-    assert not NO_CONFORMITY.needs_history()
-    assert not fixed_quality(2.0).needs_history()
+    # the conformity flag is what decides whether serving needs a conformity index
+    m = make_model()
+    assert FULL.conformity and NO_QUALITY.conformity
+    for mode in (INTERVENED, MATCHING_ONLY, NO_CONFORMITY, fixed_quality(2.0)):
+        assert not mode.conformity
+        assert m.score_all_items(np.arange(m.n_users), mode=mode).shape == (m.n_users, m.n_items)
 
 
 def test_checkpoint_roundtrip_preserves_everything(tmp_path):

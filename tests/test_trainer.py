@@ -1,6 +1,7 @@
 """Analytic gradients, sparse Adam, negative sampling, and the fit loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from tide import trainer
 from tide.baselines import PopularityTable, ips_weights_raw, pda_coefficient
 from tide.dataset import ChronoSplit, InteractionLog, chrono_split
-from tide.model import FULL, ConformityIndex, TideModel
+from tide.model import FULL, MATCHING_ONLY, ConformityIndex, TideModel
 from tide.numerics import bounded_tanh, bpr_loss, sigmoid, softplus
 from tide.trainer import (
     LINKS,
@@ -27,7 +28,6 @@ from tide.trainer import (
     make_scorer,
     sample_negatives,
     selection_mode,
-    write_history,
 )
 
 ALL_CONFIGS = [
@@ -114,31 +114,60 @@ def test_forward_loss_matches_scalar_recomputation():
     assert math.isclose(loss, acc / batch.users.size, rel_tol=1e-10)
 
 
-@pytest.mark.parametrize("variant", ["full", "noq", "noc", "fixq"])
-def test_training_loss_is_built_from_the_serving_score(variant):
-    # training and model.score must run the same forward, bit for bit
-    cfg = TrainConfig(method="tide", variant=variant, fixed_q=0.8)
+SERVED_CONFIGS = {
+    "full": TrainConfig(method="tide", variant="full"),
+    "noq": TrainConfig(method="tide", variant="noq"),
+    "noc": TrainConfig(method="tide", variant="noc"),
+    "fixq": TrainConfig(method="tide", variant="fixq", fixed_q=0.8),
+    "mf": TrainConfig(method="mf"),
+    "mf-ips": TrainConfig(method="mf-ips"),
+    "pd": TrainConfig(method="pd", gamma=0.3),
+    "pda": TrainConfig(method="pda", gamma=0.3),
+}
+
+
+@pytest.mark.parametrize("name", list(SERVED_CONFIGS))
+def test_training_loss_is_built_from_the_serving_score(name, monkeypatch):
+    # at t_eval, make_scorer serves each pair the score the training forward
+    # builds; pd trains on pop^gamma * ELU'(m) but serves ELU'(m), the forward at pop = 1
+    cfg = SERVED_CONFIGS[name]
+    split = synthetic_split(seed=6)
+    train = split.train
     rng = np.random.default_rng(41)
-    n_users, n_items, b = 6, 9, 40
-    model = init_model(cfg, n_users, n_items)
-    for name in ("q_raw", "beta_raw"):
-        param = getattr(model, name)
+    model = init_model(cfg, train.n_users, train.n_items)
+    for param in (model.user_emb, model.item_emb, model.q_raw, model.beta_raw):
         finite = np.isfinite(param)
-        param[finite] = rng.normal(0.0, 1.0, finite.sum())
-    index = ConformityIndex(rng.integers(0, n_items, 300), rng.integers(0, 1000, 300), n_items, tau=300.0)
-    users = rng.integers(0, n_users, b)
-    pos = rng.integers(0, n_items, b)
-    neg = rng.integers(0, n_items, b)
-    times = rng.integers(0, 1200, b)
+        param[finite] = rng.normal(0.0, 0.7, finite.sum())
+    index = ConformityIndex.from_log(train, tau=2e5)
+    table = PopularityTable.from_split(split)
+    b = 40
+    users, pos, neg = (rng.integers(0, n, b) for n in (train.n_users, train.n_items, train.n_items))
+    times = np.full(b, train.t_max)
+
+    def pop(items):
+        return np.ones(b) if cfg.method == "pd" else table.query(items, times)
+
     batch = TrainBatch(
         users=users, pos=pos, neg=neg, times=times,
-        s_pos=index.query(pos, times), s_neg=index.query(neg, times),
+        s_pos=index.query(pos, times), s_neg=index.query(neg, times), pop_pos=pop(pos), pop_neg=pop(neg),
+        weights=rng.uniform(0.5, 2.0, b) if cfg.method == "mf-ips" else None,
     )
-    loss, _ = batch_loss_and_grads(model, batch, cfg)
-    mode = cfg.train_mode()
-    y_p = model.score(users, pos, times=batch.times, index=index, mode=mode)
-    y_n = model.score(users, neg, times=batch.times, index=index, mode=mode)
-    assert loss == float(np.mean(np.ones(b) * softplus(y_n - y_p)))
+    forward = []
+
+    def recording_loss(y_p, y_n):
+        forward.append((y_p, y_n))
+        return bpr_loss(y_p, y_n)
+
+    monkeypatch.setattr(trainer, "bpr_loss", recording_loss)
+    batch_loss_and_grads(model, batch, cfg)
+    (y_p, y_n), = forward
+
+    mode = cfg.train_mode() or selection_mode(cfg)
+    scores = make_scorer(model, cfg.method, mode, t_eval=train.t_max, index=index, table=table,
+                         gamma=cfg.gamma)(np.arange(train.n_users))
+    # a block row's @ and a pair's einsum may round differently
+    assert np.allclose(scores[users, pos], y_p, rtol=1e-12, atol=0.0)
+    assert np.allclose(scores[users, neg], y_n, rtol=1e-12, atol=0.0)
 
 
 def dense_scatter_oracle(model, batch, cfg):
@@ -157,8 +186,8 @@ def dense_scatter_oracle(model, batch, cfg):
             return pda_coefficient(pop, cfg.gamma), None
         return 1.0, None
 
-    m_p = model.matching(u, p)
-    m_n = model.matching(u, n)
+    m_p = np.einsum("ij,ij->i", model.user_emb[u], model.item_emb[p])
+    m_n = np.einsum("ij,ij->i", model.user_emb[u], model.item_emb[n])
     c_p, a_p = coefficient(p, batch.s_pos, batch.pop_pos)
     c_n, a_n = coefficient(n, batch.s_neg, batch.pop_neg)
     l_p, l_n = link(m_p), link(m_n)
@@ -348,6 +377,28 @@ def test_config_validation_rejects_nonsense():
     ]:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**bad).validate()
+    # each of these used to fail inside fit, or to train silently
+    nan = float("nan")
+    for bad, message in [
+        ({"lr_emb": nan}, "lr_emb must be finite, got nan"),
+        ({"weight_decay_emb": nan}, "weight_decay_emb must be finite, got nan"),
+        ({"method": "tide", "variant": "fixq", "fixed_q": nan}, "fixed_q must be finite, got nan"),
+        ({"method": "mf", "init_qb": float("inf")}, "init_qb must be finite, got inf"),
+        ({"method": "mf", "gamma": nan}, "gamma must be finite, got nan"),
+        ({"tau": 0.0}, "tau must be positive, got 0.0"),
+        ({"method": "mf", "tau": -5.0}, "tau must be positive, got -5.0"),
+        ({"method": "mf-ips", "ips_cap": 0.0}, "ips_cap must be positive, got 0.0"),
+        ({"init_std": -1.0}, "init_std must be nonnegative, got -1.0"),
+        ({"lr_qb": 0.0}, "lr_qb must be positive, got 0.0"),
+        ({"weight_decay_emb": -1e-4}, "weight_decay_emb must be nonnegative, got -0.0001"),
+        ({"epochs": -1}, "epochs must be nonnegative, got -1"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"method": "tide", "variant": "fixq", "fixed_q": -1.0},
+         "fixed_q must be positive for the fixq variant, got -1.0"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**bad).validate()
+    TrainConfig(init_std=0.0).validate()  # an all-zero start is legal
 
 
 def test_sample_negatives_never_hits_training_pairs():
@@ -537,16 +588,3 @@ def test_fit_is_deterministic():
         ra["loss"] == rb["loss"] and ra["val_cp_rec"] == rb["val_cp_rec"]
         for ra, rb in zip(a.history, b.history)
     )
-
-
-def test_write_history_csv(tmp_path):
-    rows = [
-        {"epoch": 1, "loss": 0.5, "val_cp_rec": 0.1, "wall_time": 0.01},
-        {"epoch": 2, "loss": 0.25, "val_cp_rec": 0.2, "wall_time": 0.02},
-    ]
-    path = tmp_path / "history.csv"
-    write_history(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,loss,val_cp_rec,wall_time"
-    assert len(lines) == 3
-    assert lines[1].startswith("1,0.5,")
