@@ -182,8 +182,7 @@ def run_training(config: dict, outdir) -> dict:
     split = dataset.load_split(Path(config["data"]))
     run_dir = make_run_dir(outdir, config)
     result = trainer.fit(split, cfg)
-    _write_csv(run_dir / "history.csv", ["epoch", "loss", "val_cp_rec", "wall_time"],
-               ([r["epoch"], r["loss"], r["val_cp_rec"], f"{r['wall_time']:.3f}"] for r in result.history))
+    write_history(result.history, run_dir / "history.csv")
     tmp = run_dir / "checkpoint.tmp.npz"
     save_checkpoint(result.model, tmp, meta={"config": config})
     os.replace(tmp, run_dir / "checkpoint.npz")
@@ -293,6 +292,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
     lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_history(history: list[dict], path: Path) -> None:
+    """The per-epoch log as CSV: epoch, loss, val_CP-Rec@20, wall_time."""
+    _write_csv(path, ["epoch", "loss", "val_cp_rec", "wall_time"],
+               ([r["epoch"], r["loss"], r["val_cp_rec"], f"{r['wall_time']:.3f}"] for r in history))
 
 
 def cmd_analyze(args) -> int:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tide import trainer
+from tide.cli import write_history
 from tide.baselines import PopularityTable, ips_weights_raw, pda_coefficient
 from tide.dataset import ChronoSplit, InteractionLog, chrono_split
 from tide.model import FULL, MATCHING_ONLY, ConformityIndex, TideModel
@@ -588,3 +589,18 @@ def test_fit_is_deterministic():
         ra["loss"] == rb["loss"] and ra["val_cp_rec"] == rb["val_cp_rec"]
         for ra, rb in zip(a.history, b.history)
     )
+
+
+def test_write_history_csv(tmp_path):
+    rows = [
+        {"epoch": 1, "loss": 0.5, "val_cp_rec": 0.1, "wall_time": 0.01},
+        {"epoch": 2, "loss": 0.25, "val_cp_rec": None, "wall_time": 0.02},
+    ]
+    path = tmp_path / "history.csv"
+    write_history(rows, path)
+    assert b"\r" not in path.read_bytes()
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "epoch,loss,val_cp_rec,wall_time"
+    assert len(lines) == 3
+    assert lines[1].startswith("1,0.5,")
+    assert lines[2] == "2,0.25,,0.020"
