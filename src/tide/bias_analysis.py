@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .dataset import InteractionLog, ItemTimeline
 
@@ -115,24 +114,22 @@ def kendall_tau(a, b) -> float | None:
         raise ValueError("kendall_tau needs two equal-length vectors")
     if a.size < 2:
         raise ValueError("kendall_tau needs at least 2 points")
+    from scipy import stats  # the slowest scipy import: only analyze with a checkpoint pays for it
+
     tau = stats.kendalltau(a, b).statistic
     if np.isnan(tau):
         return None
     return float(tau)
 
 
-def corr_p_value(r: float, n: int) -> float:
-    """Two-sided p for a Pearson r via the t statistic with n-2 dof."""
-    if n < 3:
-        raise ValueError("p-value needs n >= 3")
-    if abs(r) >= 1.0:
-        return 0.0
-    t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * stats.t.sf(t, df=n - 2))
-
-
 def corr_p_values(r: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``corr_p_value`` over arrays of r and n, with one t-tail call."""
+    """Two-sided p of each Pearson r via the t statistic with n - 2 dof, from one t-tail call.
+
+    ``stdtr(df, -t)`` is the upper tail ``stats.t.sf(t, df)``, bit for bit, and
+    ``scipy.special`` imports in a fraction of ``scipy.stats``' time.
+    """
+    from scipy import special
+
     r = np.asarray(r, dtype=np.float64)
     n = np.asarray(n, dtype=np.int64)
     if np.any(n < 3):
@@ -140,7 +137,7 @@ def corr_p_values(r: np.ndarray, n: np.ndarray) -> np.ndarray:
     perfect = np.abs(r) >= 1.0
     rr = np.where(perfect, 0.0, r)
     t = np.abs(rr) * np.sqrt((n - 2) / (1.0 - rr * rr))
-    return np.where(perfect, 0.0, 2.0 * stats.t.sf(t, df=n - 2))
+    return np.where(perfect, 0.0, 2.0 * special.stdtr(n - 2, -t))
 
 
 def item_stats(log: InteractionLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,17 +194,8 @@ def quality_buckets(quality: np.ndarray, log: InteractionLog, n_buckets: int = 3
     return _bucketize(q[sel], ar[sel], n_buckets)
 
 
-def instant_popularity(log: InteractionLog, item: int, t: int, t_o: int = HALF_YEAR_SECONDS) -> int:
-    """Clicks on the item with time in [t - t_o, t)."""
-    if t_o <= 0:
-        raise ValueError("t_o must be positive")
-    sel = log.items == item
-    ts = log.times[sel]
-    return int(np.count_nonzero((ts >= t - t_o) & (ts < t)))
-
-
 def instant_popularities(log: InteractionLog, t_o: int = HALF_YEAR_SECONDS) -> np.ndarray:
-    """``instant_popularity`` at every click of the log, for all rows at once."""
+    """Per click of the log, the clicks on its item with time in [t - t_o, t), t the click's time."""
     if t_o <= 0:
         raise ValueError("t_o must be positive")
     timeline = ItemTimeline(log.items, log.times, log.n_items)

@@ -65,10 +65,35 @@ def run_id(config: dict) -> str:
     return hashlib.sha1(canonical.encode()).hexdigest()[:12]
 
 
+# per argparse type of a flag, the JSON values a config file may give its key
+# (a list of modes is as good as their comma list)
+_FILE_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str, list), "a string"),
+    Path: ((str,), "a path string"),
+    bool: ((bool,), "true or false"),
+}
+
+
+def _check_file_value(key: str, value, action: argparse.Action, default) -> None:
+    """Reject a config-file value that the flag setting the same key could not give."""
+    if value is None and default is None:
+        return
+    if action.choices is not None:
+        if value != default and value not in action.choices:
+            raise ValueError(f"{key} must be one of {list(action.choices)}, got {value!r} from the config file")
+        return
+    kinds, name = _FILE_TYPES[action.type or type(action.const)]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ValueError(f"{key} must be {name}, got {value!r} from the config file")
+
+
 def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults <- config file <- explicit flags; unknown file keys rejected.
 
     A flag sets the key named by its argparse dest: each key of ``defaults`` reads ``args.<key>``.
+    A file value for a key that a flag sets must be of that flag's type.
     """
     config = dict(defaults)
     if getattr(args, "config", None):
@@ -76,6 +101,10 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        flags = getattr(args, "flags", {})
+        for key, value in loaded.items():
+            if key in flags:
+                _check_file_value(key, value, flags[key], defaults[key])
         config.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
@@ -497,6 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", dest="early_stop_patience", type=int, default=None)
     p.set_defaults(func=cmd_grid)
 
+    for p in sub.choices.values():
+        # resolve_config checks a config-file value against the flag of the same dest
+        p.set_defaults(flags={action.dest: action for action in p._actions})
     return parser
 
 

@@ -239,6 +239,60 @@ def _read_rows(path, delimiter: str = "\t"):
     return users, items, ratings, times
 
 
+_ROW = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64), ("time", np.int64)])
+
+# bytes after which a raw id token may not be the one canonical text of its
+# integer: control bytes other than tab and newline, space, signs, digit
+# separators, and every non-ASCII byte (unicode digits, a byte-order mark)
+_NONCANONICAL = np.zeros(256, dtype=bool)
+_NONCANONICAL[:32] = True
+_NONCANONICAL[[ord("\t"), ord("\n")]] = False
+_NONCANONICAL[[ord(" "), ord("+"), ord("-"), ord("_")]] = True
+_NONCANONICAL[128:] = True
+
+
+def _canonical_tokens(data: bytes) -> bool:
+    """Whether each integer in tab-separated ``data`` is written one way only.
+
+    ``_compact`` keys raw ids by token, so "07" and "7" are two ids, while
+    ``np.loadtxt`` reads both as 7. Without the bytes above, and without a
+    field that starts with 0 followed by a digit, an integer token is the
+    ``str`` of its value.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if _NONCANONICAL[buf].any():
+        return False
+    field_start = np.concatenate(([True], (buf[:-2] == ord("\t")) | (buf[:-2] == ord("\n"))))
+    digit_next = (buf[1:] >= ord("0")) & (buf[1:] <= ord("9"))
+    return not (field_start & (buf[:-1] == ord("0")) & digit_next).any()
+
+
+def _fast_rows(path: Path, raw_ids: bool) -> np.ndarray | None:
+    """The (user, item, rating, time) rows of a tab-separated file, by numpy's C reader.
+
+    None wherever the result could differ from ``_read_rows``: a file it
+    cannot read, text ``np.loadtxt`` rejects, a rating outside [0.5, 5] or a
+    negative time (which ``_read_rows`` reports by line), and with
+    ``raw_ids`` any id token that is not canonical.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    if not data.strip() or (raw_ids and not _canonical_tokens(data)):
+        return None
+    try:
+        rows = np.loadtxt(path, dtype=_ROW, delimiter="\t", comments=None, usecols=(0, 1, 2, 3),
+                          ndmin=1, encoding="utf-8")
+    except ValueError:
+        return None
+    ratings = rows["rating"]
+    # NaN compares False both ways, so unrated rows pass
+    if (rows["time"] < 0).any() or ((ratings < 0.5) | (ratings > 5.0)).any():
+        return None
+    return rows
+
+
 def _compact(tokens: list[str]) -> tuple[np.ndarray, int]:
     """Dense 0-based ids; numeric ascending order when all tokens are ints."""
     uniq = set(tokens)
@@ -253,10 +307,16 @@ def _compact(tokens: list[str]) -> tuple[np.ndarray, int]:
 
 def load_interactions(path, delimiter: str = "\t") -> InteractionLog:
     """Load a user, item, rating, time log, compacting ids and sorting by time."""
-    users, items, ratings, times = _read_rows(path, delimiter)
-    u_ids, n_users = _compact(users)
-    i_ids, n_items = _compact(items)
-    return InteractionLog.build(u_ids, i_ids, times, ratings, n_users, n_items)
+    rows = _fast_rows(Path(path), raw_ids=True) if delimiter == "\t" else None
+    if rows is None:
+        users, items, ratings, times = _read_rows(path, delimiter)
+        u_ids, n_users = _compact(users)
+        i_ids, n_items = _compact(items)
+        return InteractionLog.build(u_ids, i_ids, times, ratings, n_users, n_items)
+    # canonical tokens: numeric order of the distinct ids is _compact's order
+    u_seen, u_ids = np.unique(rows["user"], return_inverse=True)
+    i_seen, i_ids = np.unique(rows["item"], return_inverse=True)
+    return InteractionLog.build(u_ids, i_ids, rows["time"], rows["rating"], u_seen.size, i_seen.size)
 
 
 # rows per write: each chunk of rows is joined into one string
@@ -405,13 +465,15 @@ def load_split(indir) -> ChronoSplit:
         path = indir / fname
         expected = manifest["counts"][name]
         # an empty partition is an empty file, which _read_rows rejects as input
-        users, items, ratings, times = _read_rows(path) if path.stat().st_size else ([], [], [], [])
+        rows = _fast_rows(path, raw_ids=False) if path.stat().st_size else np.zeros(0, dtype=_ROW)
+        if rows is None:
+            users, items, ratings, times = _read_rows(path)
+            users, items = [int(u) for u in users], [int(i) for i in items]
+        else:
+            users, items, ratings, times = rows["user"], rows["item"], rows["rating"], rows["time"]
         if len(users) != expected:
             raise DataFormatError(f"{path} holds {len(users)} rows; the manifest counts {expected}")
-        logs[name] = InteractionLog.build(
-            [int(u) for u in users], [int(i) for i in items], times, ratings,
-            manifest["n_users"], manifest["n_items"],
-        )
+        logs[name] = InteractionLog.build(users, items, times, ratings, manifest["n_users"], manifest["n_items"])
     return ChronoSplit(
         train=logs["train"],
         validation=logs["validation"],

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 # tanh saturates to exactly +/-1.0 in float64 near |x| ~ 19, which would leak
 # zero-gradient, boundary-valued scores; clamp to the largest open-interval
@@ -38,6 +37,9 @@ def inv_softplus(y):
 
 
 def sigmoid(x):
+    # scipy is imported here, not at module level: only training calls this
+    from scipy.special import expit
+
     return expit(x)
 
 

@@ -19,9 +19,9 @@ import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .baselines import PopularityTable, check_gamma, ips_instance_weights, pda_coefficient
 from .dataset import ChronoSplit, PairSet
@@ -37,6 +37,9 @@ from .model import (
     TideModel,
 )
 from .numerics import bounded_tanh, bpr_loss, elu_plus_one, elu_plus_one_grad, inv_softplus, sigmoid, softplus
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Every method scores coefficient * L(m): Tanh(a) for tide, pop^gamma for
 # pd/pda, 1 for mf. Per method: the link L of the match m and its derivative.
@@ -213,6 +216,8 @@ def _segment_sum(inverse: np.ndarray, n_rows: int) -> sparse.csc_matrix:
     The unit weights matter: folding a factor into S's data lets the kernel
     fuse multiply and add, which rounds differently.
     """
+    from scipy import sparse  # imported on first use, so only training pays for it
+
     return sparse.csc_matrix(
         (np.ones(inverse.size), inverse, np.arange(inverse.size + 1)), shape=(n_rows, inverse.size)
     )

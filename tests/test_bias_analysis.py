@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from tide.bias_analysis import (
     HALF_YEAR_SECONDS,
     WEEK_SECONDS,
-    corr_p_value,
     corr_p_values,
     instant_popularities,
-    instant_popularity,
     item_stats,
     kendall_tau,
     pearson,
@@ -67,6 +66,24 @@ def student_t_sf(x, df):
         z = x / math.sqrt(3.0)
         return 0.5 - (math.atan(z) + z / (1.0 + z * z)) / math.pi
     raise ValueError("closed form implemented for df in {1, 2, 3}")
+
+
+def corr_p_value(r: float, n: int) -> float:
+    """Scalar oracle for ``corr_p_values``: two-sided p of a Pearson r from ``stats.t.sf``."""
+    if n < 3:
+        raise ValueError("p-value needs n >= 3")
+    if abs(r) >= 1.0:
+        return 0.0
+    t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
+    return float(2.0 * stats.t.sf(t, df=n - 2))
+
+
+def instant_popularity(log: InteractionLog, item: int, t: int, t_o: int = HALF_YEAR_SECONDS) -> int:
+    """Scalar oracle for ``instant_popularities``: clicks on the item with time in [t - t_o, t)."""
+    if t_o <= 0:
+        raise ValueError("t_o must be positive")
+    ts = log.times[log.items == item]
+    return int(np.count_nonzero((ts >= t - t_o) & (ts < t)))
 
 
 def test_pearson_closed_form_half():

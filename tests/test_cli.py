@@ -10,6 +10,7 @@ measures the run itself.
 import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -115,6 +116,36 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "learning_rate" in err
+
+
+def test_config_file_values_are_checked_against_their_flags_types(tmp_path):
+    parser = cli.build_parser()
+    cfg = tmp_path / "config.json"
+
+    def resolve(command, defaults, content):
+        cfg.write_text(json.dumps(content))
+        return cli.resolve_config(parser.parse_args([command, "--config", str(cfg)]), defaults)
+
+    # what a flag could give passes: an int for a float flag, the default of a
+    # flag with choices, a list of modes, null where the default is null
+    config = resolve("train", cli.TRAIN_DEFAULTS, {"data": "split", "tau": 30000, "variant": "full", "method": "pd"})
+    assert (config["tau"], config["variant"], config["method"]) == (30000, "full", "pd")
+    config = resolve("evaluate", cli.EVALUATE_DEFAULTS,
+                     {"data": "split", "modes": ["full", "int"], "checkpoint": None, "per_user": True,
+                      "on": "validation"})
+    assert (config["modes"], config["checkpoint"], config["per_user"]) == (["full", "int"], None, True)
+
+    for command, defaults, content, message in [
+        ("evaluate", cli.EVALUATE_DEFAULTS, {"on": "tset"}, "on must be one of ['test', 'validation'], got 'tset'"),
+        ("evaluate", cli.EVALUATE_DEFAULTS, {"per_user": 1}, "per_user must be true or false, got 1"),
+        ("evaluate", cli.EVALUATE_DEFAULTS, {"k_click": 5.0}, "k_click must be an integer, got 5.0"),
+        ("train", cli.TRAIN_DEFAULTS, {"data": 7}, "data must be a path string, got 7"),
+        ("train", cli.TRAIN_DEFAULTS, {"tau": "3e4"}, "tau must be a number, got '3e4'"),
+        ("train", cli.TRAIN_DEFAULTS, {"lr_emb": False}, "lr_emb must be a number, got False"),
+        ("analyze", cli.ANALYZE_DEFAULTS, {"t_o": None}, "t_o must be an integer, got None"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message + " from the config file")):
+            resolve(command, defaults, {"data": "split", **content})
 
 
 def test_missing_required_data_option_fails(tmp_path, capsys):
@@ -428,17 +459,26 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
     (["train", "--data", "{prep}", "--method", "mf", "--tau", -5], "tau must be positive, got -5.0"),
     (["train", "--data", "{prep}", "--method", "mf-ips", "--ips-cap", 0], "ips_cap must be positive, got 0.0"),
     (["train", "--data", "{prep}", "--init-std", -1], "init_std must be nonnegative, got -1.0"),
+    (["analyze", "--data", "{prep}", "--config", "{t_o_nan}"], "t_o must be an integer, got nan from the config file"),
+    (["analyze", "--data", "{prep}", "--config", "{n_buckets}"], "n_buckets must be an integer, got 2.5"),
+    (["prepare", "--data", "{raw}", "--config", "{parts}"], "parts must be an integer, got '10'"),
+    (["train", "--data", "{prep}", "--config", "{epochs_bool}"], "epochs must be an integer, got True"),
 ], ids=["synth", "synth-non-finite", "prepare", "analyze-data", "analyze-checkpoint", "evaluate-k", "evaluate-k-pref",
         "analyze-t-o", "analyze-n-buckets", "analyze-min-ratings", "grid-threads", "analyze-catalog",
         "prepare-core-n", "analyze-p-threshold", "train-lr-emb", "train-weight-decay", "train-fixed-q", "train-tau",
-        "train-mf-tau", "train-ips-cap", "train-init-std"])
+        "train-mf-tau", "train-ips-cap", "train-init-std", "analyze-config-t-o-nan", "analyze-config-n-buckets",
+        "prepare-config-parts", "train-config-bool-epochs"])
 def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv, message):
-    nonfinite = tmp_path / "nonfinite.json"
-    nonfinite.write_text(json.dumps({"tau": float("nan")}))
+    config_files = {}
+    for name, content in [("nonfinite", {"tau": float("nan")}), ("t_o_nan", {"t_o": float("nan")}),
+                          ("n_buckets", {"n_buckets": 2.5}), ("parts", {"parts": "10"}),
+                          ("epochs_bool", {"epochs": True})]:
+        config_files[name] = tmp_path / f"{name}.json"
+        config_files[name].write_text(json.dumps(content))
     wide = tmp_path / "wide.npz"  # a checkpoint of another catalog
     save_checkpoint(TideModel.init(SYNTH_OVERRIDES["n_users"], 40, dim=2, seed=0), wide)
     raw = pipeline["synth"] / "interactions.tsv"
-    argv = [str(a).format(prep=pipeline["prep"], train=pipeline["train"], nonfinite=nonfinite, wide=wide, raw=raw)
+    argv = [str(a).format(prep=pipeline["prep"], train=pipeline["train"], wide=wide, raw=raw, **config_files)
             for a in argv]
     assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 1
     assert message in capsys.readouterr().err
@@ -606,6 +646,41 @@ def test_grid_rejects_unknown_parameter(pipeline, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- process surface
+
+
+SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import tide.cli
+assert not scipy_modules(), ("import tide.cli", scipy_modules())
+for name, argv, may_load_scipy in json.loads(sys.argv[1]):
+    assert tide.cli.main(argv) == 0, name
+    loaded = scipy_modules()
+    assert (may_load_scipy and "scipy.stats" not in loaded) or not loaded, (name, loaded)
+"""
+
+
+def test_commands_import_scipy_only_where_they_call_it(pipeline, tmp_path):
+    # a fresh process, so modules imported by earlier tests do not count; the
+    # stages run in order, and only analyze with a checkpoint loads scipy.stats
+    out = tmp_path / "out"
+    stages = [
+        ("synth", ["synth", "--config", pipeline["synth_cfg"], "--n-events", 500, "--outdir", out / "synth"], False),
+        ("prepare", pipeline["prepare_args"][:-2] + ["--outdir", out / "prepare"], False),
+        ("evaluate", ["evaluate", "--data", pipeline["prep"], "--checkpoint", pipeline["train"],
+                      "--per-user", "--outdir", out / "evaluate"], False),
+        ("analyze", ["analyze", "--data", pipeline["prep"], "--outdir", out / "analyze"], True),
+        ("train", ["train", "--data", pipeline["prep"], "--embed-dim", 4, "--epochs", 1, "--outdir", out / "train"],
+         True),
+    ]
+    stages = [(name, [str(a) for a in argv], may_load) for name, argv, may_load in stages]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(stages)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert all((out / name).is_dir() for name, _, _ in stages)
 
 
 def test_module_is_runnable_as_script():

@@ -1,6 +1,10 @@
 """Loading, filtering, and chronological splitting of interaction logs."""
 
+import contextlib
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -309,3 +313,129 @@ def test_load_split_rejects_a_partition_whose_row_count_disagrees(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(DataFormatError, match=rf"test\.tsv holds {n - 3} rows; the manifest counts 0"):
         load_split(tmp_path)
+
+
+# ---------------------------------------------------------------- the two readers
+
+# Other spellings of a clean id n. The C reader reads the first five as an
+# integer, n itself in three of them, while _compact keys ids by token;
+# it rejects the rest: a decimal point, a digit separator, unicode digits, a
+# byte-order mark, a non-number, an int64 overflow. n + 10 is past the test
+# manifest's 10 users and items.
+ID_SPELLINGS = [
+    "0{}".format, "+{}".format, " {}".format, "-{}".format, lambda n: str(n + 10),
+    "{}.0".format, "0_{}".format, lambda n: "".join(chr(0x660 + int(d)) for d in str(n)),
+    lambda n: "".join(chr(0xFF10 + int(d)) for d in str(n)), "\ufeff{}".format, "u{}".format,
+    "{}00000000000000000000".format,
+]
+# Odd ratings and times: the C reader takes the first list of each, and rejects the second.
+ODD_TOKENS = {
+    2: (["nan", "NaN", "-nan", "inf", "0", "9", "-1", "0.49999999999999999", "5.000000000000000001", " 3 ", "1e0"],
+        ["3_0", "٣", "0x1", ""]),
+    3: (["-5", "07", "+3", " 4"], ["oops", "1e3", "", "1_000"]),
+}
+CLEAN_ID = st.one_of(st.sampled_from(["7", "0"]), st.integers(0, 9).map(str))
+CLEAN_ROW = st.tuples(
+    CLEAN_ID,
+    CLEAN_ID,
+    st.one_of(st.sampled_from(["1", "2.5", "4.5", "5", "0.5", "nan"]), st.floats(0.5, 5.0).map(repr),
+              # long decimals: both readers must round them to the same float
+              st.builds("{}.{}".format, st.integers(1, 4), st.integers(10**15, 10**30))),
+    st.integers(0, 10**6).map(str),
+).map(list)
+
+
+@st.composite
+def tsv_texts(draw):
+    """Clean rows with extra columns here and there, and one kind of oddity.
+
+    The oddity is none, a few odd ids, a few odd ratings or times, one blank,
+    whitespace or short line, or CRLF endings. An odd id is a copy of a row
+    with the id spelled another way, so both spellings are in the file.
+    """
+    rows = draw(st.lists(CLEAN_ROW, min_size=1, max_size=8))
+    clean = [list(row) for row in rows]
+    kind = draw(st.sampled_from(["none", "id", "token", "line", "crlf"]))
+    for _ in range(draw(st.integers(1, 2)) if kind in ("id", "token") else 0):
+        if kind == "id":
+            row, col = list(draw(st.sampled_from(clean))), draw(st.integers(0, 1))
+            row[col] = draw(st.sampled_from(ID_SPELLINGS))(int(row[col]))
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        else:
+            col = draw(st.integers(2, 3))
+            taken, rejected = ODD_TOKENS[col]
+            token = draw(st.one_of(st.sampled_from(taken), st.sampled_from(taken + rejected)))
+            draw(st.sampled_from(rows))[col] = token
+    lines = ["\t".join(row + draw(st.lists(st.sampled_from(["x", "1", ""]), max_size=2))) for row in rows]
+    if kind == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t", "1\t2\t3"])))
+    ending = "\r\n" if kind == "crlf" else "\n"
+    return ending.join(lines) + draw(st.sampled_from([ending, ""]))
+
+
+def load_outcome(load, path, by_line: bool):
+    """The log ``load`` reads, or its exception's type and message; ``by_line`` forces ``_read_rows``."""
+    with mock.patch.object(dataset, "_fast_rows", return_value=None) if by_line else contextlib.nullcontext():
+        try:
+            return load(path)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+def same_outcome(a, b) -> bool:
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    if isinstance(a, ChronoSplit):
+        return all(same_outcome(getattr(a, part), getattr(b, part)) for part in ("train", "validation", "test"))
+    columns = ("users", "items", "times", "ratings")
+    return (a.n_users, a.n_items) == (b.n_users, b.n_items) and all(
+        np.array_equal(getattr(a, col), getattr(b, col), equal_nan=True) for col in columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tsv_texts())
+def test_raw_log_reads_the_same_by_either_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = load_outcome(load_interactions, path, by_line=False)
+        assert same_outcome(fast, load_outcome(load_interactions, path, by_line=True)), fast
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.just(""), tsv_texts()), min_size=3, max_size=3), st.sampled_from([0, 0, 0, -1, 1]))
+def test_split_reads_the_same_by_either_reader(texts, count_error):
+    with tempfile.TemporaryDirectory() as tmp:
+        indir = Path(tmp)
+        counts = {}
+        for name, text in zip(("train", "validation", "test"), texts):
+            (indir / f"{name}.tsv").write_bytes(text.encode("utf-8"))
+            counts[name] = sum(1 for line in text.splitlines() if line.strip())
+        counts["train"] = max(0, counts["train"] + count_error)
+        manifest = {"boundaries": [0.0, 1.0], "parts": 2, "seed": 0, "n_users": 10, "n_items": 10, "counts": counts}
+        (indir / "manifest.json").write_text(json.dumps(manifest))
+        fast = load_outcome(load_split, indir, by_line=False)
+        assert same_outcome(fast, load_outcome(load_split, indir, by_line=True)), fast
+
+
+def test_the_c_reader_takes_plain_files_and_leaves_the_rest_to_read_rows(tmp_path):
+    split = chrono_split(make_random_log(5), parts=10, split_seed=0)
+    save_split(split, tmp_path)
+    assert dataset._fast_rows(tmp_path / "train.tsv", raw_ids=True).size == len(split.train)
+    path = tmp_path / "log.tsv"
+    write_lines(path, ["7\t30\t5\t300", "10\t1\tnan\t100"])
+    assert dataset._fast_rows(path, raw_ids=True) is not None
+    # "07" is its own id to _compact but 7 to the C reader; a split's ids are read by int() either way
+    write_lines(path, ["7\t30\t5\t300", "07\t1\tnan\t100"])
+    assert dataset._fast_rows(path, raw_ids=True) is None
+    assert dataset._fast_rows(path, raw_ids=False) is not None
+    assert load_interactions(path).n_users == 2
+    for bad in ("7\t30\t9\t300", "7\t30\t5\t-1", "7\t30\t5", "7\t30\t5\toops"):
+        write_lines(path, [bad])
+        assert dataset._fast_rows(path, raw_ids=False) is None
+    # each other spelling of an id, beside the id itself, reads as _read_rows reads it
+    for spell in ID_SPELLINGS:
+        for n in (0, 7):
+            write_lines(path, [f"{n}\t1\t5\t300", f"{spell(n)}\t1\t5\t100"])
+            fast = load_outcome(load_interactions, path, by_line=False)
+            assert same_outcome(fast, load_outcome(load_interactions, path, by_line=True)), (spell(n), fast)
