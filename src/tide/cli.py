@@ -65,35 +65,40 @@ def run_id(config: dict) -> str:
     return hashlib.sha1(canonical.encode()).hexdigest()[:12]
 
 
-# per argparse type of a flag, the JSON values a config file may give its key
-# (a list of modes is as good as their comma list)
-_FILE_TYPES = {
+# what a config-file or grid value may be: the JSON types it may take and
+# their name, by the type of the setting's default, or by key where that is null
+_KINDS = {
+    bool: ((bool,), "true or false"),
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
-    str: ((str, list), "a string"),
-    Path: ((str,), "a path string"),
-    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+    dict: ((dict,), "an object"),
+    "data": ((str,), "a path string"),
+    "checkpoint": ((str,), "a path string"),
+    "gamma": ((int, float), "a number"),
+    "modes": ((str, list), "a string or a list of strings"),
 }
+EVALUATE_ON = ("test", "validation")
 
 
-def _check_file_value(key: str, value, action: argparse.Action, default) -> None:
-    """Reject a config-file value that the flag setting the same key could not give."""
+def _check_value(key: str, value, default, source: str) -> None:
+    """Reject a value of another kind than the setting's default, naming the key, the value and its source."""
     if value is None and default is None:
         return
-    if action.choices is not None:
-        if value != default and value not in action.choices:
-            raise ValueError(f"{key} must be one of {list(action.choices)}, got {value!r} from the config file")
-        return
-    kinds, name = _FILE_TYPES[action.type or type(action.const)]
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        raise ValueError(f"{key} must be {name}, got {value!r} from the config file")
+    kinds, kind = _KINDS[key if default is None else type(default)]
+    ok = isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+    if key == "on":
+        kind, ok = f"one of {list(EVALUATE_ON)}", value in EVALUATE_ON
+    # a list (of modes) is as good as its comma list when each entry is a string
+    if not ok or isinstance(value, list) and not all(isinstance(m, str) for m in value):
+        raise ValueError(f"{key} must be {kind}, got {value!r} from {source}")
 
 
 def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults <- config file <- explicit flags; unknown file keys rejected.
 
     A flag sets the key named by its argparse dest: each key of ``defaults`` reads ``args.<key>``.
-    A file value for a key that a flag sets must be of that flag's type.
+    A file value must be of its default's kind (``_check_value``).
     """
     config = dict(defaults)
     if getattr(args, "config", None):
@@ -101,10 +106,8 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        flags = getattr(args, "flags", {})
         for key, value in loaded.items():
-            if key in flags:
-                _check_file_value(key, value, flags[key], defaults[key])
+            _check_value(key, value, defaults[key], "the config file")
         config.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
@@ -181,7 +184,7 @@ def cmd_synth(args) -> int:
 
 def cmd_prepare(args) -> int:
     config = resolve_config(args, PREPARE_DEFAULTS)
-    _check_at_least(config, core_n=1)
+    _check_at_least(config, core_n=1, split_seed=0)
     log = dataset.load_interactions(config["data"], config["delimiter"])
     if config["core_n"] > 1:
         log = dataset.n_core_filter(log, config["core_n"])
@@ -408,6 +411,7 @@ def cmd_grid(args) -> int:
     config = resolve_config(args, {**TRAIN_DEFAULTS, "grid": {}})
     if args.grid_file:
         config["grid"] = json.loads(Path(args.grid_file).read_text())
+        _check_value("grid", config["grid"], {}, "the grid file")
     unknown = set(config["grid"]) - set(TRAIN_DEFAULTS)
     if unknown:
         raise ValueError(f"grid varies unknown parameters: {sorted(unknown)}")
@@ -416,6 +420,8 @@ def cmd_grid(args) -> int:
         raise ValueError("empty grid")
     base = {k: v for k, v in config.items() if k != "grid"}
     for point in points:
+        for key, value in point.items():
+            _check_value(key, value, TRAIN_DEFAULTS[key], "the grid")
         _train_config({**base, **point})
     run_dir = make_run_dir(args.outdir, config)
     jobs = [({**base, **point}, str(run_dir)) for point in points]
@@ -426,10 +432,7 @@ def cmd_grid(args) -> int:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_grid_worker, jobs))
-    ranked = sorted(
-        results,
-        key=lambda s: (-(s["val_cp_rec"] if s["val_cp_rec"] is not None else -np.inf), s["run_id"]),
-    )
+    ranked = sorted(results, key=lambda s: (np.inf if s["val_cp_rec"] is None else -s["val_cp_rec"], s["run_id"]))
     leaderboard = [
         {"rank": k + 1, "run_id": s["run_id"], "val_cp_rec": s["val_cp_rec"],
          "best_epoch": s["best_epoch"], "config": s["config"]}
@@ -498,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=str, default=None, help="comma list: full,int,e,noq,noc,fixq:<v>")
     p.add_argument("--k", dest="k_click", type=int, default=None, help="click-task cutoff")
     p.add_argument("--k-pref", dest="k_pref", type=int, default=None, help="preference-task cutoff")
-    p.add_argument("--on", choices=("test", "validation"), default=None)
+    p.add_argument("--on", choices=EVALUATE_ON, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--per-user", dest="per_user", action="store_const", const=True, default=None)
     p.set_defaults(func=cmd_evaluate)
@@ -525,10 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
     p.add_argument("--patience", dest="early_stop_patience", type=int, default=None)
     p.set_defaults(func=cmd_grid)
-
-    for p in sub.choices.values():
-        # resolve_config checks a config-file value against the flag of the same dest
-        p.set_defaults(flags={action.dest: action for action in p._actions})
     return parser
 
 

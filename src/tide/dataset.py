@@ -297,7 +297,8 @@ def _compact(tokens: list[str]) -> tuple[np.ndarray, int]:
     """Dense 0-based ids; numeric ascending order when all tokens are ints."""
     uniq = set(tokens)
     try:
-        key = {tok: int(tok) for tok in uniq}
+        # tokens that parse to one integer ("07", "7") tie-break by their text, not by set order
+        key = {tok: (int(tok), tok) for tok in uniq}
         ordered = sorted(uniq, key=key.__getitem__)
     except ValueError:
         ordered = sorted(uniq)

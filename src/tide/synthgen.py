@@ -21,7 +21,6 @@ produced by the conformity feedback itself, not by the arrival process.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -64,6 +63,8 @@ class SynthConfig:
             raise ValueError("tau and horizon must be positive")
         if min(self.quality_scale, self.beta_scale, self.rating_noise, self.emb_std) < 0:
             raise ValueError("scales must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -269,13 +270,3 @@ def save_synth(log: InteractionLog, truth: SynthTruth, config: SynthConfig, outd
     truth_path = outdir / "truth.json"
     write_json(truth_path, payload)
     return truth_path
-
-
-def load_truth(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Read back (true_quality, true_beta, config) from a truth file."""
-    payload = json.loads(Path(path).read_text())
-    return (
-        np.asarray(payload["true_quality"], dtype=np.float64),
-        np.asarray(payload["true_beta"], dtype=np.float64),
-        payload["config"],
-    )

@@ -93,14 +93,14 @@ class TrainConfig:
         """Reject every value ``fit`` would fail on or silently misuse, naming the key and the value."""
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "tide" and self.variant not in TIDE_VARIANTS:
+        if self.variant not in TIDE_VARIANTS:
             raise ValueError(f"unknown tide variant {self.variant!r}")
         for key, value in asdict(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
             if key in ("lr_emb", "lr_qb", "tau", "ips_cap") and value <= 0:
                 raise ValueError(f"{key} must be positive, got {value}")
-            if key in ("weight_decay_emb", "init_std", "epochs", "early_stop_patience") and value < 0:
+            if key in ("weight_decay_emb", "init_std", "epochs", "early_stop_patience", "seed") and value < 0:
                 raise ValueError(f"{key} must be nonnegative, got {value}")
             if key in ("batch_size", "embed_dim", "k_select") and value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")

@@ -32,6 +32,20 @@ SYNTH_OVERRIDES = {
 }
 
 
+# every command's settings, as its config file may give them
+COMMAND_DEFAULTS = {
+    "synth": asdict(SynthConfig()),
+    "prepare": cli.PREPARE_DEFAULTS,
+    "train": cli.TRAIN_DEFAULTS,
+    "evaluate": cli.EVALUATE_DEFAULTS,
+    "analyze": cli.ANALYZE_DEFAULTS,
+    "grid": {**cli.TRAIN_DEFAULTS, "grid": {}},
+}
+# per type of a setting's default, a JSON value of another kind; None stands
+# for the four settings whose default is null
+WRONG_KIND = {bool: 1, int: 2.5, float: "0.5", str: 5, dict: [1], type(None): True}
+
+
 def run_cli(argv):
     return cli.main([str(a) for a in argv])
 
@@ -148,6 +162,34 @@ def test_config_file_values_are_checked_against_their_flags_types(tmp_path):
             resolve(command, defaults, {"data": "split", **content})
 
 
+@pytest.mark.parametrize("command,key", [(command, key) for command, defaults in COMMAND_DEFAULTS.items()
+                                         for key in defaults])
+def test_every_config_key_refuses_a_value_of_another_kind(tmp_path, capsys, command, key):
+    # a key added without a check fails here: each command checks every file key
+    # against its default's kind, and null only where the default is null
+    default = COMMAND_DEFAULTS[command][key]
+    for k, value in enumerate([WRONG_KIND[type(default)]] + ([None] if default is not None else [])):
+        cfg = tmp_path / f"{k}.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli([command, "--config", cfg, "--outdir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key} must be " in err and f", got {value!r} from the config file" in err, err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", sorted(cli.TRAIN_DEFAULTS))
+def test_every_grid_value_is_checked_before_any_run_directory(tmp_path, capsys, key):
+    default = cli.TRAIN_DEFAULTS[key]
+    value = WRONG_KIND[type(default)]
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps({key: [default, value]}))
+    # the first point is valid, the second is not: no point may start before all are checked
+    assert run_cli(["grid", "--data", tmp_path / "split", "--grid", grid_file, "--outdir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key} must be " in err and f", got {value!r} from the grid" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_required_data_option_fails(tmp_path, capsys):
     rc = run_cli(["prepare", "--outdir", tmp_path])
     assert rc == 1
@@ -156,21 +198,13 @@ def test_missing_required_data_option_fails(tmp_path, capsys):
 
 def test_every_flag_sets_a_key_of_its_command_defaults():
     # a dest that is not a config key would be parsed and then never read
-    defaults = {
-        "synth": asdict(SynthConfig()),
-        "prepare": cli.PREPARE_DEFAULTS,
-        "train": cli.TRAIN_DEFAULTS,
-        "evaluate": cli.EVALUATE_DEFAULTS,
-        "analyze": cli.ANALYZE_DEFAULTS,
-        "grid": {**cli.TRAIN_DEFAULTS, "grid": {}},
-    }
     not_config = {"help", "config", "outdir", "threads", "grid_file"}
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-    assert set(commands) == set(defaults)
+    assert set(commands) == set(COMMAND_DEFAULTS)
     for name, sub in commands.items():
         dests = {a.dest for a in sub._actions} - not_config
-        assert dests <= set(defaults[name]), (name, sorted(dests - set(defaults[name])))
+        assert dests <= set(COMMAND_DEFAULTS[name]), (name, sorted(dests - set(COMMAND_DEFAULTS[name])))
 
 
 def test_flag_with_a_renamed_dest_reaches_its_config_key(pipeline, tmp_path):
@@ -463,16 +497,36 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
     (["analyze", "--data", "{prep}", "--config", "{n_buckets}"], "n_buckets must be an integer, got 2.5"),
     (["prepare", "--data", "{raw}", "--config", "{parts}"], "parts must be an integer, got '10'"),
     (["train", "--data", "{prep}", "--config", "{epochs_bool}"], "epochs must be an integer, got True"),
+    (["grid", "--data", "{prep}", "--grid", "{epochs_grid}"], "epochs must be an integer, got 1.5 from the grid"),
+    (["grid", "--data", "{prep}", "--config", "{batch_size_grid}"],
+     "batch_size must be an integer, got 512.5 from the config file"),
+    (["train", "--data", "{prep}", "--config", "{k_select}"], "k_select must be an integer, got 2.5 from the config file"),
+    (["synth", "--config", "{n_users}"], "n_users must be an integer, got 20.5 from the config file"),
+    (["prepare", "--data", "{raw}", "--config", "{delimiter}"], "delimiter must be a string, got 5 from the config file"),
+    (["evaluate", "--data", "{prep}", "--checkpoint", "{train}", "--config", "{modes}"],
+     "modes must be a string or a list of strings, got [1] from the config file"),
+    (["synth", "--seed", -1], "seed must be nonnegative, got -1"),
+    (["train", "--data", "{prep}", "--seed", -1], "seed must be nonnegative, got -1"),
+    (["grid", "--data", "{prep}", "--seed", -1], "seed must be nonnegative, got -1"),
+    (["prepare", "--data", "{raw}", "--seed", -1], "split_seed must be >= 0, got -1"),
+    (["grid", "--data", "{prep}", "--grid", "{grid_list}"], "grid must be an object, got [1] from the grid file"),
+    (["train", "--data", "{prep}", "--config", "{method}"], "unknown method 'x'"),
 ], ids=["synth", "synth-non-finite", "prepare", "analyze-data", "analyze-checkpoint", "evaluate-k", "evaluate-k-pref",
         "analyze-t-o", "analyze-n-buckets", "analyze-min-ratings", "grid-threads", "analyze-catalog",
         "prepare-core-n", "analyze-p-threshold", "train-lr-emb", "train-weight-decay", "train-fixed-q", "train-tau",
         "train-mf-tau", "train-ips-cap", "train-init-std", "analyze-config-t-o-nan", "analyze-config-n-buckets",
-        "prepare-config-parts", "train-config-bool-epochs"])
+        "prepare-config-parts", "train-config-bool-epochs", "grid-grid-epochs", "grid-config-batch-size",
+        "train-config-k-select", "synth-config-n-users", "prepare-config-delimiter", "evaluate-config-modes",
+        "synth-seed", "train-seed", "grid-seed", "prepare-seed", "grid-file-list", "train-config-method"])
 def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv, message):
     config_files = {}
     for name, content in [("nonfinite", {"tau": float("nan")}), ("t_o_nan", {"t_o": float("nan")}),
                           ("n_buckets", {"n_buckets": 2.5}), ("parts", {"parts": "10"}),
-                          ("epochs_bool", {"epochs": True})]:
+                          ("epochs_bool", {"epochs": True}), ("epochs_grid", {"epochs": [1.5]}),
+                          ("batch_size_grid", {"batch_size": 512.5, "grid": {"epochs": [1]}}),
+                          ("k_select", {"k_select": 2.5}), ("n_users", {"n_users": 20.5}),
+                          ("delimiter", {"delimiter": 5}), ("modes", {"modes": [1]}), ("grid_list", [1]),
+                          ("method", {"method": "x"})]:
         config_files[name] = tmp_path / f"{name}.json"
         config_files[name].write_text(json.dumps(content))
     wide = tmp_path / "wide.npz"  # a checkpoint of another catalog

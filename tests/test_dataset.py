@@ -2,6 +2,9 @@
 
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -41,6 +44,20 @@ def test_load_compacts_ids_and_sorts_by_time(tmp_path):
     assert log.users.tolist() == [0, 1, 0]
     assert log.items.tolist() == [0, 1, 1]
     assert log.ratings.tolist() == [4.0, 1.0, 5.0]
+
+
+def test_ids_that_parse_to_one_integer_compact_alike_under_every_hash_seed(tmp_path):
+    # "07" and "7" are two users; their order must not come from set iteration,
+    # which differs between processes with different hash seeds
+    p = tmp_path / "log.tsv"
+    write_lines(p, ["07\t1\t5\t100", "7\t1\t4\t200", "8\t2\t3\t300"])
+    probe = "import sys; from tide.dataset import load_interactions; print(load_interactions(sys.argv[1]).users.tolist())"
+    src = str(Path(dataset.__file__).parents[1])
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", probe, str(p)], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 1, 2]", seed
 
 
 def test_load_empty_file_errors(tmp_path):

@@ -1,6 +1,8 @@
 """Synthetic log generator: determinism, planted truth, and feedback."""
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,20 @@ from tide.synthgen import (
     SynthTruth,
     ThinningSampler,
     generate,
-    load_truth,
     sample_truth,
     save_synth,
 )
+
+
+def load_truth(path) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Read back (true_quality, true_beta, config) from a truth file."""
+    payload = json.loads(Path(path).read_text())
+    return (
+        np.asarray(payload["true_quality"], dtype=np.float64),
+        np.asarray(payload["true_beta"], dtype=np.float64),
+        payload["config"],
+    )
+
 
 SMALL = SynthConfig(
     n_users=50,
@@ -117,6 +129,8 @@ def test_config_validation():
         SynthConfig(**{**SMALL.__dict__, "tau": 0.0}).validate()
     with pytest.raises(ValueError):
         SynthConfig(**{**SMALL.__dict__, "emb_std": -1.0}).validate()
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        SynthConfig(**{**SMALL.__dict__, "seed": -1}).validate()
 
 
 def test_high_quality_items_attract_more_clicks():

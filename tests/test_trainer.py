@@ -394,6 +394,8 @@ def test_config_validation_rejects_nonsense():
         ({"weight_decay_emb": -1e-4}, "weight_decay_emb must be nonnegative, got -0.0001"),
         ({"epochs": -1}, "epochs must be nonnegative, got -1"),
         ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"method": "mf", "variant": "x"}, "unknown tide variant 'x'"),
         ({"method": "tide", "variant": "fixq", "fixed_q": -1.0},
          "fixed_q must be positive for the fixq variant, got -1.0"),
     ]:
