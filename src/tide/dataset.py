@@ -130,6 +130,11 @@ class ChronoSplit:
     split_seed: int
 
 
+# The largest table PairSet.dense builds: one byte per (user, item), so
+# 64 MiB holds, say, 8k users x 8k items. Larger sets keep the binary search.
+DENSE_PAIR_BYTES = 64 * 2**20
+
+
 class PairSet:
     """The distinct (user, item) pairs of a log, sorted by (user, item).
 
@@ -160,6 +165,31 @@ class PairSet:
         idx = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
         return self._keys[idx] == keys
 
+    def dense(self) -> "PairSet | DensePairSet":
+        """The same set as a boolean table when it fits ``DENSE_PAIR_BYTES``, else this sorted set."""
+        if (self.offsets.size - 1) * self.n_items > DENSE_PAIR_BYTES:
+            return self
+        return DensePairSet(self)
+
+
+class DensePairSet:
+    """A PairSet's membership as a boolean (n_users, n_items) table, answered by one gather.
+
+    Only ids in range answer correctly: a -1 padding id would read another
+    user's cell, so anything that pads its ids keeps ``PairSet.contains``.
+    """
+
+    def __init__(self, pairs: PairSet):
+        self.n_items = pairs.n_items
+        self.offsets = pairs.offsets
+        table = np.zeros((pairs.offsets.size - 1) * pairs.n_items, dtype=bool)
+        table[pairs._keys] = True
+        self._table = _frozen(table)
+
+    def contains(self, users, items) -> np.ndarray:
+        """Whether each (user, item) is a pair of the set; the arguments broadcast."""
+        return self._table[np.asarray(users) * np.int64(self.n_items) + items]
+
 
 class ItemTimeline:
     """Clicks sorted by (item, time), searchable by "clicks of item i before time t".
@@ -182,12 +212,18 @@ class ItemTimeline:
         self.times = self.clock[rank]
         self.offsets = np.concatenate(([0], np.cumsum(np.bincount(items, minlength=n_items))))
 
-    def before(self, items, times) -> np.ndarray:
+    def ranks(self, times) -> np.ndarray:
+        """Each time's rank on the clock: the number of clicks at any earlier time."""
+        return _search_left(self.clock, np.asarray(times))
+
+    def before(self, items, times, ranks=None) -> np.ndarray:
         """Per (i, t) pair, the sorted position just past i's last click strictly before t.
 
-        Less ``offsets[i]``, that is the number of such clicks.
+        Less ``offsets[i]``, that is the number of such clicks. ``ranks`` may
+        carry ``self.ranks(times)``, computed once for times that are queried
+        again and again.
         """
-        rank = _search_left(self.clock, np.asarray(times))
+        rank = self.ranks(times) if ranks is None else ranks
         return _search_left(self.keys, np.asarray(items, dtype=np.int64) * self.stride + rank)
 
 

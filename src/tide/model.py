@@ -130,14 +130,20 @@ class ConformityIndex:
     def from_log(cls, log: InteractionLog, tau: float) -> "ConformityIndex":
         return cls(log.items, log.times, log.n_items, tau)
 
-    def query(self, items, times) -> np.ndarray:
-        """Raw decayed sums for (item, time) pairs; strictly earlier clicks only."""
+    def query(self, items, times, ranks=None) -> np.ndarray:
+        """Raw decayed sums for (item, time) pairs; strictly earlier clicks only.
+
+        ``ranks`` may carry ``self.timeline.ranks(times)``, so times queried
+        every epoch are ranked on the index clock once.
+        """
         items = np.atleast_1d(np.asarray(items, dtype=np.int64))
         ts = np.atleast_1d(np.asarray(times, dtype=np.int64))
         if items.shape != ts.shape:
             raise ValueError("items and times differ in shape")
+        if ranks is not None and np.shape(ranks) != ts.shape:
+            raise ValueError("ranks and times differ in shape")
         tl = self.timeline
-        pos = tl.before(items, ts)
+        pos = tl.before(items, ts, ranks)
         hit = np.flatnonzero(pos > tl.offsets[items])
         last = pos[hit] - 1
         out = np.zeros(items.size, dtype=np.float64)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .baselines import PopularityTable, check_gamma, ips_instance_weights, pda_coefficient
-from .dataset import ChronoSplit, PairSet
+from .dataset import ChronoSplit, DensePairSet, PairSet
 from .evaluation import ClickTask, rank_tasks
 from .model import (
     FULL,
@@ -197,14 +197,18 @@ def init_model(cfg: TrainConfig, n_users: int, n_items: int) -> TideModel:
     return model
 
 
-def _coefficient(model: TideModel, cfg: TrainConfig, mode: InferenceMode | None, items, s, pop):
-    """The popularity coefficient of one side of a pair, and its Tanh input a (tide only)."""
-    if mode is not None:
-        a = mode.popularity_input(softplus(model.q_raw[items]), softplus(model.beta_raw[items]), s)
-        return bounded_tanh(a), a
-    if cfg.method in ("pd", "pda"):
-        return pda_coefficient(pop, cfg.gamma), None
-    return 1.0, None
+def _unique_rows(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` for ids in [0, n), with no sort.
+
+    The ids are marked in an n-long array, whose marked positions are the
+    ascending rows; a lookup from id to row position gives the inverse.
+    """
+    mark = np.zeros(n, dtype=bool)
+    mark[ids] = True
+    rows = np.flatnonzero(mark)
+    lookup = np.empty(n, dtype=np.intp)
+    lookup[rows] = np.arange(rows.size)
+    return rows.astype(ids.dtype, copy=False), lookup[ids]
 
 
 def _segment_sum(inverse: np.ndarray, n_rows: int) -> sparse.csc_matrix:
@@ -238,16 +242,27 @@ def batch_loss_and_row_grads(model: TideModel, batch: TrainBatch, cfg: TrainConf
     w = batch.weights if batch.weights is not None else np.ones(b)
     link, link_grad = LINKS[cfg.method]
     mode = cfg.train_mode()
-    user_rows, user_inv = np.unique(u, return_inverse=True)
-    item_rows, item_inv = np.unique(np.concatenate([p, n]), return_inverse=True)
+    user_rows, user_inv = _unique_rows(u, model.n_users)
+    item_rows, item_inv = _unique_rows(np.concatenate([p, n]), model.n_items)
     per_user = _segment_sum(user_inv, user_rows.size)
     per_item = _segment_sum(item_inv, item_rows.size)
 
     e_u, e_p, e_n = model.user_emb[u], model.item_emb[p], model.item_emb[n]
     m_p = np.einsum("ij,ij->i", e_u, e_p)  # the backbone match m_ui on the gathered rows
     m_n = np.einsum("ij,ij->i", e_u, e_n)
-    c_p, a_p = _coefficient(model, cfg, mode, p, batch.s_pos, batch.pop_pos)
-    c_n, a_n = _coefficient(model, cfg, mode, n, batch.s_neg, batch.pop_neg)
+    # the popularity coefficient C of each side, and for tide its Tanh input a.
+    # Per-item terms are elementwise, so they are computed once per unique item
+    # and gathered onto the 2b item terms through item_inv.
+    if mode is not None:
+        quality = softplus(model.q_raw[item_rows])[item_inv]
+        scale = softplus(model.beta_raw[item_rows])[item_inv]
+        a_p = mode.popularity_input(quality[:b], scale[:b], batch.s_pos)
+        a_n = mode.popularity_input(quality[b:], scale[b:], batch.s_neg)
+        c_p, c_n = bounded_tanh(a_p), bounded_tanh(a_n)
+    elif cfg.method in ("pd", "pda"):
+        c_p, c_n = pda_coefficient(batch.pop_pos, cfg.gamma), pda_coefficient(batch.pop_neg, cfg.gamma)
+    else:
+        c_p = c_n = 1.0
     l_p = link(m_p)
     l_n = link(m_n)
     y_p = c_p * l_p
@@ -274,13 +289,11 @@ def batch_loss_and_row_grads(model: TideModel, batch: TrainBatch, cfg: TrainConf
         ga_p = gy_p * (1.0 - np.tanh(a_p) ** 2) * l_p
         ga_n = gy_n * (1.0 - np.tanh(a_n) ** 2) * l_n
         if mode.quality:
-            terms = np.concatenate([ga_p * sigmoid(model.q_raw[p]), ga_n * sigmoid(model.q_raw[n])])
+            terms = np.concatenate([ga_p, ga_n]) * sigmoid(model.q_raw[item_rows])[item_inv]
             grads["q_raw"] = (item_rows, per_item @ terms)
         if mode.conformity:
-            terms = np.concatenate([
-                ga_p * batch.s_pos * sigmoid(model.beta_raw[p]),
-                ga_n * batch.s_neg * sigmoid(model.beta_raw[n]),
-            ])
+            terms = np.concatenate([ga_p * batch.s_pos, ga_n * batch.s_neg])
+            terms *= sigmoid(model.beta_raw[item_rows])[item_inv]
             grads["beta_raw"] = (item_rows, per_item @ terms)
 
     loss = float(np.mean(w * bpr_loss(y_p, y_n)))
@@ -310,8 +323,17 @@ def grad_step(model: TideModel, batch: TrainBatch, cfg: TrainConfig, adam: AdamS
     return loss
 
 
-def sample_negatives(users: np.ndarray, seen: PairSet, rng: np.random.Generator) -> np.ndarray:
-    """Uniform negatives outside each user's pairs in ``seen``, by vectorized rejection."""
+def sample_negatives(users: np.ndarray, seen: PairSet | DensePairSet, rng: np.random.Generator) -> np.ndarray:
+    """Uniform negatives outside each user's pairs in ``seen``, by vectorized rejection.
+
+    A user with a pair for every item has no negative and is refused before
+    any draw. ``seen.dense()`` answers the same and faster, for a caller that
+    samples from one set many times.
+    """
+    full = np.diff(seen.offsets)[users] >= seen.n_items
+    if full.any():
+        raise ValueError(f"user(s) {np.unique(users[full]).tolist()} interacted with every item "
+                         "and have no negative")
     neg = rng.integers(0, seen.n_items, users.size)
     bad = np.flatnonzero(seen.contains(users, neg))
     while bad.size:
@@ -389,20 +411,32 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     adam = AdamState(model)
     rng = np.random.default_rng(cfg.seed)
 
+    seen = train.pairs.dense() if cfg.epochs else train.pairs  # built once, read by every epoch's sampler
     index = ConformityIndex.from_log(train, cfg.tau) if cfg.uses_conformity() else None
     table = PopularityTable.from_split(split) if cfg.method in ("pd", "pda") else None
+    times = train.times[rows]
+    # every epoch queries each row's time again for its new negative: rank it on the index clock once
+    ranks = index.timeline.ranks(times) if index is not None else None
 
-    lookups = {name: source for name, source in (("s", index), ("pop", table)) if source is not None}
-
-    def side_inputs(items, times, side: str) -> dict:
-        """One side's (item, time) forward inputs: s_<side> conformity sums, pop_<side> period popularity."""
-        return {f"{name}_{side}": source.query(items, times) for name, source in lookups.items()}
+    def side_inputs(items, order, side: str) -> dict:
+        """One side's forward inputs for the loss rows in ``order``: s_<side> conformity, pop_<side> popularity."""
+        out = {}
+        if index is not None:
+            out[f"s_{side}"] = index.query(items, times[order], ranks[order])
+        if table is not None:
+            out[f"pop_{side}"] = table.query(items, times[order])
+        return out
 
     # the positive side of every pair, one column per TrainBatch field
-    positives = {"users": train.users[rows], "pos": train.items[rows], "times": train.times[rows]}
-    positives.update(side_inputs(positives["pos"], positives["times"], "pos"))
+    positives = {"users": train.users[rows], "pos": train.items[rows], "times": times}
+    positives.update(side_inputs(positives["pos"], slice(None), "pos"))
     if cfg.method == "mf-ips":
         positives["weights"] = ips_instance_weights(train, cfg.ips_cap)[rows]
+        largest = np.bincount(train.items).max()
+        if len(train) / largest >= cfg.ips_cap:
+            warnings.warn(f"mf-ips trains as mf: no item holds more than 1/ips_cap of the training clicks "
+                          f"(the largest holds {largest / len(train):.2%}), so ips_cap={cfg.ips_cap:g} "
+                          "caps every weight and all of them normalize to 1")
 
     # neither log nor the serving inputs change while training: build the
     # validation task and its scorer once, rank them every epoch. The scorer
@@ -420,8 +454,8 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         columns = {name: col[order] for name, col in positives.items()}
-        columns["neg"] = sample_negatives(columns["users"], train.pairs, rng)
-        columns.update(side_inputs(columns["neg"], columns["times"], "neg"))
+        columns["neg"] = sample_negatives(columns["users"], seen, rng)
+        columns.update(side_inputs(columns["neg"], order, "neg"))
         loss_sum = 0.0
         for lo in range(0, n, cfg.batch_size):
             hi = min(lo + cfg.batch_size, n)

@@ -18,6 +18,7 @@ from tide import dataset
 from tide.dataset import (
     ChronoSplit,
     DataFormatError,
+    DensePairSet,
     InteractionLog,
     chrono_split,
     load_interactions,
@@ -180,6 +181,35 @@ def test_pair_set_matches_a_set_of_tuples(log):
     for row in pairs.last_row.tolist():
         same = [r for r in range(len(log)) if (log.users[r], log.items[r]) == (log.users[row], log.items[row])]
         assert row == max(same, key=lambda r: (log.times[r], r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_logs(), st.data())
+def test_dense_pair_set_answers_as_the_sorted_search(log, data):
+    pairs = log.pairs
+    dense = pairs.dense()
+    assert isinstance(dense, DensePairSet)
+    assert dense.n_items == pairs.n_items and dense.offsets is pairs.offsets
+    # every in-range key, as a broadcast grid, then as 1-D arrays with repeats
+    users, items = np.arange(log.n_users)[:, None], np.arange(log.n_items)[None, :]
+    assert np.array_equal(dense.contains(users, items), pairs.contains(users, items))
+    n = data.draw(st.integers(0, 30))
+    users = np.array(data.draw(st.lists(st.integers(0, log.n_users - 1), min_size=n, max_size=n)), dtype=np.int64)
+    items = np.array(data.draw(st.lists(st.integers(0, log.n_items - 1), min_size=n, max_size=n)), dtype=np.int64)
+    got = dense.contains(users, items)
+    assert got.dtype == bool and np.array_equal(got, pairs.contains(users, items))
+
+
+def test_dense_pair_set_is_built_only_within_its_budget():
+    log = InteractionLog.build([0, 1, 2], [1, 0, 3], [0, 1, 2], None, 3, 4)
+    with mock.patch.object(dataset, "DENSE_PAIR_BYTES", 12):
+        dense = log.pairs.dense()
+    assert isinstance(dense, DensePairSet)
+    assert dense.contains([0, 1, 2, 2], [1, 1, 3, 0]).tolist() == [True, False, True, False]
+    with mock.patch.object(dataset, "DENSE_PAIR_BYTES", 11):
+        assert log.pairs.dense() is log.pairs
+    empty = InteractionLog.build([], [], [], None, 3, 2).pairs.dense()
+    assert empty.contains([0, 2], [1, 0]).tolist() == [False, False]
 
 
 def test_pair_set_is_computed_once_and_read_only():

@@ -131,6 +131,28 @@ def test_index_matches_the_naive_sum_for_any_span_and_tau(log, tau, offsets):
         assert np.array_equal(idx.query_at(q_times[0])[i:i + 1], got[:1])
 
 
+@settings(deadline=None, max_examples=100)
+@given(log=click_logs(), offsets=st.lists(st.integers(-10**9, 2 * 10**9), max_size=10), seed=st.integers(0, 2**16))
+def test_query_with_precomputed_ranks_equals_query(log, offsets, seed):
+    # training ranks each row's time once, then queries it under every epoch's order
+    items, times, n_items, span = log
+    idx = ConformityIndex(items, times, n_items, tau=max(span, 1) / 3.0)
+    q_times = np.array(list(offsets) + list(times), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    q_items = rng.integers(0, n_items, q_times.size)
+    ranks = idx.timeline.ranks(q_times)
+    assert idx.query(q_items, q_times, ranks).tobytes() == idx.query(q_items, q_times).tobytes()
+    order = rng.permutation(q_times.size)
+    got = idx.query(q_items, q_times[order], ranks[order])
+    assert got.tobytes() == idx.query(q_items, q_times[order]).tobytes()
+
+
+def test_query_rejects_ranks_of_another_shape():
+    idx = ConformityIndex([0, 0], [1, 5], 1, tau=10.0)
+    with pytest.raises(ValueError, match="ranks and times differ in shape"):
+        idx.query([0, 0], [2, 6], np.array([1]))
+
+
 def test_index_rejects_nonpositive_tau():
     with pytest.raises(ValueError, match="tau"):
         ConformityIndex(items=[0], times=[1], n_items=1, tau=0.0)

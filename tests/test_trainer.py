@@ -2,17 +2,18 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tide import trainer
+from tide import dataset, trainer
 from tide.cli import write_history
 from tide.baselines import PopularityTable, ips_weights_raw, pda_coefficient
-from tide.dataset import ChronoSplit, InteractionLog, chrono_split
-from tide.model import FULL, MATCHING_ONLY, ConformityIndex, TideModel
+from tide.dataset import ChronoSplit, DensePairSet, InteractionLog, PairSet, chrono_split
+from tide.model import FULL, MATCHING_ONLY, ConformityIndex, TideModel, save_checkpoint
 from tide.numerics import bounded_tanh, bpr_loss, sigmoid, softplus
 from tide.trainer import (
     LINKS,
@@ -419,6 +420,46 @@ def test_sample_negatives_never_hits_training_pairs():
     assert np.unique(neg).size > n_items // 2
 
 
+def test_sample_negatives_draws_alike_from_the_dense_table():
+    rng = np.random.default_rng(2)
+    log = InteractionLog.build(rng.integers(0, 30, 400), rng.integers(0, 12, 400), np.zeros(400, dtype=int),
+                               None, 30, 12)
+    users = rng.integers(0, 30, 3000)
+    users = users[np.diff(log.pairs.offsets)[users] < 12]
+    dense = sample_negatives(users, log.pairs.dense(), np.random.default_rng(9))
+    assert np.array_equal(dense, sample_negatives(users, log.pairs, np.random.default_rng(9)))
+
+
+def test_sample_negatives_refuses_a_user_without_a_negative():
+    # user 0 clicked both items of a 2 x 2 log; user 1 only item 0
+    log = InteractionLog.build([0, 0, 1], [0, 1, 0], [0, 1, 2], None, 2, 2)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for seen in (log.pairs, log.pairs.dense()):
+        for users in ([0], [1, 0, 0]):
+            with pytest.raises(ValueError, match=re.escape("user(s) [0] interacted with every item")):
+                sample_negatives(np.array(users), seen, rng)
+    assert rng.bit_generator.state == state  # refused before any draw
+    assert sample_negatives(np.array([1, 1]), log.pairs, rng).tolist() == [1, 1]
+    empty = InteractionLog.build([], [], [], None, 2, 0)
+    with pytest.raises(ValueError, match=re.escape("user(s) [1]")):
+        sample_negatives(np.array([1]), empty.pairs, rng)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    case=st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=50))),
+    dtype=st.sampled_from([np.int64, np.int32, np.intp]),
+)
+def test_mark_array_compaction_equals_np_unique(case, dtype):
+    n, ids = case
+    ids = np.array(ids, dtype=dtype)
+    rows, inverse = trainer._unique_rows(ids, n)
+    want_rows, want_inverse = np.unique(ids, return_inverse=True)
+    assert rows.dtype == want_rows.dtype and inverse.dtype == want_inverse.dtype
+    assert np.array_equal(rows, want_rows) and np.array_equal(inverse, want_inverse)
+
+
 def test_selection_mode_matches_training_objective():
     assert selection_mode(TrainConfig(method="mf")).kind == "matching-only"
     assert selection_mode(TrainConfig(method="tide", variant="full")).kind == "full"
@@ -532,6 +573,41 @@ def test_fit_skips_a_user_who_clicked_every_item():
     assert np.array_equal(out.model.user_emb[1:], start.user_emb[1:])
     assert not np.array_equal(out.model.user_emb[0], start.user_emb[0])
     assert len(out.history) == 3 and all(math.isfinite(row["loss"]) for row in out.history)
+
+
+@pytest.mark.parametrize("method", ["tide", "pda"])
+def test_the_sorted_search_fallback_trains_the_same_bits(method, tmp_path, monkeypatch):
+    cfg = TrainConfig(method=method, embed_dim=8, epochs=3, batch_size=700, tau=2e5, seed=7)
+    seen_by_epoch = []
+
+    def recording(users, seen, rng):
+        seen_by_epoch.append(type(seen))
+        return sample_negatives(users, seen, rng)
+
+    monkeypatch.setattr(trainer, "sample_negatives", recording)
+    runs = []
+    for budget in (dataset.DENSE_PAIR_BYTES, 0):
+        monkeypatch.setattr(dataset, "DENSE_PAIR_BYTES", budget)
+        out = fit(synthetic_split(seed=7), cfg)
+        save_checkpoint(out.model, tmp_path / f"{budget}.npz")
+        runs.append(((tmp_path / f"{budget}.npz").read_bytes(), [row["loss"] for row in out.history]))
+    assert seen_by_epoch == [DensePairSet] * 3 + [PairSet] * 3
+    assert runs[0] == runs[1]
+
+
+def test_fit_warns_when_mf_ips_caps_every_weight(recwarn):
+    split = synthetic_split(seed=5)  # 30 items: the largest holds more than 1/30 of the clicks
+    shares = np.bincount(split.train.items) / len(split.train)
+    assert 1 / 30 < shares.max() < 1 / 2
+    fit(split, TrainConfig(method="mf-ips", embed_dim=4, epochs=1, seed=5))
+    assert not [w for w in recwarn if "mf-ips" in str(w.message)]
+    cfg = TrainConfig(method="mf-ips", ips_cap=2.0, embed_dim=4, epochs=2, seed=5)
+    message = f"mf-ips trains as mf: .*the largest holds {shares.max():.2%}.* ips_cap=2 caps every weight"
+    with pytest.warns(UserWarning, match=message):
+        capped = fit(split, cfg)
+    plain = fit(split, replace(cfg, method="mf"))
+    for name in PARAMS:
+        assert getattr(capped.model, name).tobytes() == getattr(plain.model, name).tobytes()
 
 
 def test_fit_rejects_a_split_where_every_user_clicked_every_item():
