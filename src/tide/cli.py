@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -279,13 +280,14 @@ def cmd_evaluate(args) -> int:
     table = baselines.PopularityTable.from_split(split) if method == "pda" else None
     tasks = [evaluation.ClickTask(split.train, eval_log, config["k_click"]),
              evaluation.PreferenceTask(eval_log, config["k_pref"])]
+    scorer = trainer.make_scorer(
+        model, method, *parsed, t_eval=split.train.t_max, index=index, table=table, gamma=cfg.gamma
+    )
+    # one pass for all modes: each block's match and link are computed once,
+    # and both tasks rank every mode's rows of it
+    results = evaluation.rank_tasks(scorer, tasks, config["per_user"], n_modes=len(parsed))
     reports = []
-    for mode_text, mode in zip(modes, parsed):
-        scorer = trainer.make_scorer(
-            model, method, mode, t_eval=split.train.t_max, index=index, table=table, gamma=cfg.gamma
-        )
-        # one pass per mode: both tasks rank from the same score rows
-        click, pref = evaluation.rank_tasks(scorer, tasks, config["per_user"])
+    for mode_text, (click, pref) in zip(modes, results):
         report = {
             "method": method, "mode": mode_text, "k_click": config["k_click"], "k_pref": config["k_pref"],
             "cp_rec": click["recall"], "cp_pre": click["precision"], "cp_ndcg": click["ndcg"],
@@ -534,13 +536,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        return 1
-    except Exception as exc:  # CLI boundary: report, don't traceback
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # for this call only, a stage's UserWarning reads as one line, like its
+    # errors; other warnings show as before, and the filters stay as they are
+    with warnings.catch_warnings():
+        shown = warnings.showwarning
+
+        def show(message, category, *where):
+            if issubclass(category, UserWarning):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                shown(message, category, *where)
+
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except BrokenPipeError:
+            return 1
+        except Exception as exc:  # CLI boundary: report, don't traceback
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

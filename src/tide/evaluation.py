@@ -8,13 +8,14 @@ by true preference rather than by exposure.
 
 Both tasks, and validation inside training, run on one blocked engine,
 ``rank_tasks``; a task is built once from its logs and ranked for any number
-of scorers. A scorer maps an array of user ids to a (users, n_items) score
-block; users are scored ``BLOCK_ELEMENTS // n_items`` at a time, so each
-user's score row is computed once and shared by both tasks while the working
-set stays bounded whatever the catalog size. Ranking stays exact over the
-full catalog: the top k come from ``argpartition`` and are ordered by
-(-score, id), and a row whose k-th score ties a score outside the selection
-(or is not finite) falls back to a full (-score, id) sort of its candidates.
+of scorers. A scorer maps an array of user ids to one (users, n_items) score
+block per inference mode; users are scored ``BLOCK_ELEMENTS // n_items`` at a
+time, so each user's score rows are computed once and shared by both tasks
+while the working set stays bounded whatever the catalog size. Ranking stays
+exact over the full catalog: the top k come from ``argpartition`` and are
+ordered by (-score, id), and a row whose k-th score ties a score outside the
+selection (or is not finite) falls back to a full (-score, id) sort of its
+candidates.
 """
 
 from __future__ import annotations
@@ -159,25 +160,29 @@ def ndcg_at_k(top: RankedList, relevant, k: int) -> float:
 
 
 class _Task:
-    """A ranking task's users (ascending), skip count, and per-user metric columns.
+    """A ranking task's users (ascending), skip count, metric names, and per-user counts.
 
     A task is built once from its logs and can be ranked for any number of
-    scorers: each ``rank_tasks`` pass overwrites every user's metric columns,
-    and ``result`` copies the values out, so reusing a task cannot leak an
-    earlier scorer's numbers.
+    scorers and modes: ``rank_tasks`` gives every mode of every pass fresh
+    metric columns (``columns``), which ``rank`` fills and ``result`` reads,
+    so reusing a task cannot leak an earlier scorer's numbers.
     """
 
     def __init__(self, k: int, n_items: int, users: np.ndarray, n_skipped: int, metrics: tuple, counts: dict):
         self.k, self.n_items, self.users, self.n_skipped = k, int(n_items), users, int(n_skipped)
-        self.metrics = {name: np.empty(users.size) for name in metrics}
+        self.metric_names = metrics
         self.counts = counts
 
-    def result(self, collect_per_user: bool) -> dict:
+    def columns(self) -> dict:
+        """Empty per-user metric columns for one mode of one ranking pass."""
+        return {name: np.empty(self.users.size) for name in self.metric_names}
+
+    def result(self, metrics: dict, collect_per_user: bool) -> dict:
         n = self.users.size
         out = {"k": self.k, "n_users": n, "n_skipped": self.n_skipped}
-        out.update({name: float(np.mean(col)) if n else None for name, col in self.metrics.items()})
+        out.update({name: float(np.mean(col)) if n else None for name, col in metrics.items()})
         if collect_per_user:
-            columns = {**self.metrics, **self.counts}
+            columns = {**metrics, **self.counts}
             out["per_user"] = {
                 int(u): {name: col[j].item() for name, col in columns.items()} for j, u in enumerate(self.users)
             }
@@ -206,7 +211,7 @@ class ClickTask(_Task):
         super().__init__(k, train.n_items, eval_users[keep], eval_users.size - keep.sum(),
                          ("recall", "precision", "ndcg"), {"n_relevant": n_relevant[keep]})
 
-    def rank(self, a: int, b: int, scores: np.ndarray) -> None:
+    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict) -> None:
         users = self.users[a:b]
         # the block users' training items: pairs lo[r] .. lo[r] + n[r] - 1 for block row r
         lo = self.seen.offsets[users]
@@ -218,9 +223,9 @@ class ClickTask(_Task):
         top = topk_rows(scores, self.k, excluded)
         hits = (top >= 0) & self.relevant.contains(users[:, None], top)
         n_relevant = self.counts["n_relevant"][a:b]
-        self.metrics["recall"][a:b] = recall_rows(hits, n_relevant)
-        self.metrics["precision"][a:b] = precision_rows(hits, self.k)
-        self.metrics["ndcg"][a:b] = ndcg_rows(hits, n_relevant, self.k)
+        metrics["recall"][a:b] = recall_rows(hits, n_relevant)
+        metrics["precision"][a:b] = precision_rows(hits, self.k)
+        metrics["ndcg"][a:b] = ndcg_rows(hits, n_relevant, self.k)
 
 
 class PreferenceTask(_Task):
@@ -249,7 +254,7 @@ class PreferenceTask(_Task):
         keep = mixed[users]
         self.pair_users, self.pair_items, self.pair_positive = users[keep], items[keep], positive[keep]
 
-    def rank(self, a: int, b: int, scores: np.ndarray) -> None:
+    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict) -> None:
         users = self.users[a:b]
         lo, hi = np.searchsorted(self.pair_users, [users[0], users[-1] + 1])
         row = np.searchsorted(users, self.pair_users[lo:hi])
@@ -260,42 +265,50 @@ class PreferenceTask(_Task):
         top = rank < self.k
         hits = np.zeros((users.size, min(self.k, int(rank.max()) + 1)), dtype=bool)
         hits[row[top], rank[top]] = positive[top]
-        self.metrics["recall"][a:b] = recall_rows(hits, self.counts["n_positive"][a:b])
-        self.metrics["precision"][a:b] = precision_rows(hits, self.k)
+        metrics["recall"][a:b] = recall_rows(hits, self.counts["n_positive"][a:b])
+        metrics["precision"][a:b] = precision_rows(hits, self.k)
 
 
-def rank_tasks(score_block, tasks, collect_per_user: bool = False) -> list[dict]:
-    """Rank every task from one scoring pass; returns each task's ``result``, in order.
+def rank_tasks(score_blocks, tasks, collect_per_user: bool = False, n_modes: int = 1) -> list[list[dict]]:
+    """Rank every task in every mode from one scoring pass; returns per mode each task's ``result``, in order.
 
-    ``score_block(users)`` must return a (len(users), n_items) score block.
-    The union of the tasks' users is scored block by block, so a user ranked
-    by several tasks is scored once; each task ranks its own rows of a block.
+    ``score_blocks(users)`` must yield ``n_modes`` (len(users), n_items)
+    score blocks, one per mode, in the same mode order for every call. The
+    union of the tasks' users is scored block by block, so a user ranked by
+    several tasks is scored once; every task ranks its own rows of a mode's
+    block before the next mode's block is drawn, so a scorer may build each
+    one lazily.
     """
     if len({task.n_items for task in tasks}) != 1:
         raise ValueError("tasks ranked together must share one catalog")
     users = np.unique(np.concatenate([task.users for task in tasks]))
     step = max(1, BLOCK_ELEMENTS // max(tasks[0].n_items, 1))
+    metrics = [[task.columns() for task in tasks] for _ in range(n_modes)]
     for lo in range(0, users.size, step):
         block = users[lo : lo + step]
-        scores = score_block(block)
+        # each task's users in this block, and their rows of it (None: every row)
+        spans = []
         for task in tasks:
             a, b = np.searchsorted(task.users, [block[0], block[-1] + 1])
-            if a == b:
-                continue
-            rows = scores if b - a == block.size else scores[np.searchsorted(block, task.users[a:b])]
-            task.rank(a, b, rows)
-    return [task.result(collect_per_user) for task in tasks]
+            rows = None if b - a == block.size else np.searchsorted(block, task.users[a:b])
+            spans.append((a, b, rows))
+        for scores, mode_metrics in zip(score_blocks(block), metrics, strict=True):
+            for task, (a, b, rows), out in zip(tasks, spans, mode_metrics):
+                if a < b:
+                    task.rank(a, b, scores if rows is None else scores[rows], out)
+    return [[task.result(out, collect_per_user) for task, out in zip(tasks, mode_metrics)]
+            for mode_metrics in metrics]
 
 
 def click_prediction_eval(
-    score_block, train: InteractionLog, eval_log: InteractionLog, k: int = 20, collect_per_user: bool = False
+    score_blocks, train: InteractionLog, eval_log: InteractionLog, k: int = 20, collect_per_user: bool = False
 ) -> dict:
-    """The result of ranking a ``ClickTask`` alone."""
-    return rank_tasks(score_block, [ClickTask(train, eval_log, k)], collect_per_user)[0]
+    """The result of ranking a ``ClickTask`` alone, for a one-mode scorer."""
+    return rank_tasks(score_blocks, [ClickTask(train, eval_log, k)], collect_per_user)[0][0]
 
 
 def preference_prediction_eval(
-    score_block, eval_log: InteractionLog, k: int = 3, collect_per_user: bool = False
+    score_blocks, eval_log: InteractionLog, k: int = 3, collect_per_user: bool = False
 ) -> dict:
-    """The result of ranking a ``PreferenceTask`` alone."""
-    return rank_tasks(score_block, [PreferenceTask(eval_log, k)], collect_per_user)[0]
+    """The result of ranking a ``PreferenceTask`` alone, for a one-mode scorer."""
+    return rank_tasks(score_blocks, [PreferenceTask(eval_log, k)], collect_per_user)[0][0]

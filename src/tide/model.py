@@ -18,6 +18,7 @@ quality effect while discarding the herd effect.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -210,25 +211,34 @@ class TideModel:
         users,
         t: int | None = None,
         index: ConformityIndex | None = None,
-        mode: InferenceMode = FULL,
+        mode: InferenceMode | Sequence[InferenceMode] = FULL,
         raw_conformity: np.ndarray | None = None,
-    ) -> np.ndarray:
+    ):
         """Tanh(a) * Softplus(m) over every item at one time: a row per user, (len(users), n_items).
 
         A mode with no Tanh input a serves the bare match m. A scalar user
-        gives one 1-D row. ``raw_conformity`` may carry a precomputed
-        ``index.query_at(t)`` so the per-item sums are shared across blocks
-        during ranking.
+        gives one 1-D row. ``mode`` may also be a sequence of modes: the
+        result is then an iterator of one such block per mode, in order, all
+        from one match m and at most one Softplus(m). Each mode's block is
+        made when it is drawn, so a consumer that drops a block before the
+        next holds m, its Softplus and one mode's scores at most. Every
+        mode's coefficient Tanh(a) is read from the parameters at the call.
+        ``raw_conformity`` may carry a precomputed ``index.query_at(t)`` so
+        the per-item sums are shared across blocks during ranking.
         """
-        if raw_conformity is None and mode.conformity and index is not None and t is not None:
+        modes = (mode,) if isinstance(mode, InferenceMode) else tuple(mode)
+        if raw_conformity is None and index is not None and t is not None and any(md.conformity for md in modes):
             raw_conformity = index.query_at(t)
-        a = mode.popularity_input(self.quality, self.conformity_scale, raw_conformity)
+        quality, scale = self.quality, self.conformity_scale
+        inputs = [md.popularity_input(quality, scale, raw_conformity) for md in modes]
+        coefs = [None if a is None else bounded_tanh(a) for a in inputs]
         m = self.user_emb[users] @ self.item_emb.T
-        if a is None:
-            return m
-        out = softplus(m)
-        out *= bounded_tanh(a)
-        return out
+        scaled = [j for j, c in enumerate(coefs) if c is not None]
+        link = softplus(m) if scaled else None
+        # the last mode to read Softplus(m) scales it in place
+        blocks = (m if c is None else np.multiply(link, c, out=link if j == scaled[-1] else None)
+                  for j, c in enumerate(coefs))
+        return next(blocks) if isinstance(mode, InferenceMode) else blocks
 
     def copy(self) -> "TideModel":
         return replace(

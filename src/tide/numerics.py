@@ -14,9 +14,12 @@ TANH_LO = np.nextafter(-1.0, 0.0)
 def softplus(x):
     """log(1 + exp(x)), stable in both tails: max(x, 0) + log1p(exp(-|x|)).
 
-    Every step writes into one output array, so a score block costs one
-    float64 temporary (plus a boolean mask) rather than one per step. Scalars
-    and 0-d arrays come back as numpy scalars, like a ufunc's result.
+    Every step writes into one output array, so a score block costs the
+    output plus one float64 temporary, fmax(x, 0), rather than one array per
+    step. fmax, not maximum, drops a NaN input's second NaN: the sum then
+    carries the log1p term's NaN bits whatever operand order the add's loop
+    takes. Scalars and 0-d arrays come back as numpy scalars, like a ufunc's
+    result.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
@@ -24,7 +27,8 @@ def softplus(x):
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
-    np.add(out, x, out=out, where=x > 0.0)
+    # where x <= 0 or is NaN, fmax gives +-0, and adding it leaves the log1p term (>= +0 or NaN) as it is
+    out += np.fmax(x, 0.0)
     return out[()]
 
 

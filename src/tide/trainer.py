@@ -15,6 +15,7 @@ of a pair see the same conformity landscape.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
@@ -345,32 +346,44 @@ def sample_negatives(users: np.ndarray, seen: PairSet | DensePairSet, rng: np.ra
 def make_scorer(
     model: TideModel,
     method: str,
-    mode: InferenceMode,
+    *modes: InferenceMode,
     t_eval: int | None = None,
     index: ConformityIndex | None = None,
     table: PopularityTable | None = None,
     gamma: float = 0.0,
 ):
-    """Build score_block(users) -> (len(users), n_items) scores for ranking.
+    """Build score_blocks(users), which yields a (len(users), n_items) score block per mode, in order.
 
-    Everything that does not depend on the user (conformity sums, the pda
-    popularity coefficient) is computed once here and shared by every block.
+    tide scores every mode of a block from one match and one Softplus of it
+    (``TideModel.score_all_items``); the baselines serve only their native
+    mode, so every mode of theirs is the one block. What depends on neither
+    the user nor the parameters (conformity sums, the pda popularity
+    coefficient) is computed once here and shared by every block. What reads
+    the parameters is computed per block, so one scorer stays current while
+    Adam updates them in place.
     pda serves each item's popularity in the training part holding ``t_eval``.
     At ``t_eval = train.t_max`` that is the latest populated training part:
     the persistence predictor of serving-time popularity.
     """
+    if not modes:
+        raise ValueError("a scorer needs at least one mode")
     if method == "tide":
         raw = None
-        if mode.conformity and index is not None and t_eval is not None:
+        if any(mode.conformity for mode in modes) and index is not None and t_eval is not None:
             raw = index.query_at(t_eval)
-        return lambda users: model.score_all_items(users, mode=mode, raw_conformity=raw)
+        return lambda users: model.score_all_items(users, mode=modes, raw_conformity=raw)
     link = LINKS[method][0]
-    if method != "pda":
-        return lambda users: link(model.user_emb[users] @ model.item_emb.T)
-    if table is None or t_eval is None:
-        raise ValueError("pda scoring needs a popularity table and t_eval")
-    coef = pda_coefficient(table.query(np.arange(model.n_items), t_eval), gamma)
-    return lambda users: coef * link(model.user_emb[users] @ model.item_emb.T)
+    coef = None
+    if method == "pda":
+        if table is None or t_eval is None:
+            raise ValueError("pda scoring needs a popularity table and t_eval")
+        coef = pda_coefficient(table.query(np.arange(model.n_items), t_eval), gamma)
+
+    def score_blocks(users):
+        scores = link(model.user_emb[users] @ model.item_emb.T)
+        return itertools.repeat(scores if coef is None else coef * scores, len(modes))
+
+    return score_blocks
 
 
 def selection_mode(cfg: TrainConfig) -> InferenceMode:
@@ -462,7 +475,7 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
             batch = TrainBatch(**{name: col[lo:hi] for name, col in columns.items()})
             loss_sum += grad_step(model, batch, cfg, adam) * (hi - lo)
         epoch_loss = loss_sum / n
-        metric = rank_tasks(scorer, [validation])[0]["recall"] if validation is not None else None
+        metric = rank_tasks(scorer, [validation])[0][0]["recall"] if validation is not None else None
         result.history.append({
             "epoch": epoch,
             "loss": epoch_loss,

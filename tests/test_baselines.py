@@ -136,7 +136,7 @@ def test_pda_serves_the_latest_populated_training_part():
     want = part7 / part7.max()
     model = TideModel.init(4, n_items, 3, seed=8, init_std=0.5)
     gamma = 0.2
-    got = make_scorer(model, "pda", MATCHING_ONLY, t_eval=split.train.t_max, table=table, gamma=gamma)(np.arange(4))
+    [got] = make_scorer(model, "pda", MATCHING_ONLY, t_eval=split.train.t_max, table=table, gamma=gamma)(np.arange(4))
     assert np.array_equal(got, pda_coefficient(want, gamma) * elu_plus_one(model.user_emb @ model.item_emb.T))
     with pytest.raises(ValueError, match="t_eval"):
         make_scorer(model, "pda", MATCHING_ONLY, table=table, gamma=gamma)
@@ -174,7 +174,8 @@ def pda_scores(gamma, seed):
     model = TideModel.init(split.train.n_users, n_items, 4, seed=seed, init_std=0.8)
     pop = table.query(np.arange(n_items), split.train.t_max)
     scorer = make_scorer(model, "pda", MATCHING_ONLY, t_eval=split.train.t_max, table=table, gamma=gamma)
-    return scorer(np.arange(model.n_users)), model.user_emb @ model.item_emb.T, pop
+    [scores] = scorer(np.arange(model.n_users))
+    return scores, model.user_emb @ model.item_emb.T, pop
 
 
 def test_pda_scores_match_hand_formula():
@@ -187,7 +188,7 @@ def test_pda_scores_match_hand_formula():
 
 def test_pd_infer_is_popularity_free_and_rank_preserving():
     model = TideModel.init(5, 50, 4, seed=6, init_std=0.5)
-    got = make_scorer(model, "pd", MATCHING_ONLY)(np.arange(5))
+    [got] = make_scorer(model, "pd", MATCHING_ONLY)(np.arange(5))
     m = model.user_emb @ model.item_emb.T
     assert np.allclose(got, elu_plus_one(m), rtol=1e-15)
     assert (got > 0).all()

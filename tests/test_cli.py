@@ -13,6 +13,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -383,6 +384,22 @@ def test_evaluate_per_user_rows_average_to_the_aggregates(pipeline, tmp_path):
             for field, metric in zip(fields, ("recall", "precision", "ndcg")):
                 values = [row[metric] for row in rows[task].values()]
                 assert sum(values) / len(values) == pytest.approx(report[field], rel=1e-12, abs=1e-15)
+
+
+def test_a_stage_warning_prints_as_one_line(pipeline, tmp_path, capsys):
+    # at ips_cap 2 no item holds more than half the clicks, so fit warns that mf-ips trains as mf
+    args = ["train", "--data", pipeline["prep"], "--method", "mf-ips", "--ips-cap", 2,
+            "--embed-dim", 4, "--epochs", 1, "--batch-size", 1024]
+    shown = warnings.showwarning
+    assert run_cli(args + ["--outdir", tmp_path / "shown"]) == 0
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"warning: mf-ips trains as mf: [^\n]* caps every weight [^\n]*\n", err), err
+    assert warnings.showwarning is shown  # the one-line display ends with the call
+    # the caller's filters still reach the stage: an error filter fails the run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        assert run_cli(args + ["--outdir", tmp_path / "raised"]) == 1
+    assert capsys.readouterr().err.startswith("error: mf-ips trains as mf: ")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "analyze"])

@@ -112,8 +112,8 @@ def test_empty_relevant_set_rejected():
 
 
 def fixed_scorer(table):
-    """Block scorer over a {user: score row} table."""
-    return lambda users: np.array([table[u] for u in users], dtype=np.float64)
+    """One-mode block scorer over a {user: score row} table."""
+    return lambda users: [np.array([table[u] for u in users], dtype=np.float64)]
 
 
 def test_click_eval_excludes_training_items_and_macro_averages():
@@ -218,7 +218,7 @@ def test_click_and_preference_share_one_pass():
         calls.append(list(users))
         return fixed_scorer(scores)(users)
 
-    click, pref = rank_tasks(scorer, [ClickTask(train, test, 2), PreferenceTask(test, 1)], collect_per_user=True)
+    [[click, pref]] = rank_tasks(scorer, [ClickTask(train, test, 2), PreferenceTask(test, 1)], collect_per_user=True)
     assert calls == [[0, 1]]
     assert click == click_prediction_eval(fixed_scorer(scores), train, test, k=2, collect_per_user=True)
     assert pref == preference_prediction_eval(fixed_scorer(scores), test, k=1, collect_per_user=True)
@@ -356,7 +356,7 @@ def test_blocked_tasks_match_per_user_oracles(case):
         # the tasks are built once and ranked twice: the first scorer's numbers must not survive
         tasks = [ClickTask(train, test, k_click), PreferenceTask(test, k_pref)]
         rank_tasks(fixed_scorer({u: -row for u, row in table.items()}), tasks, collect_per_user=True)
-        out, pref = rank_tasks(fixed_scorer(table), tasks, collect_per_user=True)
+        [[out, pref]] = rank_tasks(fixed_scorer(table), tasks, collect_per_user=True)
         alone = preference_prediction_eval(fixed_scorer(table), test, k=k_pref, collect_per_user=True)
     want_click, skipped_click = oracle_click(scores, train, test, k_click)
     assert (out["n_users"], out["n_skipped"]) == (len(want_click), skipped_click)

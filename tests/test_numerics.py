@@ -68,6 +68,38 @@ def test_softplus_scalars_and_0d_arrays_return_scalars(x):
             assert_within_ulps(got, np.logaddexp(0.0, x), 4)
 
 
+def masked_add_softplus(x):
+    """The former softplus, whose last step adds x only where x > 0: the bit-for-bit oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.add(out, x, out=out, where=x > 0.0)
+    return out[()]
+
+
+BITWISE_SPECIAL = SPECIAL + (-np.nan, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=24),
+    elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(BITWISE_SPECIAL)),
+))
+def test_softplus_equals_the_masked_add_bit_for_bit(x):
+    # NaNs of either sign and any payload included; long rows reach the SIMD loops, short ones their tails
+    got, want = softplus(x), masked_add_softplus(x)
+    assert type(got) is type(want)
+    assert np.asarray(got).view(np.int64).tolist() == np.asarray(want).view(np.int64).tolist()
+    if x.ndim == 0:
+        for arg in (float(x), np.float64(x)):
+            scalar = softplus(arg)
+            assert isinstance(scalar, np.float64)
+            assert np.asarray(scalar).view(np.int64) == np.asarray(want).view(np.int64)
+
+
 def test_softplus_leaves_its_input_alone():
     x = np.array([-3.0, 0.0, 2.5])
     before = x.copy()

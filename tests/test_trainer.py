@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tide import dataset, trainer
+from tide import dataset, evaluation, trainer
 from tide.cli import write_history
 from tide.baselines import PopularityTable, ips_weights_raw, pda_coefficient
 from tide.dataset import ChronoSplit, DensePairSet, InteractionLog, PairSet, chrono_split
-from tide.model import FULL, MATCHING_ONLY, ConformityIndex, TideModel, save_checkpoint
+from tide.evaluation import ClickTask, PreferenceTask, rank_tasks
+from tide.model import FULL, MATCHING_ONLY, ConformityIndex, TideModel, parse_mode, save_checkpoint
 from tide.numerics import bounded_tanh, bpr_loss, sigmoid, softplus
 from tide.trainer import (
     LINKS,
@@ -165,11 +166,74 @@ def test_training_loss_is_built_from_the_serving_score(name, monkeypatch):
     (y_p, y_n), = forward
 
     mode = cfg.train_mode() or selection_mode(cfg)
-    scores = make_scorer(model, cfg.method, mode, t_eval=train.t_max, index=index, table=table,
-                         gamma=cfg.gamma)(np.arange(train.n_users))
+    [scores] = make_scorer(model, cfg.method, mode, t_eval=train.t_max, index=index, table=table,
+                           gamma=cfg.gamma)(np.arange(train.n_users))
     # a block row's @ and a pair's einsum may round differently
     assert np.allclose(scores[users, pos], y_p, rtol=1e-12, atol=0.0)
     assert np.allclose(scores[users, neg], y_n, rtol=1e-12, atol=0.0)
+
+
+def rated_serving_setup(seed: int):
+    """A rated split, a model with random parameters, and every serving input, for ranking both tasks."""
+    rng = np.random.default_rng(seed)
+    n, n_users, n_items = 3000, 50, 40
+    users, items = rng.integers(0, n_users, n), rng.integers(0, n_items, n)
+    times, ratings = np.sort(rng.integers(0, 1_000_000, n)), rng.integers(1, 6, n).astype(float)
+    split = chrono_split(InteractionLog.build(users, items, times, ratings, n_users, n_items), parts=10)
+    model = TideModel.init(n_users, n_items, 4, seed=seed, init_std=0.7)
+    model.q_raw[:] = rng.normal(0.0, 1.0, n_items)
+    model.beta_raw[:] = rng.normal(0.0, 1.0, n_items)
+    tasks = [ClickTask(split.train, split.test, 5), PreferenceTask(split.test, 2)]
+    serving = {"t_eval": split.train.t_max, "index": ConformityIndex.from_log(split.train, tau=2e5),
+               "table": PopularityTable.from_split(split), "gamma": 0.3}
+    return model, tasks, serving
+
+
+# tide's modes, a repeated one included; the baselines serve their native mode under either name
+SERVED_MODES = {"tide": ("full", "int", "e", "noq", "noc", "fixq:0.5", "full"),
+                **{method: ("native", "e") for method in ("mf", "mf-ips", "pd", "pda")}}
+
+
+@pytest.mark.parametrize("method", list(SERVED_MODES))
+def test_ranking_modes_in_one_pass_equals_ranking_each_alone(method, monkeypatch):
+    model, tasks, serving = rated_serving_setup(seed=12)
+    modes = [parse_mode(text) if method == "tide" else MATCHING_ONLY for text in SERVED_MODES[method]]
+    monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", 7 * model.n_items)  # 7-row blocks, the last one short
+    together = rank_tasks(make_scorer(model, method, *modes, **serving), tasks, True, n_modes=len(modes))
+    alone = [rank_tasks(make_scorer(model, method, mode, **serving), tasks, True)[0] for mode in modes]
+    assert len(together) == len(modes)
+    assert repr(together) == repr(alone)  # repr keeps every float's bits, per-user rows included
+    users = np.arange(model.n_users)
+    blocks = list(make_scorer(model, method, *modes, **serving)(users))
+    for mode, block in zip(modes, blocks):
+        [want] = make_scorer(model, method, mode, **serving)(users)
+        assert block.tobytes() == want.tobytes()
+    if method == "tide":  # the modes score apart, so a pass that served one mode's rows for another fails
+        assert len({block.tobytes() for block in blocks}) == 5  # noc scores as int, and full repeats
+
+
+def test_a_scorer_reads_the_parameters_each_time_it_scores():
+    # fit builds one validation scorer per run while Adam updates the parameters in place
+    model, tasks, serving = rated_serving_setup(seed=13)
+    modes = [parse_mode(text) for text in ("full", "int", "e", "noq", "fixq:0.5")]
+    scorer = make_scorer(model, "tide", *modes, **serving)
+    before = rank_tasks(scorer, tasks, True, n_modes=len(modes))
+    rng = np.random.default_rng(13)
+    model.q_raw += rng.normal(0.0, 1.0, model.n_items)
+    model.beta_raw += rng.normal(0.0, 1.0, model.n_items)
+    model.item_emb[::2] *= -1.5
+    after = rank_tasks(scorer, tasks, True, n_modes=len(modes))
+    fresh = rank_tasks(make_scorer(model, "tide", *modes, **serving), tasks, True, n_modes=len(modes))
+    assert repr(after) == repr(fresh)
+    assert all(repr(b) != repr(a) for b, a in zip(before, after))
+
+
+def test_rank_tasks_refuses_a_scorer_of_another_mode_count():
+    model, tasks, serving = rated_serving_setup(seed=14)
+    with pytest.raises(ValueError, match="zip"):
+        rank_tasks(make_scorer(model, "tide", FULL, FULL, **serving), tasks, n_modes=1)
+    with pytest.raises(ValueError, match="at least one mode"):
+        make_scorer(model, "tide", **serving)
 
 
 def dense_scatter_oracle(model, batch, cfg):
@@ -550,7 +614,7 @@ def test_year_long_log_trains_and_scores_at_tau_3e4():
                       batch_size=1024, tau=tau, seed=4)
     out = fit(split, cfg)
     assert math.isfinite(out.history[0]["loss"]) and out.best_metric is not None
-    scores = make_scorer(out.model, "tide", FULL, t_eval=split.train.t_max, index=index)(np.arange(5))
+    [scores] = make_scorer(out.model, "tide", FULL, t_eval=split.train.t_max, index=index)(np.arange(5))
     assert scores.shape == (5, split.train.n_items)
     assert np.isfinite(scores).all() and (scores > 0).all()
 
