@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -361,10 +362,12 @@ _WRITE_ROWS = 1 << 13
 
 
 def save_interactions(log: InteractionLog, path, delimiter: str = "\t") -> None:
-    """Write a log in the user, item, rating, time layout ``load_interactions`` reads."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    """Write a log in the user, item, rating, time layout ``load_interactions`` reads.
+
+    The rows go to a temporary file that replaces ``path`` once complete, so
+    a failed or killed write never leaves a truncated log in its place.
+    """
+    with atomic_open(Path(path)) as fh:
         for lo in range(0, len(log), _WRITE_ROWS):
             rows = slice(lo, lo + _WRITE_ROWS)
             columns = (
@@ -452,18 +455,29 @@ def chrono_split(log: InteractionLog, parts: int = 10, split_seed: int = 0) -> C
     )
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``."""
+@contextmanager
+def atomic_open(path: Path):
+    """A text file beside ``path`` that is renamed over it when the block ends cleanly.
+
+    If the block raises, the temporary file is removed and ``path`` keeps
+    whatever it held before.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_json(path: Path, obj) -> None:

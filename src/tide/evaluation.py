@@ -55,9 +55,10 @@ class RankedList:
 def topk_rows(scores: np.ndarray, k: int, excluded: np.ndarray | None = None) -> np.ndarray:
     """Top-k item ids of every score row, ordered by (-score, id).
 
-    ``excluded`` is an optional boolean mask of the block's shape; masked
-    items are never ranked. The result has min(k, n_items) columns; a row
-    with fewer candidates is padded on the right with -1.
+    ``excluded`` optionally holds flat indices of the block's cells (row *
+    n_items + item) whose items are never ranked in that row. The result has
+    min(k, n_items) columns; a row with fewer candidates is padded on the
+    right with -1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -67,7 +68,7 @@ def topk_rows(scores: np.ndarray, k: int, excluded: np.ndarray | None = None) ->
     if kk == 0:
         return np.empty((n_rows, 0), dtype=np.int64)
     if excluded is not None:
-        np.copyto(neg, np.inf, where=excluded)
+        neg.reshape(-1)[excluded] = np.inf
     if kk < n_items:
         part = np.argpartition(neg, kk - 1, axis=1)[:, :kk]
     else:
@@ -80,7 +81,10 @@ def topk_rows(scores: np.ndarray, k: int, excluded: np.ndarray | None = None) ->
     # k-th score; masked (+inf) and nan entries never pass a finite k-th value
     exact = np.isfinite(kth[:, 0]) & (np.count_nonzero(neg <= kth, axis=1) == kk)
     for r in np.flatnonzero(~exact):
-        cand = np.arange(n_items) if excluded is None else np.flatnonzero(~excluded[r])
+        allowed = np.ones(n_items, dtype=bool)
+        if excluded is not None:
+            allowed[excluded[excluded // n_items == r] % n_items] = False
+        cand = np.flatnonzero(allowed)
         best = cand[np.lexsort((cand, neg[r, cand]))[:kk]]
         top[r] = -1
         top[r, : best.size] = best
@@ -93,9 +97,8 @@ def rank_topk(scores: np.ndarray, user: int, k: int, exclusions=()) -> RankedLis
     A one-row call into ``topk_rows``, the ranker every evaluation uses.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    excluded = np.zeros(scores.size, dtype=bool)
-    excluded[np.fromiter(exclusions, dtype=np.int64, count=len(exclusions))] = True
-    items = topk_rows(scores[None, :], k, excluded[None, :])[0]
+    excluded = np.fromiter(exclusions, dtype=np.int64, count=len(exclusions))
+    items = topk_rows(scores[None, :], k, excluded)[0]
     items = items[items >= 0]
     if items.size == 0:
         raise ValueError("no candidates remain after exclusion")
@@ -165,7 +168,9 @@ class _Task:
     A task is built once from its logs and can be ranked for any number of
     scorers and modes: ``rank_tasks`` gives every mode of every pass fresh
     metric columns (``columns``), which ``rank`` fills and ``result`` reads,
-    so reusing a task cannot leak an earlier scorer's numbers.
+    so reusing a task cannot leak an earlier scorer's numbers. What ranking
+    users a..b-1 needs beyond their scores comes from ``block(a, b)``, once
+    per block, and goes to every mode's ``rank``.
     """
 
     def __init__(self, k: int, n_items: int, users: np.ndarray, n_skipped: int, metrics: tuple, counts: dict):
@@ -211,15 +216,18 @@ class ClickTask(_Task):
         super().__init__(k, train.n_items, eval_users[keep], eval_users.size - keep.sum(),
                          ("recall", "precision", "ndcg"), {"n_relevant": n_relevant[keep]})
 
-    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict) -> None:
+    def block(self, a: int, b: int) -> np.ndarray:
+        """The block's cells (row * n_items + item) of the users' training items."""
         users = self.users[a:b]
         # the block users' training items: pairs lo[r] .. lo[r] + n[r] - 1 for block row r
         lo = self.seen.offsets[users]
         n = self.seen.offsets[users + 1] - lo
         row = np.repeat(np.arange(users.size), n)
         pair = np.arange(row.size) + np.repeat(lo - (np.cumsum(n) - n), n)
-        excluded = np.zeros(scores.shape, dtype=bool)
-        excluded[row, self.seen.items[pair]] = True
+        return row * self.n_items + self.seen.items[pair]
+
+    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict, excluded: np.ndarray) -> None:
+        users = self.users[a:b]
         top = topk_rows(scores, self.k, excluded)
         hits = (top >= 0) & self.relevant.contains(users[:, None], top)
         n_relevant = self.counts["n_relevant"][a:b]
@@ -254,13 +262,17 @@ class PreferenceTask(_Task):
         keep = mixed[users]
         self.pair_users, self.pair_items, self.pair_positive = users[keep], items[keep], positive[keep]
 
-    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict) -> None:
+    def block(self, a: int, b: int) -> tuple:
+        """The block rows, items and positive flags of its users' rated pairs."""
         users = self.users[a:b]
         lo, hi = np.searchsorted(self.pair_users, [users[0], users[-1] + 1])
-        row = np.searchsorted(users, self.pair_users[lo:hi])
-        items = self.pair_items[lo:hi]
+        return np.searchsorted(users, self.pair_users[lo:hi]), self.pair_items[lo:hi], self.pair_positive[lo:hi]
+
+    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict, pairs: tuple) -> None:
+        users = self.users[a:b]
+        row, items, positive = pairs
         order = np.lexsort((items, -scores[row, items], row))
-        row, positive = row[order], self.pair_positive[lo:hi][order]
+        row, positive = row[order], positive[order]
         rank = np.arange(row.size) - np.searchsorted(row, row)
         top = rank < self.k
         hits = np.zeros((users.size, min(self.k, int(rank.max()) + 1)), dtype=bool)
@@ -286,16 +298,17 @@ def rank_tasks(score_blocks, tasks, collect_per_user: bool = False, n_modes: int
     metrics = [[task.columns() for task in tasks] for _ in range(n_modes)]
     for lo in range(0, users.size, step):
         block = users[lo : lo + step]
-        # each task's users in this block, and their rows of it (None: every row)
+        # each task's users in this block, their rows of it (None: every row), and what
+        # ranking them needs beyond the scores
         spans = []
         for task in tasks:
             a, b = np.searchsorted(task.users, [block[0], block[-1] + 1])
             rows = None if b - a == block.size else np.searchsorted(block, task.users[a:b])
-            spans.append((a, b, rows))
+            spans.append((a, b, rows, task.block(a, b) if a < b else None))
         for scores, mode_metrics in zip(score_blocks(block), metrics, strict=True):
-            for task, (a, b, rows), out in zip(tasks, spans, mode_metrics):
+            for task, (a, b, rows, context), out in zip(tasks, spans, mode_metrics):
                 if a < b:
-                    task.rank(a, b, scores if rows is None else scores[rows], out)
+                    task.rank(a, b, scores if rows is None else scores[rows], out, context)
     return [[task.result(out, collect_per_user) for task, out in zip(tasks, mode_metrics)]
             for mode_metrics in metrics]
 

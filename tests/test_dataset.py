@@ -142,6 +142,47 @@ def test_saved_text_is_one_formatted_line_per_row_across_write_chunks(tmp_path, 
     assert (tmp_path / "empty.tsv").read_bytes() == b""
 
 
+def test_a_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    # the second write of three fails: the file on disk is still the old log
+    log = InteractionLog.build(
+        users=[0, 1, 0, 2, 1, 2, 0], items=[2, 0, 1, 1, 2, 0, 0], times=[10, 20, 30, 30, 40, 50, 60],
+        ratings=[4.0, 3.0, 2.5, 5.0, 1.0, 2.0, 3.0], n_users=3, n_items=3,
+    )
+    path = tmp_path / "interactions.tsv"
+    save_interactions(log.subset(np.arange(len(log)) < 2), path)
+    old = path.read_bytes()
+    monkeypatch.setattr(dataset, "_WRITE_ROWS", 3)
+    real_fdopen = os.fdopen
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    monkeypatch.setattr(dataset.os, "fdopen", lambda fd, *args, **kwargs: FullDisk(real_fdopen(fd, *args, **kwargs)))
+    with pytest.raises(OSError, match="No space left"):
+        save_interactions(log, path)
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["interactions.tsv"]
+
+    # a write that completes replaces the file with exactly the rows
+    monkeypatch.setattr(dataset.os, "fdopen", real_fdopen)
+    save_interactions(log, path)
+    assert load_interactions(path).times.tolist() == log.times.tolist()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["interactions.tsv"]
+
+
 def test_build_sorts_stably_on_equal_times():
     log = InteractionLog.build(users=[3, 1, 2], items=[0, 0, 0], times=[5, 5, 5], n_users=4, n_items=1)
     assert log.users.tolist() == [3, 1, 2]

@@ -264,7 +264,7 @@ def score_blocks(draw, values=SCORE_GRID):
 @given(score_blocks(values=SCORE_GRID + (np.inf, -np.inf, np.nan)))
 def test_topk_rows_matches_brute_force(case):
     scores, excluded, k = case
-    top = topk_rows(scores, k, excluded)
+    top = topk_rows(scores, k, np.flatnonzero(excluded))
     assert top.shape == (scores.shape[0], min(k, scores.shape[1]))
     for r in range(scores.shape[0]):
         want = oracle_topk(scores[r], k, set(np.flatnonzero(excluded[r]).tolist()))

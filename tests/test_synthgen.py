@@ -1,11 +1,15 @@
 """Synthetic log generator: determinism, planted truth, and feedback."""
 
 import json
+import math
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from tide import synthgen
@@ -301,6 +305,171 @@ def test_near_zero_quality_falls_back_at_the_cap_and_stays_exact():
     assert time.perf_counter() - started < 20.0
 
 
+def loop_draw(sampler, users, times, first):
+    """The per-event thinning loop through ``acceptance`` and ``click``: the oracle for ``draw``.
+
+    Proposals are drawn a round at a time for ``CHUNK`` events, each round
+    when an event first needs it, and an event rejected ``MAX_REJECTIONS``
+    times is drawn from its full weight vector.
+    """
+    items = []
+    for start in range(0, len(users), synthgen.CHUNK):
+        chunk_users, chunk_first = users[start:start + synthgen.CHUNK], first[start:start + synthgen.CHUNK]
+        rounds = []
+        for k, t in enumerate(times[start:start + synthgen.CHUNK].tolist()):
+            for r in range(synthgen.MAX_REJECTIONS):
+                if r == len(rounds):
+                    uniforms = chunk_first if r == 0 else sampler.rng.random(chunk_users.size)
+                    proposals = sampler._propose(chunk_users, uniforms).tolist()
+                    rounds.append((proposals, sampler.rng.random(chunk_users.size).tolist()))
+                proposals, accept = rounds[r]
+                j = proposals[k]
+                if accept[k] < sampler.acceptance(j, t):
+                    break
+            else:
+                j = sampler._exact(int(chunk_users[k]), t, start + k)
+            sampler.click(j, t)
+            items.append(j)
+    return np.array(items, dtype=np.int64)
+
+
+def both_draws(truth, tau, users, times, first, preload=(), seed=0):
+    """(items, sampler, next draws) from ``draw`` and from the loop, each on a fresh sampler and generator.
+
+    A draw that fails gives its error message instead.
+    """
+    out = []
+    for method in (ThinningSampler.draw, loop_draw):
+        rng = np.random.default_rng(seed)
+        sampler = ThinningSampler(truth, tau, rng)
+        for j, t in preload:
+            sampler.click(j, t)
+        try:
+            items = method(sampler, users, times, first)
+        except ValueError as error:
+            out.append(str(error))
+        else:
+            out.append((items, sampler, rng.random(4)))
+    return out
+
+
+def assert_same_draws(fast, loop):
+    if isinstance(fast, str) or isinstance(loop, str):
+        # no weight anywhere: both must fail, at the same event
+        assert fast == loop and "degenerate" in fast
+        return
+    (items, sampler, after), (loop_items, loop_sampler, loop_after) = fast, loop
+    assert items.tolist() == loop_items.tolist()
+    assert sampler.fallbacks == loop_sampler.fallbacks
+    # the per-item state, bit for bit, and the same position in the random stream
+    assert sampler.last == loop_sampler.last and sampler.at == loop_sampler.at
+    assert np.array_equal(np.array(sampler.before).view(np.int64), np.array(loop_sampler.before).view(np.int64))
+    assert np.array_equal(after, loop_after)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_items=st.integers(1, 12),
+    n_users=st.integers(1, 5),
+    n_events=st.integers(1, 400),
+    horizon=st.sampled_from([1, 3, 50, 5000, 10**6]),
+    tau=st.sampled_from([0.5, 20.0, 2000.0, 1e7]),
+    quality=st.sampled_from([0.0, 1e-3, 0.3, 2.0]),
+    beta=st.sampled_from([0.0, 0.1, 1.5, 4.0]),
+    cap=st.sampled_from([0, 1, 3, 32]),
+    chunk=st.sampled_from([64, 4096]),
+    margin=st.sampled_from([1e-9, 0.05]),
+    max_passes=st.sampled_from([0, 12]),
+    n_preload=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_equals_the_per_event_loop(
+    n_items, n_users, n_events, horizon, tau, quality, beta, cap, chunk, margin, max_passes, n_preload, seed
+):
+    # a wide margin sends many events to the loop's own test inside the fixed
+    # point, and no passes make every chunk that needs one give up
+    rng = np.random.default_rng(seed)
+    truth = SynthTruth(
+        true_quality=rng.uniform(0.0, quality, n_items),
+        true_beta=rng.uniform(0.0, beta, n_items),
+        true_user_emb=rng.normal(0.0, 0.8, (n_users, 3)),
+        true_item_emb=rng.normal(0.0, 0.8, (n_items, 3)),
+    )
+    preload_times = np.sort(rng.integers(0, 100, n_preload))
+    preload = list(zip(rng.integers(0, n_items, n_preload).tolist(), preload_times.tolist()))
+    times = 100 + np.sort(rng.integers(0, horizon, n_events))
+    users = rng.integers(0, n_users, n_events)
+    first = rng.random(n_events)
+    with (
+        mock.patch.object(synthgen, "CHUNK", chunk),
+        mock.patch.object(synthgen, "MAX_REJECTIONS", cap),
+        mock.patch.object(synthgen, "_MARGIN", margin),
+        mock.patch.object(synthgen, "_MAX_PASSES", max_passes),
+    ):
+        fast, loop = both_draws(truth, tau, users, times, first, preload, seed)
+    assert_same_draws(fast, loop)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SMALL,
+        SynthConfig(n_users=300, n_items=40, embed_dim=4, quality_scale=0.5, beta_scale=1.5, tau=1e4,
+                    horizon=5_000_000, n_events=9000, emb_std=0.1, seed=3),
+        SynthConfig(n_users=200, n_items=3, n_events=9000, seed=5),
+        SynthConfig(n_users=200, n_items=300, n_events=9000, horizon=100, seed=6),
+        SynthConfig(n_users=200, n_items=2000, n_events=5000, quality_scale=0.2, seed=7),
+    ],
+    ids=["small", "strong-conformity", "3-items", "tied-times", "fallback-heavy"],
+)
+def test_draw_equals_the_loop_across_chunks(config):
+    rng = np.random.default_rng(config.seed)
+    truth = sample_truth(config, rng)
+    times = np.sort(rng.integers(0, config.horizon, config.n_events))
+    users = rng.integers(0, config.n_users, config.n_events)
+    fast, loop = both_draws(truth, config.tau, users, times, rng.random(config.n_events), seed=config.seed)
+    assert_same_draws(fast, loop)
+
+
+def test_a_give_up_sends_the_next_chunks_to_the_loop_with_backoff(monkeypatch):
+    # with no passes allowed, a chunk that needs one gives up; the next chunk
+    # it tries comes after one, two, four... skipped chunks, until one settles
+    monkeypatch.setattr(synthgen, "CHUNK", 64)
+    monkeypatch.setattr(synthgen, "_MAX_PASSES", 0)
+    config = SynthConfig(n_users=50, n_items=5, embed_dim=4, quality_scale=0.5, beta_scale=3.0, tau=1e4,
+                         horizon=200_000, n_events=12 * 64, seed=8)
+    rng = np.random.default_rng(config.seed)
+    truth = sample_truth(config, rng)
+    times = np.sort(rng.integers(0, config.horizon, config.n_events))
+    users = rng.integers(0, config.n_users, config.n_events)
+    first = rng.random(config.n_events)
+    tried, gave_up = [], []
+    settle = ThinningSampler._settle
+
+    def recording(self, rounds, chunk_times, items, offset):
+        tried.append(offset // 64)
+        done = settle(self, rounds, chunk_times, items, offset)
+        gave_up.append(self._skip > 0)
+        return done
+
+    monkeypatch.setattr(ThinningSampler, "_settle", recording)
+    fast, loop = both_draws(truth, config.tau, users, times, first, seed=config.seed)
+    assert_same_draws(fast, loop)
+
+    expected, outcomes, skip, backoff = [], iter(gave_up), 0, 1
+    for chunk in range(12):
+        if skip:
+            skip -= 1
+            continue
+        expected.append(chunk)
+        if next(outcomes):
+            skip, backoff = backoff, 2 * backoff
+        else:
+            backoff = 1
+    assert tried == expected
+    assert tried[:3] == [0, 2, 5]  # the first two tries gave up
+
+
 def test_events_at_one_time_see_only_strictly_earlier_clicks(monkeypatch):
     # item A = 0 is the only item with conformity, and quality is ~0, so every
     # event clicks A; each must be accepted with tanh(beta_A * S_A(t)) where
@@ -321,12 +490,18 @@ def test_events_at_one_time_see_only_strictly_earlier_clicks(monkeypatch):
         seen.append((j, when, p))
         return p
 
+    def tied_draws(method):
+        rng = np.random.default_rng(0)
+        sampler = ThinningSampler(truth, 10.0, rng)
+        sampler.click(a, t0)
+        items = method(sampler, np.arange(n_tied) % 3, np.full(n_tied, t), rng.random(n_tied))
+        return items, sampler, rng.random(4)
+
+    # the loop tests every proposal through acceptance; record it there
     monkeypatch.setattr(ThinningSampler, "acceptance", recording)
-    rng = np.random.default_rng(0)
-    sampler = ThinningSampler(truth, 10.0, rng)
-    sampler.click(a, t0)
     n_tied = 8
-    items = sampler.draw(np.arange(n_tied) % 3, np.full(n_tied, t), rng.random(n_tied))
+    loop = tied_draws(loop_draw)
+    items, sampler, _ = loop
     assert items.tolist() == [a] * n_tied
 
     s_a = ConformityIndex(np.array([a]), np.array([t0]), n_items, 10.0).query([a], [t])[0]
@@ -338,6 +513,58 @@ def test_events_at_one_time_see_only_strictly_earlier_clicks(monkeypatch):
     later = 25
     clicks = ConformityIndex(np.array([a] * (1 + n_tied)), np.array([t0] + [t] * n_tied), n_items, 10.0)
     assert sampler.level(a, later) == pytest.approx(clicks.query([a], [later])[0], rel=1e-12)
+    # and draw, which decides the tied events at once, agrees with the loop
+    assert_same_draws(tied_draws(ThinningSampler.draw), loop)
+
+
+def ulps_around(x, k=40):
+    """x and the k doubles on either side of it."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+def test_an_acceptance_at_its_uniform_is_decided_by_the_loops_arithmetic():
+    # numpy's tanh and math.tanh differ in the last bit for some inputs. With
+    # one item and no conformity, pick a quality whose math.tanh is exactly
+    # event 0's first accept uniform while numpy's lies above it, and every
+    # other event's uniform below it: the loop rejects event 0's first
+    # proposal and draws a second round, where numpy's acceptance alone
+    # would keep it and leave the generator one round earlier
+    n = 64
+    for seed in range(5000):
+        uniforms = np.random.default_rng(seed).random(n)
+        if uniforms.argmax() != 0:
+            continue
+        quality = next((q for q in ulps_around(math.atanh(uniforms[0]))
+                        if math.tanh(q) == uniforms[0] and np.tanh(np.full(n, q))[0] > uniforms[0]), None)
+        if quality is not None:
+            break
+    else:
+        pytest.skip("numpy's tanh agrees with math.tanh near every uniform tried")
+    rng = np.random.default_rng(seed + 10_000)
+    truth = SynthTruth(np.array([quality]), np.zeros(1), rng.normal(0.0, 0.5, (3, 2)), rng.normal(0.0, 0.5, (1, 2)))
+    users, times, first = rng.integers(0, 3, n), np.sort(rng.integers(0, 1000, n)), rng.random(n)
+    fast, loop = both_draws(truth, 50.0, users, times, first, seed=seed)
+    assert_same_draws(fast, loop)
+
+
+@pytest.mark.parametrize("n_items", [1, 2, 3, 7, 8, 9, 300])
+def test_proposals_are_the_rows_searchsorted(n_items):
+    rng = np.random.default_rng(n_items)
+    truth = SynthTruth(rng.uniform(0.1, 1.0, n_items), np.zeros(n_items),
+                       rng.normal(0.0, 1.0, (6, 3)), rng.normal(0.0, 1.0, (n_items, 3)))
+    sampler = ThinningSampler(truth, TAU, rng)
+    users = rng.integers(0, 6, 2000)
+    # the largest uniforms put the target at the row's total
+    uniforms = np.concatenate((rng.random(1994), [0.0, 1e-300, np.nextafter(1.0, 0.0)] * 2))
+    expected = [
+        min(int(np.searchsorted(sampler.cdf[u], w * sampler.cdf[u, -1], side="right")), n_items - 1)
+        for u, w in zip(users.tolist(), uniforms.tolist())
+    ]
+    assert sampler._propose(users, uniforms).tolist() == expected
 
 
 def test_sampler_rejects_events_out_of_time_order():
