@@ -319,12 +319,10 @@ def _shown(metric: float | None) -> str:
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """One report CSV: a float cell as %.10g, None as an empty cell, anything else by str."""
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        return f"{value:.10g}" if isinstance(value, float) else str(value)
-
-    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    # a column at a time: one comprehension per column, no call per cell
+    columns = [["" if v is None else "%.10g" % v if isinstance(v, float) else str(v) for v in column]
+               for column in zip(*rows)]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

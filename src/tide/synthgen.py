@@ -238,13 +238,22 @@ class ThinningSampler:
         """
         last, before, at, q, beta = self.last, self.before, self.at, self.q, self.beta
         exp, tanh, tau, hi_p = math.exp, math.tanh, self.tau, float(TANH_HI)
-        rows = []  # rows[r]: round r's proposals and accept draws, from the first event that needed it
+        # rows[r]: round r's proposals and accept draws, looked up when an event
+        # first needs the round, for the later events still open: an event is
+        # closed once a proposal's acceptance at the chunk's start clears its
+        # uniform by over _MARGIN, since clicks only raise an acceptance
+        rows, open_ = [], np.arange(hi - lo)
         picked = []
         for k, t in enumerate(times[lo:hi].tolist()):
             for r in range(MAX_REJECTIONS):
                 if r == len(rows):
-                    proposals, accept = rounds.propose(r * rounds.size + np.arange(lo + k, hi))
-                    rows.append(([0] * k + proposals.tolist(), [0.0] * k + accept.tolist()))
+                    open_ = open_[np.searchsorted(open_, k):]
+                    found, kept = rounds.propose(r * rounds.size + lo + open_)
+                    proposals, accept = np.zeros(hi - lo, dtype=np.int64), np.zeros(hi - lo)
+                    proposals[open_], accept[open_] = found, kept
+                    rows.append((proposals.tolist(), accept.tolist()))
+                    if open_.size > 1:
+                        open_ = open_[kept >= rounds.acceptance0(found, times[lo + open_]) - _MARGIN]
                 proposals, accept = rows[r]
                 j = proposals[k]
                 s = before[j] if t == last[j] else (before[j] + at[j]) * exp((last[j] - t) / tau)
@@ -299,8 +308,6 @@ class ThinningSampler:
         """
         n, tau, R = times.size, self.tau, MAX_REJECTIONS
         q, beta = self.truth.true_quality, self.truth.true_beta
-        last0, before0 = np.array(self.last), np.array(self.before)
-        held0 = before0 + np.array(self.at)
         # the first event at each event's time: the clicks before it are the strictly earlier ones
         tied = np.ones(n, dtype=bool)
         tied[1:] = times[1:] == times[:-1]
@@ -309,8 +316,7 @@ class ThinningSampler:
         def test(ev, r, clicks):
             """Each (event, round) pair's proposal, whether it is kept, and its acceptance's distance to the uniform."""
             j, a = rounds.propose(r * n + ev)
-            t, lj = times[ev], last0[j]
-            s = np.where(t == lj, before0[j], held0[j] * np.exp((lj - t) / tau))
+            s = rounds.level0(j, times[ev])
             if clicks is not None:
                 s += clicks(j, ev)
             p = np.minimum(np.tanh(q[j] + beta[j] * s), TANH_HI)
@@ -572,6 +578,9 @@ class _Rounds:
         self.drawn = 0
         self.states = [sampler.rng.bit_generator.state]  # states[r]: the generator after r rounds
         self.used = 0
+        # the per-item state at the chunk's start
+        self.last0, self.before0 = np.array(sampler.last), np.array(sampler.before)
+        self.held0 = self.before0 + np.array(sampler.at)
 
     def propose(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The proposals and accept draws at these cells."""
@@ -589,6 +598,16 @@ class _Rounds:
             fresh = cells[new]
             got[new] = self.proposals[fresh] = self.sampler._propose(self.users[fresh % n], self.uniforms[fresh])
         return got, self.accepts[cells]
+
+    def level0(self, j: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """S_j(t) from the chunk-start state, in numpy: the clicks before t, less the chunk's."""
+        lj = self.last0[j]
+        return np.where(t == lj, self.before0[j], self.held0[j] * np.exp((lj - t) / self.sampler.tau))
+
+    def acceptance0(self, j: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``acceptance`` from the chunk-start state, in numpy; the chunk's clicks only raise it."""
+        truth = self.sampler.truth
+        return np.minimum(np.tanh(truth.true_quality[j] + truth.true_beta[j] * self.level0(j, t)), TANH_HI)
 
     def finish(self) -> None:
         """Leave the generator where drawing only the used rounds leaves it."""

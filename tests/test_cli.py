@@ -17,6 +17,7 @@ import warnings
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tide import cli, evaluation
@@ -101,6 +102,15 @@ def test_run_id_ignores_key_order_but_not_values():
     c = cli.run_id({"x": 1, "y": 3})
     assert a == b
     assert a != c
+
+
+def test_report_csv_formats_each_cell_by_its_type(tmp_path):
+    # floats (numpy's too) as %.10g, None as an empty cell, anything else by str
+    path = tmp_path / "report.csv"
+    cli._write_csv(path, ["a", "b", "c", "d"], [[1 / 3, None, 7, "x"], [np.float64(2.5), -0.0, None, float("nan")]])
+    assert path.read_bytes() == b"a,b,c,d\n0.3333333333,,7,x\n2.5,-0,,nan\n"
+    cli._write_csv(path, ["a", "b"], [])
+    assert path.read_bytes() == b"a,b\n"
 
 
 def test_run_dir_is_named_after_its_own_config(pipeline):

@@ -183,6 +183,47 @@ def test_a_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monk
     assert sorted(p.name for p in tmp_path.iterdir()) == ["interactions.tsv"]
 
 
+def reference_text(users, items, ratings, times) -> str:
+    """The per-value formatter the encoder must match: ``str`` for the int columns, ``format(r, "g")`` for ratings."""
+    return "".join(f"{u}\t{i}\t{format(r, 'g')}\t{t}\n" for u, i, r, t in zip(users, items, ratings, times))
+
+
+# ids and times of every width, so a chunk mixes zero, short and 19-digit values
+int64_values = st.one_of(st.integers(0, 9), st.integers(0, 2**32 + 9), st.integers(0, 2**63 - 1))
+rating_values = st.one_of(
+    st.sampled_from([np.nan, -np.nan, -0.0, 0.0, 0.5, 3.5, 4.5, 5.0, 1e-07, 1e21, np.inf, -np.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0, 1, 7, 8, 9, 17]), st.data())
+def test_saved_bytes_equal_the_per_value_formatter(n, data):
+    # eight-row chunks: 7, 9 and 17 rows end inside, just past and two chunks past one
+    users, items, times = (np.array(data.draw(st.lists(int64_values, min_size=n, max_size=n)), dtype=np.int64)
+                           for _ in range(3))
+    ratings = np.array(data.draw(st.lists(rating_values, min_size=n, max_size=n)), dtype=np.float64)
+    # built directly: build would sort by time and check ids against the counts
+    log = InteractionLog(users=users, items=items, times=times, ratings=ratings,
+                         n_users=int(users.max(initial=0)) + 1, n_items=int(items.max(initial=0)) + 1)
+    want = reference_text(users.tolist(), items.tolist(), ratings.tolist(), times.tolist()).encode("ascii")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dataset, "_WRITE_ROWS", 8):
+        path = Path(tmp) / "log.tsv"
+        save_interactions(log, path)
+        assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("column, name", [("users", "user id"), ("items", "item id"), ("times", "time")])
+def test_a_negative_id_or_time_is_refused_before_any_file_is_made(tmp_path, column, name):
+    cols = {"users": np.array([0, 1, 2]), "items": np.array([1, 0, 1]), "times": np.array([10, 20, 30])}
+    cols[column] = np.array([3, -5, 4])
+    log = InteractionLog(**cols, ratings=np.array([4.0, np.nan, 3.5]), n_users=5, n_items=5)
+    path = tmp_path / "out" / "log.tsv"
+    with pytest.raises(ValueError, match=f"negative {name}: -5"):
+        save_interactions(log, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_sorts_stably_on_equal_times():
     log = InteractionLog.build(users=[3, 1, 2], items=[0, 0, 0], times=[5, 5, 5], n_users=4, n_items=1)
     assert log.users.tolist() == [3, 1, 2]

@@ -431,6 +431,51 @@ def test_draw_equals_the_loop_across_chunks(config):
     assert_same_draws(fast, loop)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(n_users=300, n_items=40, embed_dim=4, quality_scale=0.5, beta_scale=1.5, tau=1e4,
+                    horizon=5_000_000, n_events=9000, emb_std=0.1, seed=3),
+        SynthConfig(n_users=200, n_items=2000, n_events=5000, quality_scale=0.2, seed=7),
+    ],
+    ids=["strong-conformity", "fallback-heavy"],
+)
+def test_the_loop_looks_up_proposals_only_for_events_still_open(monkeypatch, config):
+    # every chunk runs in the loop; an event's proposal of round r is looked
+    # up only if none of its earlier proposals is kept at the chunk-start
+    # state by over _MARGIN, which clicks within the chunk only raise
+    monkeypatch.setattr(ThinningSampler, "_settle", lambda self, rounds, times, items, offset: 0)
+    looked = {}
+    propose = synthgen._Rounds.propose
+
+    def recording(self, cells):
+        looked.setdefault(self, []).append(cells.copy())
+        return propose(self, cells)
+
+    monkeypatch.setattr(synthgen._Rounds, "propose", recording)
+    rng = np.random.default_rng(config.seed)
+    truth = sample_truth(config, rng)
+    times = np.sort(rng.integers(0, config.horizon, config.n_events))
+    users = rng.integers(0, config.n_users, config.n_events)
+    fast, loop = both_draws(truth, config.tau, users, times, rng.random(config.n_events), seed=config.seed)
+    assert_same_draws(fast, loop)
+
+    n_looked = from_first_need = 0
+    for chunk, (rounds, calls) in enumerate(looked.items()):
+        chunk_times = times[chunk * synthgen.CHUNK:][:rounds.size]
+        cells = np.concatenate(calls)
+        r, ev = np.divmod(cells, rounds.size)
+        for earlier in range(r.max()):
+            later = r > earlier
+            cell = earlier * rounds.size + ev[later]
+            floor = rounds.acceptance0(rounds.proposals[cell], chunk_times[ev[later]])
+            assert (rounds.accepts[cell] >= floor - synthgen._MARGIN).all()
+        n_looked += cells.size
+        # the cells of looking up every event from a round's first need to the chunk's end
+        from_first_need += sum(rounds.size - ev[r == k].min() for k in np.unique(r))
+    assert n_looked < 0.5 * from_first_need, (n_looked, from_first_need)
+
+
 def test_a_give_up_sends_the_next_chunks_to_the_loop_with_backoff(monkeypatch):
     # with no passes allowed, a chunk that needs one gives up; the next chunk
     # it tries comes after one, two, four... skipped chunks, until one settles
