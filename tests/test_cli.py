@@ -764,6 +764,21 @@ def test_commands_import_scipy_only_where_they_call_it(pipeline, tmp_path):
     assert all((out / name).is_dir() for name, _, _ in stages)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", [None, "synth", "prepare", "train", "evaluate", "analyze", "grid"])
+def test_help_text_is_unchanged(monkeypatch, capsys, command):
+    # the flags, their order, metavars, choices and help, as `tide [command] --help`
+    # prints them 80 columns wide; tests/golden holds the expected text
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    name = f"tide-{command}.txt" if command else "tide.txt"
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
 def test_module_is_runnable_as_script():
     proc = subprocess.run(
         [sys.executable, "-m", "tide.cli", "--help"],
