@@ -18,47 +18,55 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bias_analysis, baselines, dataset, evaluation, synthgen, trainer
-from .dataset import atomic_write_text, write_json
+from .dataset import NUMBER, OBJECT, PATH, Kind, Setting, atomic_write_text, check_settings, one_of, write_json
 from .model import MATCHING_ONLY, ConformityIndex, InferenceMode, load_checkpoint, parse_mode, save_checkpoint
 
 SCHEMA_VERSION = 1
 
-TRAIN_DEFAULTS = {"data": None, **asdict(trainer.TrainConfig())}
+# a list of modes is as good as its comma list
+MODES = Kind("a string or a list of strings", (str, list), str)
 
-EVALUATE_DEFAULTS = {
-    "data": None,
-    "checkpoint": None,
-    "modes": None,
-    "k_click": 20,
-    "k_pref": 3,
-    "on": "test",
-    "gamma": None,
-    "per_user": False,
+# each command's settings, in the order its flags are listed; TrainConfig and
+# SynthConfig declare theirs on their fields
+SETTINGS = {
+    "synth": synthgen.SYNTH_SETTINGS,
+    "prepare": (
+        Setting("data", None, "--data", PATH, help="raw interaction file"),
+        Setting("core_n", 5, "--core-n", ge=1),
+        Setting("parts", 10, "--parts", ge=2),
+        Setting("split_seed", 0, ge=0),
+        Setting("delimiter", "\t"),
+    ),
+    "train": (Setting("data", None, "--data", PATH, help="prepared split directory"), *trainer.TRAIN_SETTINGS),
+    "evaluate": (
+        Setting("data", None, "--data", PATH, help="prepared split directory"),
+        Setting("checkpoint", None, "--checkpoint", PATH, help="checkpoint.npz or its run directory"),
+        Setting("modes", None, "--modes", MODES, help="comma list: full,int,e,noq,noc,fixq:<v>"),
+        Setting("k_click", 20, "--k", ge=1, help="click-task cutoff"),
+        Setting("k_pref", 3, "--k-pref", ge=1, help="preference-task cutoff"),
+        Setting("on", "test", "--on", one_of("test", "validation")),
+        Setting("gamma", None, "--gamma", NUMBER),
+        Setting("per_user", False, "--per-user"),
+    ),
+    "analyze": (
+        Setting("data", None, "--data", PATH, help="raw file, split dir, or synth run dir"),
+        Setting("checkpoint", None, "--checkpoint", PATH),
+        Setting("t_o", bias_analysis.HALF_YEAR_SECONDS, "--t-o", gt=0, help="instant-popularity window seconds"),
+        Setting("weekly", False, "--weekly"),
+        Setting("n_buckets", 30, "--n-buckets", ge=1),
+        Setting("p_threshold", 0.2, "--p-threshold", ge=0, le=1),
+        Setting("min_ratings", 3, "--min-ratings", ge=3),  # a p-value needs 3 points
+    ),
 }
-
-ANALYZE_DEFAULTS = {
-    "data": None,
-    "checkpoint": None,
-    "t_o": bias_analysis.HALF_YEAR_SECONDS,
-    "weekly": False,
-    "n_buckets": 30,
-    "p_threshold": 0.2,
-    "min_ratings": 3,
-}
-
-PREPARE_DEFAULTS = {
-    "data": None,
-    "core_n": 5,
-    "parts": 10,
-    "split_seed": 0,
-    "delimiter": "\t",
-}
+SETTINGS["grid"] = (*SETTINGS["train"], Setting("grid", {}))
+# grid's process count is no config key: it does not change what a point computes
+THREADS = Setting("threads", 1, ge=1)
 
 
 def run_id(config: dict) -> str:
@@ -66,51 +74,34 @@ def run_id(config: dict) -> str:
     return hashlib.sha1(canonical.encode()).hexdigest()[:12]
 
 
-# what a config-file or grid value may be: the JSON types it may take and
-# their name, by the type of the setting's default, or by key where that is null
-_KINDS = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    dict: ((dict,), "an object"),
-    "data": ((str,), "a path string"),
-    "checkpoint": ((str,), "a path string"),
-    "gamma": ((int, float), "a number"),
-    "modes": ((str, list), "a string or a list of strings"),
-}
-EVALUATE_ON = ("test", "validation")
+def _read_object(path, key: str, source: str) -> dict:
+    """The JSON object a config or grid file holds, refused by name when the file holds anything else."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} {path} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be {OBJECT.name}, got {value!r} from {source} {path}")
+    return value
 
 
-def _check_value(key: str, value, default, source: str) -> None:
-    """Reject a value of another kind than the setting's default, naming the key, the value and its source."""
-    if value is None and default is None:
-        return
-    kinds, kind = _KINDS[key if default is None else type(default)]
-    ok = isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
-    if key == "on":
-        kind, ok = f"one of {list(EVALUATE_ON)}", value in EVALUATE_ON
-    # a list (of modes) is as good as its comma list when each entry is a string
-    if not ok or isinstance(value, list) and not all(isinstance(m, str) for m in value):
-        raise ValueError(f"{key} must be {kind}, got {value!r} from {source}")
-
-
-def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
+def resolve_config(args: argparse.Namespace, settings) -> dict:
     """defaults <- config file <- explicit flags; unknown file keys rejected.
 
-    A flag sets the key named by its argparse dest: each key of ``defaults`` reads ``args.<key>``.
-    A file value must be of its default's kind (``_check_value``).
+    A flag sets the key named by its argparse dest: each setting's key reads ``args.<key>``.
+    A file value must be of its setting's kind, and every resolved value within its bound.
     """
-    config = dict(defaults)
+    declared = {s.key: s for s in settings}
+    config = {key: s.default for key, s in declared.items()}
     if getattr(args, "config", None):
-        loaded = json.loads(Path(args.config).read_text())
-        unknown = set(loaded) - set(defaults)
+        loaded = _read_object(args.config, "config", "the config file")
+        unknown = set(loaded) - set(declared)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in loaded.items():
-            _check_value(key, value, defaults[key], "the config file")
+            declared[key].check_kind(value, "the config file")
         config.update(loaded)
-    for key in defaults:
+    for key in config:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
@@ -118,14 +109,8 @@ def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         if config["data"] is None:
             raise ValueError("missing required option: data")
         config["data"] = str(config["data"])
+    check_settings(settings, config)
     return config
-
-
-def _check_at_least(config: dict, **minimums) -> None:
-    """Reject a config value below its minimum, naming the key and the value."""
-    for key, lo in minimums.items():
-        if config[key] < lo:
-            raise ValueError(f"{key} must be >= {lo}, got {config[key]}")
 
 
 def make_run_dir(outdir, config: dict) -> Path:
@@ -173,9 +158,8 @@ def _concat_logs(*logs: dataset.InteractionLog) -> dataset.InteractionLog:
 
 
 def cmd_synth(args) -> int:
-    config = resolve_config(args, asdict(synthgen.SynthConfig()))
+    config = resolve_config(args, SETTINGS["synth"])
     synth_cfg = synthgen.SynthConfig(**config)
-    synth_cfg.validate()
     run_dir = make_run_dir(args.outdir, config)
     log, truth = synthgen.generate(synth_cfg)
     synthgen.save_synth(log, truth, synth_cfg, run_dir)
@@ -184,8 +168,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    config = resolve_config(args, PREPARE_DEFAULTS)
-    _check_at_least(config, core_n=1, split_seed=0)
+    config = resolve_config(args, SETTINGS["prepare"])
     log = dataset.load_interactions(config["data"], config["delimiter"])
     if config["core_n"] > 1:
         log = dataset.n_core_filter(log, config["core_n"])
@@ -230,7 +213,7 @@ def run_training(config: dict, outdir) -> dict:
 
 
 def cmd_train(args) -> int:
-    summary = run_training(resolve_config(args, TRAIN_DEFAULTS), args.outdir)
+    summary = run_training(resolve_config(args, SETTINGS["train"]), args.outdir)
     shown = _shown(summary["val_cp_rec"])
     print(f"train: best val CP-Rec = {shown} at epoch {summary['best_epoch']} -> {summary['run_dir']}")
     return 0
@@ -244,8 +227,7 @@ def _parse_eval_mode(method: str, mode_text: str) -> InferenceMode:
 
 
 def cmd_evaluate(args) -> int:
-    config = resolve_config(args, EVALUATE_DEFAULTS)
-    _check_at_least(config, k_click=1, k_pref=1)
+    config = resolve_config(args, SETTINGS["evaluate"])
     if not config["checkpoint"]:
         raise ValueError("missing required option: checkpoint")
     ckpt_path = _checkpoint_file(config["checkpoint"])
@@ -333,12 +315,7 @@ def write_history(history: list[dict], path: Path) -> None:
 
 
 def cmd_analyze(args) -> int:
-    config = resolve_config(args, ANALYZE_DEFAULTS)
-    if config["t_o"] <= 0:
-        raise ValueError(f"t_o must be positive, got {config['t_o']}")
-    if not 0.0 <= config["p_threshold"] <= 1.0:
-        raise ValueError(f"p_threshold must be in [0, 1], got {config['p_threshold']}")
-    _check_at_least(config, n_buckets=1, min_ratings=3)  # a p-value needs 3 points
+    config = resolve_config(args, SETTINGS["analyze"])
     model = None
     if config["checkpoint"]:
         config["checkpoint"] = str(_checkpoint_file(config["checkpoint"]))
@@ -406,13 +383,12 @@ def _grid_worker(job: tuple) -> dict:
 
 
 def cmd_grid(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
-    config = resolve_config(args, {**TRAIN_DEFAULTS, "grid": {}})
+    THREADS.check(args.threads)
+    config = resolve_config(args, SETTINGS["grid"])
     if args.grid_file:
-        config["grid"] = json.loads(Path(args.grid_file).read_text())
-        _check_value("grid", config["grid"], {}, "the grid file")
-    unknown = set(config["grid"]) - set(TRAIN_DEFAULTS)
+        config["grid"] = _read_object(args.grid_file, "grid", "the grid file")
+    declared = {s.key: s for s in SETTINGS["train"]}
+    unknown = set(config["grid"]) - set(declared)
     if unknown:
         raise ValueError(f"grid varies unknown parameters: {sorted(unknown)}")
     points = _grid_points(config["grid"])
@@ -421,7 +397,7 @@ def cmd_grid(args) -> int:
     base = {k: v for k, v in config.items() if k != "grid"}
     for point in points:
         for key, value in point.items():
-            _check_value(key, value, TRAIN_DEFAULTS[key], "the grid")
+            declared[key].check_kind(value, "the grid")
         _train_config({**base, **point})
     run_dir = make_run_dir(args.outdir, config)
     jobs = [({**base, **point}, str(run_dir)) for point in points]
@@ -456,78 +432,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_key="seed"):
+    def command(name, func, help, seed_key="seed"):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", type=Path, help="JSON config file; explicit flags override it")
         p.add_argument("--outdir", type=Path, default=Path("runs"), help="artifact root directory")
         if seed_key:  # evaluate and analyze draw no random numbers, so they take no seed
             p.add_argument("--seed", dest=seed_key, metavar="SEED", type=int, default=None)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic log with planted parameters")
-    common(p)
-    p.add_argument("--n-events", dest="n_events", type=int, default=None)
-    p.set_defaults(func=cmd_synth)
+    def flags(p, name, *keys):
+        """The declared flags of command ``name``'s settings: those of ``keys``, in that order, or all."""
+        declared = {s.key: s for s in SETTINGS[name]}
+        for s in map(declared.get, keys) if keys else declared.values():
+            if s.flag is None:
+                continue
+            if s.kind.parse is None:  # a switch
+                how = {"action": "store_const", "const": True}
+            else:
+                how = {"type": s.kind.parse, "choices": s.choices or s.kind.values}
+            p.add_argument(s.flag, dest=s.key, default=None, help=s.help, **how)
 
-    p = sub.add_parser("prepare", help="filter and chronologically split a raw log")
-    common(p, seed_key="split_seed")
-    p.add_argument("--data", type=Path, default=None, help="raw interaction file")
-    p.add_argument("--core-n", dest="core_n", type=int, default=None)
-    p.add_argument("--parts", type=int, default=None)
-    p.set_defaults(func=cmd_prepare)
-
-    p = sub.add_parser("train", help="fit a method on a prepared split")
-    common(p)
-    p.add_argument("--data", type=Path, default=None, help="prepared split directory")
-    p.add_argument("--method", choices=trainer.METHODS, default=None)
-    p.add_argument("--ablation", dest="variant", choices=("noq", "noc", "fixq"), default=None)
-    p.add_argument("--fixed-q", dest="fixed_q", type=float, default=None)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
-    p.add_argument("--lr-emb", dest="lr_emb", type=float, default=None)
-    p.add_argument("--lr-qb", dest="lr_qb", type=float, default=None)
-    p.add_argument("--weight-decay", dest="weight_decay_emb", type=float, default=None)
-    p.add_argument("--init-qb", dest="init_qb", type=float, default=None)
-    p.add_argument("--init-std", dest="init_std", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--patience", dest="early_stop_patience", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--ips-cap", dest="ips_cap", type=float, default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="run both ranking tasks on a checkpoint")
-    common(p, seed_key=None)
-    p.add_argument("--data", type=Path, default=None, help="prepared split directory")
-    p.add_argument("--checkpoint", type=Path, default=None, help="checkpoint.npz or its run directory")
-    p.add_argument("--modes", type=str, default=None, help="comma list: full,int,e,noq,noc,fixq:<v>")
-    p.add_argument("--k", dest="k_click", type=int, default=None, help="click-task cutoff")
-    p.add_argument("--k-pref", dest="k_pref", type=int, default=None, help="preference-task cutoff")
-    p.add_argument("--on", choices=EVALUATE_ON, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--per-user", dest="per_user", action="store_const", const=True, default=None)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("analyze", help="popularity/rating diagnostics over a log")
-    common(p, seed_key=None)
-    p.add_argument("--data", type=Path, default=None, help="raw file, split dir, or synth run dir")
-    p.add_argument("--checkpoint", type=Path, default=None)
-    p.add_argument("--t-o", dest="t_o", type=int, default=None, help="instant-popularity window seconds")
-    p.add_argument("--weekly", action="store_const", const=True, default=None)
-    p.add_argument("--n-buckets", dest="n_buckets", type=int, default=None)
-    p.add_argument("--p-threshold", dest="p_threshold", type=float, default=None)
-    p.add_argument("--min-ratings", dest="min_ratings", type=int, default=None)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("grid", help="cartesian hyperparameter search, parallel across processes")
-    common(p)
-    p.add_argument("--data", type=Path, default=None, help="prepared split directory")
-    p.add_argument("--method", choices=trainer.METHODS, default=None)
+    flags(command("synth", cmd_synth, "generate a synthetic log with planted parameters"), "synth")
+    flags(command("prepare", cmd_prepare, "filter and chronologically split a raw log", "split_seed"), "prepare")
+    flags(command("train", cmd_train, "fit a method on a prepared split"), "train")
+    flags(command("evaluate", cmd_evaluate, "run both ranking tasks on a checkpoint", None), "evaluate")
+    flags(command("analyze", cmd_analyze, "popularity/rating diagnostics over a log", None), "analyze")
+    p = command("grid", cmd_grid, "cartesian hyperparameter search, parallel across processes")
+    flags(p, "grid", "data", "method")
     p.add_argument("--grid", dest="grid_file", metavar="GRID", type=Path, default=None,
                    help="JSON file of {param: [values]}")
-    p.add_argument("--threads", type=int, default=1, help="parallel training processes")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
-    p.add_argument("--patience", dest="early_stop_patience", type=int, default=None)
-    p.set_defaults(func=cmd_grid)
+    p.add_argument("--threads", type=int, default=THREADS.default, help="parallel training processes")
+    flags(p, "grid", "epochs", "embed_dim", "early_stop_patience")
     return parser
 
 

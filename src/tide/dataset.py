@@ -12,8 +12,9 @@ import math
 import os
 import tempfile
 import warnings
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -462,6 +463,10 @@ def part_assignments(times: np.ndarray, t_min: int, t_max: int, parts: int) -> n
     return np.minimum(idx, parts - 1)
 
 
+# the most empty part indices one warning lists
+_SHOWN_PARTS = 10
+
+
 def chrono_split(log: InteractionLog, parts: int = 10, split_seed: int = 0) -> ChronoSplit:
     """Split chronologically into uniform time parts; first ``parts - 1`` train.
 
@@ -471,7 +476,7 @@ def chrono_split(log: InteractionLog, parts: int = 10, split_seed: int = 0) -> C
     any training record.
     """
     if parts < 2:
-        raise ValueError("parts must be >= 2")
+        raise ValueError(f"parts must be >= 2, got {parts}")
     if not len(log):
         raise ValueError("cannot split an empty log")
     t_min, t_max = log.t_min, log.t_max
@@ -481,8 +486,10 @@ def chrono_split(log: InteractionLog, parts: int = 10, split_seed: int = 0) -> C
     boundaries = [t_min + span * k / parts for k in range(parts + 1)]
     part_idx = part_assignments(log.times, t_min, t_max, parts)
     counts = np.bincount(part_idx, minlength=parts)
-    empty = [k for k in range(parts) if counts[k] == 0]
-    if empty:
+    empty = np.flatnonzero(counts == 0).tolist()
+    if len(empty) > _SHOWN_PARTS:
+        warnings.warn(f"empty time parts: {len(empty)} of {parts}, the first {empty[:_SHOWN_PARTS]}")
+    elif empty:
         warnings.warn(f"empty time parts: {empty}")
     train = log.subset(part_idx < parts - 1)
     last = log.subset(part_idx == parts - 1)
@@ -579,3 +586,93 @@ def load_split(indir) -> ChronoSplit:
         parts=int(manifest["parts"]),
         split_seed=int(manifest["seed"]),
     )
+
+
+# ---------------------------------------------------------------- settings
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A setting's kind: its name in a message, its JSON types, its flag's argparse type, and any fixed values."""
+
+    name: str
+    types: tuple
+    parse: Callable | None = None  # None: the flag is a switch
+    values: tuple | None = None
+
+    def accepts(self, value) -> bool:
+        if self.values is not None:
+            return value in self.values
+        # a bool is an int to isinstance: only a true/false kind takes one
+        ok = isinstance(value, self.types) and (bool in self.types or not isinstance(value, bool))
+        # a list (of modes) is as good as its comma list when each entry is a string
+        return ok and not (isinstance(value, list) and not all(isinstance(m, str) for m in value))
+
+
+SWITCH = Kind("true or false", (bool,))
+INTEGER = Kind("an integer", (int,), int)
+NUMBER = Kind("a number", (int, float), float)
+STRING = Kind("a string", (str,), str)
+OBJECT = Kind("an object", (dict,))
+PATH = Kind("a path string", (str,), Path)
+
+
+def one_of(*values: str) -> Kind:
+    return Kind(f"one of {list(values)}", (str,), str, values)
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One setting, declared once: its flag, its config-file check and its range check all read it.
+
+    ``kind`` defaults to that of the default's type; ``gt``, ``ge`` and ``le`` bound the value.
+    ``choices`` limit the flag only: a method or variant name is checked by a rule of its own.
+    """
+
+    key: str
+    default: object = None
+    flag: str | None = None
+    kind: Kind | None = None
+    gt: float | None = None
+    ge: float | None = None
+    le: float | None = None
+    choices: tuple | None = None
+    help: str | None = None
+
+    def __post_init__(self):
+        if self.kind is None:
+            kinds = {bool: SWITCH, int: INTEGER, float: NUMBER, str: STRING, dict: OBJECT}
+            object.__setattr__(self, "kind", kinds[type(self.default)])
+
+    def check_kind(self, value, source: str) -> None:
+        """Refuse a config-file or grid value of another kind, naming the key, the value and its source."""
+        if not (value is None and self.default is None or self.kind.accepts(value)):
+            raise ValueError(f"{self.key} must be {self.kind.name}, got {value!r} from {source}")
+
+    def check(self, value) -> None:
+        """Refuse a non-finite float, or a value past the bound, in one wording per bound."""
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{self.key} must be finite, got {value}")
+        if self.le is not None and not self.ge <= value <= self.le:
+            bound = f"in [{self.ge}, {self.le}]"
+        elif self.gt is not None and value <= self.gt:
+            bound = "positive" if self.gt == 0 else f"> {self.gt}"
+        elif self.ge is not None and value < self.ge:
+            bound = "nonnegative" if self.ge == 0 else f">= {self.ge}"
+        else:
+            return
+        raise ValueError(f"{self.key} must be {bound}, got {value}")
+
+
+def setting(default, flag: str | None = None, **declared):
+    """A dataclass field declared as the ``Setting`` of the field's name; ``settings`` reads them back."""
+    return field(default=default, metadata={"setting": {"flag": flag, **declared}})
+
+
+def settings(cls) -> tuple[Setting, ...]:
+    return tuple(Setting(f.name, f.default, **f.metadata["setting"]) for f in fields(cls))
+
+
+def check_settings(declared, values) -> None:
+    for s in declared:
+        s.check(values[s.key])

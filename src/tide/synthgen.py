@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import InteractionLog, save_interactions, write_json
+from .dataset import InteractionLog, check_settings, save_interactions, setting, settings, write_json
 from .numerics import TANH_HI, bounded_tanh, softplus
 
 # Events whose proposals are drawn in one vectorized round, and the proposals
@@ -48,31 +48,23 @@ _MAX_PASSES = 12
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_users: int = 1000
-    n_items: int = 300
-    embed_dim: int = 16
-    quality_scale: float = 2.0
-    beta_scale: float = 0.1
-    tau: float = 5e5
-    horizon: int = 20_000_000
-    n_events: int = 100_000
-    rating_noise: float = 0.8
-    emb_std: float = 0.2
-    seed: int = 0
+    n_users: int = setting(1000, ge=1)
+    n_items: int = setting(300, ge=1)
+    embed_dim: int = setting(16, ge=1)
+    quality_scale: float = setting(2.0, ge=0)
+    beta_scale: float = setting(0.1, ge=0)
+    tau: float = setting(5e5, gt=0)
+    horizon: int = setting(20_000_000, gt=0)
+    n_events: int = setting(100_000, "--n-events", ge=1)
+    rating_noise: float = setting(0.8, ge=0)
+    emb_std: float = setting(0.2, ge=0)
+    seed: int = setting(0, ge=0)
 
     def validate(self) -> None:
-        for key in ("tau", "horizon", "quality_scale", "beta_scale", "rating_noise", "emb_std"):
-            value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
-        if min(self.n_users, self.n_items, self.embed_dim, self.n_events) < 1:
-            raise ValueError("counts must be >= 1")
-        if self.tau <= 0 or self.horizon <= 0:
-            raise ValueError("tau and horizon must be positive")
-        if min(self.quality_scale, self.beta_scale, self.rating_noise, self.emb_std) < 0:
-            raise ValueError("scales must be nonnegative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_settings(SYNTH_SETTINGS, vars(self))
+
+
+SYNTH_SETTINGS = settings(SynthConfig)
 
 
 @dataclass(frozen=True)

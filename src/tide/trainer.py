@@ -19,13 +19,13 @@ import itertools
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .baselines import PopularityTable, check_gamma, ips_instance_weights, pda_coefficient
-from .dataset import ChronoSplit, DensePairSet, PairSet
+from .dataset import ChronoSplit, DensePairSet, PairSet, check_settings, setting, settings
 from .evaluation import ClickTask, rank_tasks
 from .model import (
     FULL,
@@ -72,23 +72,23 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    method: str = "tide"
-    variant: str = "full"        # tide only: full | noq | noc | fixq
-    fixed_q: float = 1.0         # quality value for the fixq variant
-    embed_dim: int = 32
-    lr_emb: float = 1e-2
-    lr_qb: float = 1e-2
-    weight_decay_emb: float = 1e-4
-    init_qb: float = 0.0
-    init_std: float = 0.1
-    batch_size: int = 8192
-    epochs: int = 100
-    seed: int = 0
-    early_stop_patience: int = 10
-    tau: float = 1e7
-    gamma: float = 0.1           # pd/pda popularity exponent
-    ips_cap: float = 30.0        # mf-ips weight cap
-    k_select: int = 20           # validation CP-Rec@K for model selection
+    method: str = setting("tide", "--method", choices=METHODS)
+    variant: str = setting("full", "--ablation", choices=("noq", "noc", "fixq"))  # tide only: full | noq | noc | fixq
+    fixed_q: float = setting(1.0, "--fixed-q")  # quality value for the fixq variant
+    embed_dim: int = setting(32, "--embed-dim", ge=1)
+    lr_emb: float = setting(1e-2, "--lr-emb", gt=0)
+    lr_qb: float = setting(1e-2, "--lr-qb", gt=0)
+    weight_decay_emb: float = setting(1e-4, "--weight-decay", ge=0)
+    init_qb: float = setting(0.0, "--init-qb")
+    init_std: float = setting(0.1, "--init-std", ge=0)
+    batch_size: int = setting(8192, "--batch-size", ge=1)
+    epochs: int = setting(100, "--epochs", ge=0)
+    seed: int = setting(0, ge=0)
+    early_stop_patience: int = setting(10, "--patience", ge=0)
+    tau: float = setting(1e7, "--tau", gt=0)
+    gamma: float = setting(0.1, "--gamma")  # pd/pda popularity exponent
+    ips_cap: float = setting(30.0, "--ips-cap", gt=0)  # mf-ips weight cap
+    k_select: int = setting(20, ge=1)  # validation CP-Rec@K for model selection
 
     def validate(self) -> None:
         """Reject every value ``fit`` would fail on or silently misuse, naming the key and the value."""
@@ -96,15 +96,7 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.variant not in TIDE_VARIANTS:
             raise ValueError(f"unknown tide variant {self.variant!r}")
-        for key, value in asdict(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
-            if key in ("lr_emb", "lr_qb", "tau", "ips_cap") and value <= 0:
-                raise ValueError(f"{key} must be positive, got {value}")
-            if key in ("weight_decay_emb", "init_std", "epochs", "early_stop_patience", "seed") and value < 0:
-                raise ValueError(f"{key} must be nonnegative, got {value}")
-            if key in ("batch_size", "embed_dim", "k_select") and value < 1:
-                raise ValueError(f"{key} must be >= 1, got {value}")
+        check_settings(TRAIN_SETTINGS, vars(self))
         if self.method == "tide" and self.variant == "fixq" and self.fixed_q <= 0:
             raise ValueError(f"fixed_q must be positive for the fixq variant, got {self.fixed_q}")
         if self.method in ("pd", "pda"):
@@ -128,6 +120,9 @@ class TrainConfig:
     def uses_conformity(self) -> bool:
         mode = self.train_mode()
         return mode is not None and mode.conformity
+
+
+TRAIN_SETTINGS = settings(TrainConfig)
 
 
 @dataclass

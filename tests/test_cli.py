@@ -10,20 +10,22 @@ measures the run itself.
 import argparse
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tide import cli, evaluation
-from tide.dataset import load_split
+from tide.dataset import INTEGER, load_split
 from tide.model import TideModel, load_checkpoint, save_checkpoint
 from tide.synthgen import SynthConfig
+from tide.trainer import TrainConfig
 
 SYNTH_OVERRIDES = {
     "n_users": 60,
@@ -35,14 +37,7 @@ SYNTH_OVERRIDES = {
 
 
 # every command's settings, as its config file may give them
-COMMAND_DEFAULTS = {
-    "synth": asdict(SynthConfig()),
-    "prepare": cli.PREPARE_DEFAULTS,
-    "train": cli.TRAIN_DEFAULTS,
-    "evaluate": cli.EVALUATE_DEFAULTS,
-    "analyze": cli.ANALYZE_DEFAULTS,
-    "grid": {**cli.TRAIN_DEFAULTS, "grid": {}},
-}
+COMMAND_DEFAULTS = {name: {s.key: s.default for s in settings} for name, settings in cli.SETTINGS.items()}
 # per type of a setting's default, a JSON value of another kind; None stands
 # for the four settings whose default is null
 WRONG_KIND = {bool: 1, int: 2.5, float: "0.5", str: 5, dict: [1], type(None): True}
@@ -147,30 +142,30 @@ def test_config_file_values_are_checked_against_their_flags_types(tmp_path):
     parser = cli.build_parser()
     cfg = tmp_path / "config.json"
 
-    def resolve(command, defaults, content):
+    def resolve(command, content):
         cfg.write_text(json.dumps(content))
-        return cli.resolve_config(parser.parse_args([command, "--config", str(cfg)]), defaults)
+        return cli.resolve_config(parser.parse_args([command, "--config", str(cfg)]), cli.SETTINGS[command])
 
     # what a flag could give passes: an int for a float flag, the default of a
     # flag with choices, a list of modes, null where the default is null
-    config = resolve("train", cli.TRAIN_DEFAULTS, {"data": "split", "tau": 30000, "variant": "full", "method": "pd"})
+    config = resolve("train", {"data": "split", "tau": 30000, "variant": "full", "method": "pd"})
     assert (config["tau"], config["variant"], config["method"]) == (30000, "full", "pd")
-    config = resolve("evaluate", cli.EVALUATE_DEFAULTS,
+    config = resolve("evaluate",
                      {"data": "split", "modes": ["full", "int"], "checkpoint": None, "per_user": True,
                       "on": "validation"})
     assert (config["modes"], config["checkpoint"], config["per_user"]) == (["full", "int"], None, True)
 
-    for command, defaults, content, message in [
-        ("evaluate", cli.EVALUATE_DEFAULTS, {"on": "tset"}, "on must be one of ['test', 'validation'], got 'tset'"),
-        ("evaluate", cli.EVALUATE_DEFAULTS, {"per_user": 1}, "per_user must be true or false, got 1"),
-        ("evaluate", cli.EVALUATE_DEFAULTS, {"k_click": 5.0}, "k_click must be an integer, got 5.0"),
-        ("train", cli.TRAIN_DEFAULTS, {"data": 7}, "data must be a path string, got 7"),
-        ("train", cli.TRAIN_DEFAULTS, {"tau": "3e4"}, "tau must be a number, got '3e4'"),
-        ("train", cli.TRAIN_DEFAULTS, {"lr_emb": False}, "lr_emb must be a number, got False"),
-        ("analyze", cli.ANALYZE_DEFAULTS, {"t_o": None}, "t_o must be an integer, got None"),
+    for command, content, message in [
+        ("evaluate", {"on": "tset"}, "on must be one of ['test', 'validation'], got 'tset'"),
+        ("evaluate", {"per_user": 1}, "per_user must be true or false, got 1"),
+        ("evaluate", {"k_click": 5.0}, "k_click must be an integer, got 5.0"),
+        ("train", {"data": 7}, "data must be a path string, got 7"),
+        ("train", {"tau": "3e4"}, "tau must be a number, got '3e4'"),
+        ("train", {"lr_emb": False}, "lr_emb must be a number, got False"),
+        ("analyze", {"t_o": None}, "t_o must be an integer, got None"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message + " from the config file")):
-            resolve(command, defaults, {"data": "split", **content})
+            resolve(command, {"data": "split", **content})
 
 
 @pytest.mark.parametrize("command,key", [(command, key) for command, defaults in COMMAND_DEFAULTS.items()
@@ -188,9 +183,9 @@ def test_every_config_key_refuses_a_value_of_another_kind(tmp_path, capsys, comm
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key", sorted(cli.TRAIN_DEFAULTS))
+@pytest.mark.parametrize("key", sorted(COMMAND_DEFAULTS["train"]))
 def test_every_grid_value_is_checked_before_any_run_directory(tmp_path, capsys, key):
-    default = cli.TRAIN_DEFAULTS[key]
+    default = COMMAND_DEFAULTS["train"][key]
     value = WRONG_KIND[type(default)]
     grid_file = tmp_path / "grid.json"
     grid_file.write_text(json.dumps({key: [default, value]}))
@@ -216,6 +211,20 @@ def test_every_flag_sets_a_key_of_its_command_defaults():
     for name, sub in commands.items():
         dests = {a.dest for a in sub._actions} - not_config
         assert dests <= set(COMMAND_DEFAULTS[name]), (name, sorted(dests - set(COMMAND_DEFAULTS[name])))
+
+
+def test_readme_flag_table_lists_every_renamed_flag():
+    # a flag whose dest is not its own name, as `--k` sets k_click; the README
+    # names `--seed` as `prepare --seed`, since it is renamed there only
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    renamed = {(a.option_strings[0], a.dest) for name, sub in commands.items() for a in sub._actions
+               if a.option_strings and a.dest in COMMAND_DEFAULTS[name]
+               and a.dest != a.option_strings[0].lstrip("-").replace("-", "_")}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme[readme.index("| flag "):].split("\n\n")[0].splitlines()[2:]
+    rows = {tuple(cell.strip().strip("`").split()[-1] for cell in row.strip("|").split("|")) for row in table}
+    assert rows == renamed
 
 
 def test_flag_with_a_renamed_dest_reaches_its_config_key(pipeline, tmp_path):
@@ -498,7 +507,7 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["synth", "--n-events", 0], "counts must be >= 1"),
+    (["synth", "--n-events", 0], "n_events must be >= 1, got 0"),
     (["synth", "--config", "{nonfinite}"], "tau must be finite, got nan"),
     (["prepare", "--data", "nothere.tsv"], "no such interaction file"),
     (["analyze", "--data", "nothere"], "no such interaction file"),
@@ -535,16 +544,25 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
     (["synth", "--seed", -1], "seed must be nonnegative, got -1"),
     (["train", "--data", "{prep}", "--seed", -1], "seed must be nonnegative, got -1"),
     (["grid", "--data", "{prep}", "--seed", -1], "seed must be nonnegative, got -1"),
-    (["prepare", "--data", "{raw}", "--seed", -1], "split_seed must be >= 0, got -1"),
+    (["prepare", "--data", "{raw}", "--seed", -1], "split_seed must be nonnegative, got -1"),
     (["grid", "--data", "{prep}", "--grid", "{grid_list}"], "grid must be an object, got [1] from the grid file"),
     (["train", "--data", "{prep}", "--config", "{method}"], "unknown method 'x'"),
+    (["train", "--data", "{prep}", "--config", "{config_int}"],
+     "config must be an object, got 5 from the config file {config_int}"),
+    (["synth", "--config", "{config_null}"], "config must be an object, got None from the config file {config_null}"),
+    (["prepare", "--data", "{raw}", "--config", "{config_str}"],
+     "config must be an object, got 'abc' from the config file {config_str}"),
+    (["analyze", "--data", "{prep}", "--config", "{config_syntax}"],
+     "the config file {config_syntax} is not valid JSON: Expecting value: line 1 column 9 (char 8)"),
+    (["grid", "--data", "{prep}", "--grid", "{config_syntax}"], "the grid file {config_syntax} is not valid JSON: "),
 ], ids=["synth", "synth-non-finite", "prepare", "analyze-data", "analyze-checkpoint", "evaluate-k", "evaluate-k-pref",
         "analyze-t-o", "analyze-n-buckets", "analyze-min-ratings", "grid-threads", "analyze-catalog",
         "prepare-core-n", "analyze-p-threshold", "train-lr-emb", "train-weight-decay", "train-fixed-q", "train-tau",
         "train-mf-tau", "train-ips-cap", "train-init-std", "analyze-config-t-o-nan", "analyze-config-n-buckets",
         "prepare-config-parts", "train-config-bool-epochs", "grid-grid-epochs", "grid-config-batch-size",
         "train-config-k-select", "synth-config-n-users", "prepare-config-delimiter", "evaluate-config-modes",
-        "synth-seed", "train-seed", "grid-seed", "prepare-seed", "grid-file-list", "train-config-method"])
+        "synth-seed", "train-seed", "grid-seed", "prepare-seed", "grid-file-list", "train-config-method",
+        "config-number", "config-null", "config-string", "config-syntax", "grid-file-syntax"])
 def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv, message):
     config_files = {}
     for name, content in [("nonfinite", {"tau": float("nan")}), ("t_o_nan", {"t_o": float("nan")}),
@@ -553,17 +571,64 @@ def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv
                           ("batch_size_grid", {"batch_size": 512.5, "grid": {"epochs": [1]}}),
                           ("k_select", {"k_select": 2.5}), ("n_users", {"n_users": 20.5}),
                           ("delimiter", {"delimiter": 5}), ("modes", {"modes": [1]}), ("grid_list", [1]),
-                          ("method", {"method": "x"})]:
+                          ("method", {"method": "x"}), ("config_int", 5), ("config_null", None),
+                          ("config_str", "abc"), ("config_syntax", b'{"tau": ')]:
         config_files[name] = tmp_path / f"{name}.json"
-        config_files[name].write_text(json.dumps(content))
+        config_files[name].write_text(content.decode() if isinstance(content, bytes) else json.dumps(content))
     wide = tmp_path / "wide.npz"  # a checkpoint of another catalog
     save_checkpoint(TideModel.init(SYNTH_OVERRIDES["n_users"], 40, dim=2, seed=0), wide)
     raw = pipeline["synth"] / "interactions.tsv"
-    argv = [str(a).format(prep=pipeline["prep"], train=pipeline["train"], wide=wide, raw=raw, **config_files)
-            for a in argv]
-    assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 1
-    assert message in capsys.readouterr().err
+    paths = {"prep": pipeline["prep"], "train": pipeline["train"], "wide": wide, "raw": raw, **config_files}
+    assert run_cli([str(a).format(**paths) for a in argv] + ["--outdir", tmp_path / "out"]) == 1
+    assert message.format(**paths) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def bound_cases():
+    """(command, setting, value) for a value just past each bound of every declared setting."""
+    cases = []
+    for command, setting in [(c, s) for c, settings in cli.SETTINGS.items() for s in settings] + [("grid", cli.THREADS)]:
+        integer = setting.kind is INTEGER
+        if setting.gt is not None:
+            cases.append((command, setting, setting.gt if integer else float(setting.gt)))
+        if setting.ge is not None:
+            cases.append((command, setting, setting.ge - 1 if integer else math.nextafter(setting.ge, -math.inf)))
+        if setting.le is not None:
+            cases.append((command, setting, setting.le + 1 if integer else math.nextafter(setting.le, math.inf)))
+    return cases
+
+
+def bound_words(setting) -> str:
+    """The one wording of each kind of bound."""
+    if setting.le is not None:
+        return f"in [{setting.ge}, {setting.le}]"
+    if setting.gt is not None:
+        return "positive" if setting.gt == 0 else f"> {setting.gt}"
+    return "nonnegative" if setting.ge == 0 else f">= {setting.ge}"
+
+
+@pytest.mark.parametrize("command,setting,value", bound_cases(),
+                         ids=[f"{c}-{s.key}-{v}" for c, s, v in bound_cases()])
+def test_every_bound_refuses_the_value_just_past_it(tmp_path, capsys, command, setting, value):
+    # through the flag where the command has one, else through a config file
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    flags = {a.dest: a.option_strings[0] for a in sub._actions if a.option_strings}
+    argv = [command] + (["--data", tmp_path / "split"] if "data" in COMMAND_DEFAULTS[command] else [])
+    if setting.key in flags:
+        argv.append(f"{flags[setting.key]}={value!r}")  # "=": argparse takes -5e-324 for an option
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({setting.key: value}))
+        argv += ["--config", tmp_path / "config.json"]
+    assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 1
+    message = f"{setting.key} must be {bound_words(setting)}, got {value}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    # a library caller of fit or generate meets the same check
+    config_class = {"train": TrainConfig, "grid": TrainConfig, "synth": SynthConfig}.get(command)
+    if config_class is not None and setting.key in {f.name for f in fields(config_class)}:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_class(**{setting.key: value}).validate()
 
 
 def test_evaluate_gamma_flag_reaches_the_config(pipeline, tmp_path, capsys):

@@ -410,6 +410,24 @@ def test_chrono_split_deterministic_for_fixed_seed():
     assert a.test.times.tolist() == b.test.times.tolist()
 
 
+@pytest.mark.parametrize("parts,shown", [
+    (12, "empty time parts: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+    (13, "empty time parts: 11 of 13, the first [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+    (100_000, "empty time parts: 99998 of 100000, the first [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+])
+def test_chrono_split_lists_at_most_ten_empty_parts(parts, shown):
+    # a click at each end of the time range leaves every part in between empty
+    log = InteractionLog.build([0, 1], [0, 1], [0, 1000], None, 2, 2)
+    with pytest.warns(UserWarning) as caught:
+        chrono_split(log, parts=parts)
+    assert [str(w.message) for w in caught] == [shown]
+
+
+def test_chrono_split_refuses_fewer_than_two_parts():
+    with pytest.raises(ValueError, match=r"^parts must be >= 2, got 1$"):
+        chrono_split(make_random_log(0), parts=1)
+
+
 def test_split_save_load_roundtrip(tmp_path):
     log = make_random_log(5)
     split = chrono_split(log, parts=10, split_seed=0)
