@@ -3,6 +3,9 @@
 All operations are pure: inputs are never mutated and every function returns a
 new log. Backing arrays are marked read-only, so logs can be shared freely
 across threads.
+
+``Setting`` is the one declaration of a setting: the CLI's flags and checks,
+``TrainConfig.validate`` and ``SynthConfig.validate`` all read it.
 """
 
 from __future__ import annotations
@@ -605,7 +608,7 @@ class Kind:
             return value in self.values
         # a bool is an int to isinstance: only a true/false kind takes one
         ok = isinstance(value, self.types) and (bool in self.types or not isinstance(value, bool))
-        # a list (of modes) is as good as its comma list when each entry is a string
+        # a list is taken only as a list of strings
         return ok and not (isinstance(value, list) and not all(isinstance(m, str) for m in value))
 
 
@@ -625,8 +628,8 @@ def one_of(*values: str) -> Kind:
 class Setting:
     """One setting, declared once: its flag, its config-file check and its range check all read it.
 
-    ``kind`` defaults to that of the default's type; ``gt``, ``ge`` and ``le`` bound the value.
-    ``choices`` limit the flag only: a method or variant name is checked by a rule of its own.
+    ``kind`` defaults to that of the default's type. ``gt`` or ``ge`` bounds the value from below,
+    and ``le`` closes a ``ge`` range from above. ``choices`` limit the flag only: a method or variant name is checked by a rule of its own.
     """
 
     key: str

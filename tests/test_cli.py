@@ -47,6 +47,11 @@ def run_cli(argv):
     return cli.main([str(a) for a in argv])
 
 
+def subcommand_parsers() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def only_entry(outdir: Path) -> Path:
     entries = list(Path(outdir).iterdir())
     assert len(entries) == 1
@@ -205,8 +210,7 @@ def test_missing_required_data_option_fails(tmp_path, capsys):
 def test_every_flag_sets_a_key_of_its_command_defaults():
     # a dest that is not a config key would be parsed and then never read
     not_config = {"help", "config", "outdir", "threads", "grid_file"}
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    commands = subcommand_parsers()
     assert set(commands) == set(COMMAND_DEFAULTS)
     for name, sub in commands.items():
         dests = {a.dest for a in sub._actions} - not_config
@@ -216,8 +220,7 @@ def test_every_flag_sets_a_key_of_its_command_defaults():
 def test_readme_flag_table_lists_every_renamed_flag():
     # a flag whose dest is not its own name, as `--k` sets k_click; the README
     # names `--seed` as `prepare --seed`, since it is renamed there only
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    commands = subcommand_parsers()
     renamed = {(a.option_strings[0], a.dest) for name, sub in commands.items() for a in sub._actions
                if a.option_strings and a.dest in COMMAND_DEFAULTS[name]
                and a.dest != a.option_strings[0].lstrip("-").replace("-", "_")}
@@ -587,7 +590,8 @@ def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv
 def bound_cases():
     """(command, setting, value) for a value just past each bound of every declared setting."""
     cases = []
-    for command, setting in [(c, s) for c, settings in cli.SETTINGS.items() for s in settings] + [("grid", cli.THREADS)]:
+    declared = [(command, s) for command, settings in cli.SETTINGS.items() for s in settings]
+    for command, setting in declared + [("grid", cli.THREADS)]:
         integer = setting.kind is INTEGER
         if setting.gt is not None:
             cases.append((command, setting, setting.gt if integer else float(setting.gt)))
@@ -611,9 +615,7 @@ def bound_words(setting) -> str:
                          ids=[f"{c}-{s.key}-{v}" for c, s, v in bound_cases()])
 def test_every_bound_refuses_the_value_just_past_it(tmp_path, capsys, command, setting, value):
     # through the flag where the command has one, else through a config file
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
-    flags = {a.dest: a.option_strings[0] for a in sub._actions if a.option_strings}
+    flags = {a.dest: a.option_strings[0] for a in subcommand_parsers()[command]._actions if a.option_strings}
     argv = [command] + (["--data", tmp_path / "split"] if "data" in COMMAND_DEFAULTS[command] else [])
     if setting.key in flags:
         argv.append(f"{flags[setting.key]}={value!r}")  # "=": argparse takes -5e-324 for an option
