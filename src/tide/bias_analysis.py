@@ -155,7 +155,13 @@ def item_stats(log: InteractionLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return pop, ar, n_rated
 
 
-def _bucketize(values: np.ndarray, avg_rating: np.ndarray, n_buckets: int) -> BucketReport:
+def _bucketize(values: np.ndarray, log: InteractionLog, n_buckets: int) -> BucketReport:
+    """Mean item average-rating per uniform bucket of the per-item ``values``, over items carrying ratings."""
+    _, ar, n_rated = item_stats(log)
+    sel = n_rated > 0
+    if not sel.any():
+        raise ValueError("no rated interactions to bucket")
+    values, avg_rating = values[sel], ar[sel]
     lo = float(values.min())
     hi = float(values.max())
     span = hi - lo
@@ -175,23 +181,15 @@ def _bucketize(values: np.ndarray, avg_rating: np.ndarray, n_buckets: int) -> Bu
 
 def popularity_buckets(log: InteractionLog, n_buckets: int = 30) -> BucketReport:
     """Mean item average-rating per uniform popularity bucket."""
-    pop, ar, n_rated = item_stats(log)
-    sel = n_rated > 0
-    if not sel.any():
-        raise ValueError("no rated interactions to bucket")
-    return _bucketize(pop[sel].astype(np.float64), ar[sel], n_buckets)
+    return _bucketize(np.bincount(log.items, minlength=log.n_items).astype(np.float64), log, n_buckets)
 
 
 def quality_buckets(quality: np.ndarray, log: InteractionLog, n_buckets: int = 30) -> BucketReport:
     """Mean item average-rating per uniform bucket of the per-item quality vector."""
     q = np.asarray(quality, dtype=np.float64)
-    _, ar, n_rated = item_stats(log)
     if q.size != log.n_items:
         raise ValueError("quality vector length does not match item count")
-    sel = n_rated > 0
-    if not sel.any():
-        raise ValueError("no rated interactions to bucket")
-    return _bucketize(q[sel], ar[sel], n_buckets)
+    return _bucketize(q, log, n_buckets)
 
 
 def instant_popularities(log: InteractionLog, t_o: int = HALF_YEAR_SECONDS) -> np.ndarray:

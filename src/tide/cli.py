@@ -3,18 +3,22 @@
 Every command resolves its configuration the same way (defaults, then a JSON
 config file, then explicit flags, flags winning), derives a run id from the
 resolved config's canonical JSON, and writes all artifacts under
-<outdir>/<run-id>/. Reruns with identical config overwrite the same run
-directory with byte-identical files, so any report can be re-derived from the
-config.json sitting next to it.
+<outdir>/<run-id>/. That directory appears only complete (see staged_run), and
+a rerun with identical config replaces it whole with byte-identical files, so
+any report can be re-derived from the config.json sitting next to it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import itertools
 import json
 import os
+import re
+import shutil
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -113,12 +117,25 @@ def resolve_config(args: argparse.Namespace, settings) -> dict:
     return config
 
 
-def make_run_dir(outdir, config: dict) -> Path:
-    rid = run_id(config)
-    run_dir = Path(outdir) / rid
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_json(run_dir / "config.json", config)
-    return run_dir
+@contextlib.contextmanager
+def staged_run(outdir, config: dict):
+    """Yield (staging dir, run dir) for ``<outdir>/<run-id>``; the block writes into the staging dir.
+
+    The staging dir, ``<outdir>/.<run-id>.<pid>.partial/``, starts with config.json. A clean
+    end renames it over any earlier run of the id; a raise removes it, and an earlier run stays.
+    """
+    run_dir = Path(outdir) / run_id(config)
+    stage = run_dir.with_name(f".{run_dir.name}.{os.getpid()}.partial")
+    shutil.rmtree(stage, ignore_errors=True)  # a killed process of the same pid left it
+    stage.mkdir(parents=True)  # not mkdtemp, whose 0700 mode the published run would keep
+    try:
+        write_json(stage / "config.json", config)
+        yield stage, run_dir
+        shutil.rmtree(run_dir, ignore_errors=True)  # a rename onto a non-empty directory fails
+        stage.rename(run_dir)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
 
 
 def _checkpoint_file(path) -> Path:
@@ -160,9 +177,9 @@ def _concat_logs(*logs: dataset.InteractionLog) -> dataset.InteractionLog:
 def cmd_synth(args) -> int:
     config = resolve_config(args, SETTINGS["synth"])
     synth_cfg = synthgen.SynthConfig(**config)
-    run_dir = make_run_dir(args.outdir, config)
     log, truth = synthgen.generate(synth_cfg)
-    synthgen.save_synth(log, truth, synth_cfg, run_dir)
+    with staged_run(args.outdir, config) as (stage, run_dir):
+        synthgen.save_synth(log, truth, synth_cfg, stage)
     print(f"synth: {len(log)} interactions, {log.n_users} users, {log.n_items} items -> {run_dir}")
     return 0
 
@@ -173,8 +190,8 @@ def cmd_prepare(args) -> int:
     if config["core_n"] > 1:
         log = dataset.n_core_filter(log, config["core_n"])
     split = dataset.chrono_split(log, parts=config["parts"], split_seed=config["split_seed"])
-    run_dir = make_run_dir(args.outdir, config)
-    dataset.save_split(split, run_dir)
+    with staged_run(args.outdir, config) as (stage, run_dir):
+        dataset.save_split(split, stage)
     print(
         f"prepare: {len(log)} interactions, {log.n_users} users, {log.n_items} items; "
         f"train/val/test = {len(split.train)}/{len(split.validation)}/{len(split.test)} -> {run_dir}"
@@ -189,33 +206,23 @@ def _train_config(config: dict) -> trainer.TrainConfig:
 
 
 def run_training(config: dict, outdir) -> dict:
-    """Shared by cmd_train and each grid point; returns a run summary.
-
-    The config is validated and the split loaded before the run directory
-    exists, so a rejected run leaves nothing behind.
-    """
+    """Shared by cmd_train and each grid point; returns a run summary and its config."""
     cfg = _train_config(config)
     split = dataset.load_split(Path(config["data"]))
-    run_dir = make_run_dir(outdir, config)
-    result = trainer.fit(split, cfg)
-    write_history(result.history, run_dir / "history.csv")
-    tmp = run_dir / "checkpoint.tmp.npz"
-    save_checkpoint(result.model, tmp, meta={"config": config})
-    os.replace(tmp, run_dir / "checkpoint.npz")
-    summary = {
-        "run_id": run_dir.name,
-        "best_epoch": result.best_epoch,
-        "val_cp_rec": result.best_metric,
-        "epochs_run": len(result.history),
-    }
-    write_json(run_dir / "train_summary.json", summary)
-    return {**summary, "run_dir": str(run_dir)}
+    with staged_run(outdir, config) as (stage, run_dir):
+        result = trainer.fit(split, cfg)
+        write_history(result.history, stage / "history.csv")
+        save_checkpoint(result.model, stage / "checkpoint.npz", meta={"config": config})
+        summary = {"run_id": run_dir.name, "best_epoch": result.best_epoch,
+                   "val_cp_rec": result.best_metric, "epochs_run": len(result.history)}
+        write_json(stage / "train_summary.json", summary)
+    return {**summary, "config": config}
 
 
 def cmd_train(args) -> int:
     summary = run_training(resolve_config(args, SETTINGS["train"]), args.outdir)
     shown = _shown(summary["val_cp_rec"])
-    print(f"train: best val CP-Rec = {shown} at epoch {summary['best_epoch']} -> {summary['run_dir']}")
+    print(f"train: best val CP-Rec = {shown} at epoch {summary['best_epoch']} -> {args.outdir / summary['run_id']}")
     return 0
 
 
@@ -254,8 +261,6 @@ def cmd_evaluate(args) -> int:
     if (model.n_users, model.n_items) != (split.train.n_users, split.train.n_items):
         raise ValueError(f"checkpoint and split disagree on user/item counts: checkpoint has "
                          f"{(model.n_users, model.n_items)}, split has {(split.train.n_users, split.train.n_items)}")
-    run_dir = make_run_dir(args.outdir, config)
-
     eval_log = split.test if config["on"] == "test" else split.validation
     # the serving inputs do not depend on the mode: build each at most once
     index = ConformityIndex.from_log(split.train, model.tau) if any(m.conformity for m in parsed) else None
@@ -282,9 +287,10 @@ def cmd_evaluate(args) -> int:
         reports.append(report)
 
     payload = {"schema_version": SCHEMA_VERSION, "method": method, "on": config["on"], "reports": reports}
-    write_json(run_dir / "eval.json", payload)
     columns = "method mode k_click k_pref cp_rec cp_pre cp_ndcg pp_rec pp_pre n_users_click n_users_pref".split()
-    _write_csv(run_dir / "eval.csv", columns, [[r[c] for c in columns] for r in reports])
+    with staged_run(args.outdir, config) as (stage, run_dir):
+        write_json(stage / "eval.json", payload)
+        _write_csv(stage / "eval.csv", columns, [[r[c] for c in columns] for r in reports])
     for r in reports:
         print(
             f"evaluate[{r['mode']}]: CP-Rec@{r['k_click']}={_shown(r['cp_rec'])} "
@@ -323,44 +329,37 @@ def cmd_analyze(args) -> int:
     log = _load_log(Path(config["data"]))
     if model is not None and model.n_items != log.n_items:
         raise ValueError(f"checkpoint scores {model.n_items} items but the log has {log.n_items}")
-    run_dir = make_run_dir(args.outdir, config)
-    analysis_dir = run_dir / "analysis"
-    analysis_dir.mkdir(exist_ok=True)
-    summary: dict = {"schema_version": SCHEMA_VERSION}
+    with staged_run(args.outdir, config) as (stage, run_dir):
+        analysis_dir = stage / "analysis"
+        summary: dict = {"schema_version": SCHEMA_VERSION}
 
-    buckets = bias_analysis.popularity_buckets(log, n_buckets=config["n_buckets"])
-    _write_bucket_csv(analysis_dir / "popularity_buckets.csv", buckets)
-    centers, means = buckets.occupied()
-    summary["bucket_ar_pop_pearson"] = (
-        bias_analysis.pearson(centers, means) if centers.size >= 2 else None
-    )
+        buckets = bias_analysis.popularity_buckets(log, n_buckets=config["n_buckets"])
+        _write_bucket_csv(analysis_dir / "popularity_buckets.csv", buckets)
+        centers, means = buckets.occupied()
+        summary["bucket_ar_pop_pearson"] = bias_analysis.pearson(centers, means) if centers.size >= 2 else None
 
-    corr = bias_analysis.per_item_rating_instant_pop_corr(
-        log,
-        t_o=config["t_o"],
-        p_threshold=config["p_threshold"],
-        min_ratings=config["min_ratings"],
-        weekly_aggregate=config["weekly"],
-    )
-    corr_columns = (corr.items, corr.n, corr.r, corr.p, corr.retained.astype(int))
-    _write_csv(analysis_dir / "instant_corr.csv", ["item", "n", "r", "p", "retained"],
-               zip(*(c.tolist() for c in corr_columns)))
-    counts, edges = corr.histogram()
-    _write_csv(analysis_dir / "r_histogram.csv", ["bin_lo", "bin_hi", "count"],
-               zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
-    summary["n_corr_items"] = int(corr.items.size)
-    summary["n_retained"] = int(corr.retained.sum())
-    summary["negative_fraction"] = corr.negative_fraction()
+        corr = bias_analysis.per_item_rating_instant_pop_corr(
+            log, t_o=config["t_o"], p_threshold=config["p_threshold"], min_ratings=config["min_ratings"],
+            weekly_aggregate=config["weekly"])
+        corr_columns = (corr.items, corr.n, corr.r, corr.p, corr.retained.astype(int))
+        _write_csv(analysis_dir / "instant_corr.csv", ["item", "n", "r", "p", "retained"],
+                   zip(*(c.tolist() for c in corr_columns)))
+        counts, edges = corr.histogram()
+        _write_csv(analysis_dir / "r_histogram.csv", ["bin_lo", "bin_hi", "count"],
+                   zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
+        summary["n_corr_items"] = int(corr.items.size)
+        summary["n_retained"] = int(corr.retained.sum())
+        summary["negative_fraction"] = corr.negative_fraction()
 
-    if model is not None:
-        qbuckets = bias_analysis.quality_buckets(model.quality, log, n_buckets=config["n_buckets"])
-        _write_bucket_csv(analysis_dir / "quality_buckets.csv", qbuckets)
-        rcc_q, rcc_p = bias_analysis.quality_rating_rcc(model.quality, log)
-        summary["rcc_quality_ar"] = rcc_q
-        summary["rcc_popularity_ar"] = rcc_p
+        if model is not None:
+            qbuckets = bias_analysis.quality_buckets(model.quality, log, n_buckets=config["n_buckets"])
+            _write_bucket_csv(analysis_dir / "quality_buckets.csv", qbuckets)
+            rcc_q, rcc_p = bias_analysis.quality_rating_rcc(model.quality, log)
+            summary["rcc_quality_ar"] = rcc_q
+            summary["rcc_popularity_ar"] = rcc_p
 
-    write_json(analysis_dir / "summary.json", summary)
-    print(f"analyze: {summary.get('n_retained', 0)} items retained -> {analysis_dir}")
+        write_json(analysis_dir / "summary.json", summary)
+    print(f"analyze: {summary.get('n_retained', 0)} items retained -> {run_dir / 'analysis'}")
     return 0
 
 
@@ -376,12 +375,6 @@ def _grid_points(grid: dict) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*values)]
 
 
-def _grid_worker(job: tuple) -> dict:
-    config, outdir = job
-    summary = run_training(config, outdir)
-    return {**summary, "config": config}
-
-
 def cmd_grid(args) -> int:
     THREADS.check(args.threads)
     config = resolve_config(args, SETTINGS["grid"])
@@ -395,27 +388,32 @@ def cmd_grid(args) -> int:
     if not points:
         raise ValueError("empty grid")
     base = {k: v for k, v in config.items() if k != "grid"}
-    for point in points:
+    configs = [{**base, **point} for point in points]
+    ids = [run_id(c) for c in configs]
+    for k, point in enumerate(points):
         for key, value in point.items():
             declared[key].check_kind(value, "the grid")
-        _train_config({**base, **point})
-    run_dir = make_run_dir(args.outdir, config)
-    jobs = [({**base, **point}, str(run_dir)) for point in points]
+        _train_config(configs[k])
+        if ids[k] in ids[:k]:
+            raise ValueError(f"grid repeats the point {json.dumps(point, sort_keys=True)} (run id {ids[k]})")
     # a pool starts all its workers at once, so more workers than points only cost forks
-    workers = min(args.threads, len(jobs))
-    if workers == 1:
-        results = [_grid_worker(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_worker, jobs))
-    ranked = sorted(results, key=lambda s: (np.inf if s["val_cp_rec"] is None else -s["val_cp_rec"], s["run_id"]))
-    leaderboard = [
-        {"rank": k + 1, "run_id": s["run_id"], "val_cp_rec": s["val_cp_rec"],
-         "best_epoch": s["best_epoch"], "config": s["config"]}
-        for k, s in enumerate(ranked)
-    ]
-    write_json(run_dir / "leaderboard.json", leaderboard)
-    write_json(run_dir / "best.json", leaderboard[0])
+    workers = min(args.threads, len(configs))
+    with staged_run(args.outdir, config) as (stage, run_dir):
+        # each point stages inside the grid's staging directory, so a failed point leaves no grid
+        train = functools.partial(run_training, outdir=stage)
+        if workers == 1:
+            results = list(map(train, configs))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(train, configs))
+        ranked = sorted(results, key=lambda s: (np.inf if s["val_cp_rec"] is None else -s["val_cp_rec"], s["run_id"]))
+        leaderboard = [
+            {"rank": k + 1, "run_id": s["run_id"], "val_cp_rec": s["val_cp_rec"],
+             "best_epoch": s["best_epoch"], "config": s["config"]}
+            for k, s in enumerate(ranked)
+        ]
+        write_json(stage / "leaderboard.json", leaderboard)
+        write_json(stage / "best.json", leaderboard[0])
     top = leaderboard[0]
     shown = _shown(top["val_cp_rec"])
     print(f"grid: {len(points)} points, best val CP-Rec = {shown} ({top['run_id']}) -> {run_dir}")
@@ -423,6 +421,11 @@ def cmd_grid(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+
+# what a command's parser takes for a negative number, not an option: argparse's
+# own pattern leaves out the exponent form, so "--init-qb -1e-3" found no value
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help, seed_key="seed"):
         p = sub.add_parser(name, help=help)
+        p._negative_number_matcher = NEGATIVE_NUMBER
         p.set_defaults(func=func)
         p.add_argument("--config", type=Path, help="JSON config file; explicit flags override it")
         p.add_argument("--outdir", type=Path, default=Path("runs"), help="artifact root directory")

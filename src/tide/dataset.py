@@ -547,7 +547,6 @@ _SPLIT_FILES = {"train": "train.tsv", "validation": "validation.tsv", "test": "t
 def save_split(split: ChronoSplit, outdir) -> Path:
     """Persist a split as three TSV partitions plus a JSON manifest."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     for name, fname in _SPLIT_FILES.items():
         save_interactions(getattr(split, name), outdir / fname)
     manifest = {

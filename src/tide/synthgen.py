@@ -610,7 +610,6 @@ class _Rounds:
 def save_synth(log: InteractionLog, truth: SynthTruth, config: SynthConfig, outdir) -> Path:
     """Write interactions.tsv (loader-compatible) plus a JSON truth file."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     save_interactions(log, outdir / "interactions.tsv")
     payload = {
         "true_quality": truth.true_quality.tolist(),

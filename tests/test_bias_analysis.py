@@ -273,6 +273,15 @@ def test_quality_buckets_bin_items_by_the_quality_vector():
         quality_buckets(np.array([1.0]), log)
 
 
+def test_buckets_refuse_a_log_without_ratings_after_the_length_check():
+    unrated = InteractionLog.build([0, 1], [0, 1], [1, 2], [np.nan, np.nan], 2, 2)
+    for bucket in (lambda: popularity_buckets(unrated), lambda: quality_buckets(np.ones(2), unrated)):
+        with pytest.raises(ValueError, match="^no rated interactions to bucket$"):
+            bucket()
+    with pytest.raises(ValueError, match="^quality vector length does not match item count$"):
+        quality_buckets(np.ones(3), unrated)
+
+
 def test_per_item_corr_negative_when_ratings_drop_with_popularity():
     # item 0: ratings fall exactly when the trailing window count rises
     times = [0, 100, 110, 120, 300, 500]

@@ -8,10 +8,13 @@ measures the run itself.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import re
+import signal
+import stat
 import subprocess
 import sys
 import warnings
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tide import cli, evaluation
+from tide import cli, dataset, evaluation, trainer
 from tide.dataset import INTEGER, load_split
 from tide.model import TideModel, load_checkpoint, save_checkpoint
 from tide.synthgen import SynthConfig
@@ -243,6 +246,18 @@ def test_flag_with_a_renamed_dest_reaches_its_config_key(pipeline, tmp_path):
     assert rc == 0
     config = json.loads((only_entry(tmp_path / "eval") / "config.json").read_text())
     assert config["k_click"] == 7
+
+
+def test_a_negative_number_in_exponent_form_is_a_flag_value(pipeline, tmp_path, capsys):
+    for text, value in (("-1e-3", -0.001), ("-.5E+1", -5.0), ("-2.5e0", -2.5)):
+        args = cli.build_parser().parse_args(["train", "--data", "split", "--init-qb", text])
+        assert cli.resolve_config(args, cli.SETTINGS["train"])["init_qb"] == value
+    # the value reaches the variant's own check, not argparse's "expected one argument"
+    rc = run_cli(["train", "--data", pipeline["prep"], "--ablation", "fixq", "--fixed-q", "-1e-3",
+                  "--outdir", tmp_path / "out"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: fixed_q must be positive for the fixq variant, got -0.001\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- synth + prepare
@@ -783,6 +798,17 @@ def test_grid_starts_no_more_workers_than_points(pipeline, tmp_path, monkeypatch
     assert len(json.loads((only_entry(tmp_path / "out") / "leaderboard.json").read_text())) == 2
 
 
+def test_grid_refuses_points_that_share_a_run_id(pipeline, tmp_path, capsys):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps({"lr_qb": [0.01, 0.03, 0.01]}))
+    rc = run_cli(["grid", "--data", pipeline["prep"], "--grid", grid_file, "--outdir", tmp_path / "out"])
+    assert rc == 1
+    base = COMMAND_DEFAULTS["train"] | {"data": str(pipeline["prep"])}
+    rid = cli.run_id(base | {"lr_qb": 0.01})
+    assert capsys.readouterr().err == f'error: grid repeats the point {{"lr_qb": 0.01}} (run id {rid})\n'
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_rejects_unknown_parameter(pipeline, tmp_path, capsys):
     grid_file = tmp_path / "grid.json"
     grid_file.write_text(json.dumps({"momentum": [0.9]}))
@@ -791,6 +817,130 @@ def test_grid_rejects_unknown_parameter(pipeline, tmp_path, capsys):
     ])
     assert rc == 1
     assert "unknown parameters" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- run lifecycle
+
+
+def command_argv(pipeline, tmp_path, command) -> list:
+    """A small successful run of ``command`` over the pipeline fixture's outputs, without --outdir."""
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps({"lr_qb": [0.01, 0.03]}))
+    return {
+        "synth": ["synth", "--config", pipeline["synth_cfg"]],
+        "prepare": pipeline["prepare_args"][:-2],
+        "train": pipeline["train_args"],
+        "evaluate": ["evaluate", "--data", pipeline["prep"], "--checkpoint", pipeline["train"]],
+        "analyze": ["analyze", "--data", pipeline["prep"], "--checkpoint", pipeline["train"]],
+        "grid": ["grid", "--data", pipeline["prep"], "--method", "mf", "--embed-dim", 4, "--epochs", 1,
+                 "--grid", grid_file],
+    }[command]
+
+
+def fail_atomic_write(monkeypatch, after: int) -> list:
+    """Make every atomic artifact write after the first ``after`` raise; returns the paths asked for."""
+    paths, atomic_open = [], dataset.atomic_open
+
+    @contextlib.contextmanager
+    def failing(path):
+        paths.append(path)
+        if len(paths) > after:
+            raise OSError(f"injected failure writing {path.name}")
+        with atomic_open(path) as fh:
+            yield fh
+
+    monkeypatch.setattr(dataset, "atomic_open", failing)
+    return paths
+
+
+def snapshot(root: Path) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("command", ["synth", "prepare", "train", "evaluate", "analyze", "grid"])
+def test_a_failure_after_the_first_artifact_leaves_no_run(pipeline, tmp_path, capsys, monkeypatch, command):
+    paths = fail_atomic_write(monkeypatch, after=1)
+    assert run_cli(command_argv(pipeline, tmp_path, command) + ["--outdir", tmp_path / "out"]) == 1
+    assert paths[0].name == "config.json" and len(paths) == 2
+    assert capsys.readouterr().err == f"error: injected failure writing {paths[1].name}\n"
+    # neither a run directory nor a staging directory: the outdir is empty
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_diverged_training_run_leaves_no_run(pipeline, tmp_path, capsys):
+    # Adam's overflow warning is the error under this suite's RuntimeWarning filter,
+    # "non-finite loss" without it; both end the run with exit 1
+    rc = run_cli(["train", "--data", pipeline["prep"], "--lr-emb", "1e200", "--epochs", 2,
+                  "--outdir", tmp_path / "out"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+KILLED = """
+import os, signal, sys
+from tide import cli, trainer
+
+def fit(split, cfg):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+trainer.fit = fit
+cli.main(sys.argv[1:])
+"""
+
+
+def test_a_killed_run_leaves_only_its_hidden_staging_directory(pipeline, tmp_path):
+    argv = [str(a) for a in pipeline["train_args"] + ["--outdir", tmp_path / "out"]]
+    proc = subprocess.run([sys.executable, "-c", KILLED, *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    staged = only_entry(tmp_path / "out")
+    assert re.fullmatch(rf"\.{pipeline['train'].name}\.\d+\.partial", staged.name)
+    assert [p.name for p in staged.iterdir()] == ["config.json"]
+
+
+def test_a_failed_rerun_leaves_the_earlier_run_byte_identical(pipeline, tmp_path, monkeypatch):
+    # the run id is the config's, not the data's: a rerun over a changed raw file
+    # writes other splits into the same run id, and fails after the first of them
+    raw = tmp_path / "raw.tsv"
+    lines = (pipeline["synth"] / "interactions.tsv").read_text().splitlines(keepends=True)
+    raw.write_text("".join(lines))
+    argv = ["prepare", "--data", raw, "--core-n", 2, "--outdir", tmp_path / "out"]
+    assert run_cli(argv) == 0
+    before = snapshot(tmp_path / "out")
+    raw.write_text("".join(lines[: len(lines) // 2]))
+    fail_atomic_write(monkeypatch, after=2)  # config.json and train.tsv, then validation.tsv fails
+    assert run_cli(argv) == 1
+    assert snapshot(tmp_path / "out") == before
+
+
+def test_a_rerun_replaces_the_run_directory_whole(pipeline, tmp_path):
+    argv = command_argv(pipeline, tmp_path, "synth") + ["--outdir", tmp_path / "out"]
+    assert run_cli(argv) == 0
+    run_dir = only_entry(tmp_path / "out")
+    before = snapshot(run_dir)
+    (run_dir / "stray.txt").write_text("left by hand\n")
+    assert run_cli(argv) == 0
+    assert only_entry(tmp_path / "out") == run_dir
+    assert snapshot(run_dir) == before
+    # the published directory is a plain mkdir's, as mkdtemp's 0700 would not be
+    (tmp_path / "plain").mkdir()
+    assert stat.S_IMODE(run_dir.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+
+
+def test_a_failed_grid_point_leaves_no_grid(pipeline, tmp_path, capsys, monkeypatch):
+    fits, fit = [], trainer.fit
+
+    def second_fails(split, cfg):
+        fits.append(cfg.lr_qb)
+        if len(fits) == 2:
+            raise RuntimeError("injected failure in the second point")
+        return fit(split, cfg)
+
+    monkeypatch.setattr(trainer, "fit", second_fails)
+    assert run_cli(command_argv(pipeline, tmp_path, "grid") + ["--outdir", tmp_path / "out"]) == 1
+    assert fits == [0.01, 0.03]
+    assert capsys.readouterr().err == "error: injected failure in the second point\n"
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # ---------------------------------------------------------------- process surface
