@@ -122,7 +122,9 @@ def staged_run(outdir, config: dict):
     """Yield (staging dir, run dir) for ``<outdir>/<run-id>``; the block writes into the staging dir.
 
     The staging dir, ``<outdir>/.<run-id>.<pid>.partial/``, starts with config.json. A clean
-    end renames it over any earlier run of the id; a raise removes it, and an earlier run stays.
+    end renames any earlier run of the id aside, to ``.<run-id>.<pid>.old``, renames the stage
+    into place (or, failing that, the earlier run back) and only then removes the aside; a
+    raise removes the stage, and an earlier run stays.
     """
     run_dir = Path(outdir) / run_id(config)
     stage = run_dir.with_name(f".{run_dir.name}.{os.getpid()}.partial")
@@ -131,8 +133,19 @@ def staged_run(outdir, config: dict):
     try:
         write_json(stage / "config.json", config)
         yield stage, run_dir
-        shutil.rmtree(run_dir, ignore_errors=True)  # a rename onto a non-empty directory fails
-        stage.rename(run_dir)
+        # a rename onto a non-empty directory fails, so an earlier run steps aside first
+        aside = run_dir.with_name(f".{run_dir.name}.{os.getpid()}.old")
+        shutil.rmtree(aside, ignore_errors=True)  # as the stage, left by a killed process of the same pid
+        earlier = run_dir.exists()
+        if earlier:
+            run_dir.rename(aside)
+        try:
+            stage.rename(run_dir)
+        except OSError:
+            if earlier:
+                aside.rename(run_dir)
+            raise
+        shutil.rmtree(aside, ignore_errors=True)  # a removal that stops partway leaves only a hidden aside
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
         raise
@@ -474,18 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # for this call only, a stage's UserWarning reads as one line, like its
-    # errors; other warnings show as before, and the filters stay as they are
+    # for this call only, every warning a stage shows reads as one line, like
+    # its errors, with no source path; the filters stay as they are
     with warnings.catch_warnings():
-        shown = warnings.showwarning
-
-        def show(message, category, *where):
-            if issubclass(category, UserWarning):
-                print(f"warning: {message}", file=sys.stderr)
-            else:
-                shown(message, category, *where)
-
-        warnings.showwarning = show
+        warnings.showwarning = lambda message, *where: print(f"warning: {message}", file=sys.stderr)
         try:
             return args.func(args)
         except BrokenPipeError:

@@ -12,10 +12,11 @@ of scorers. A scorer maps an array of user ids to one (users, n_items) score
 block per inference mode; users are scored ``BLOCK_ELEMENTS // n_items`` at a
 time, so each user's score rows are computed once and shared by both tasks
 while the working set stays bounded whatever the catalog size. Ranking stays
-exact over the full catalog: the top k come from ``argpartition`` and are
-ordered by (-score, id), and a row whose k-th score ties a score outside the
-selection (or is not finite) falls back to a full (-score, id) sort of its
-candidates.
+exact over the full catalog, and no top-k list is built: the metrics need
+only the ranks of the relevant items. An item's rank is the number of
+candidates that beat it, by a higher score or by an equal score and a lower
+id, with NaN last. A relevant item scoring below its row's k-th score is a
+miss without counting; each other one is counted against its whole row.
 """
 
 from __future__ import annotations
@@ -52,103 +53,65 @@ class RankedList:
 # ------------------------------------------------------------------ ranking
 
 
-def topk_rows(scores: np.ndarray, k: int, excluded: np.ndarray | None = None) -> np.ndarray:
-    """Top-k item ids of every score row, ordered by (-score, id).
-
-    ``excluded`` optionally holds flat indices of the block's cells (row *
-    n_items + item) whose items are never ranked in that row. The result has
-    min(k, n_items) columns; a row with fewer candidates is padded on the
-    right with -1.
-    """
+def rank_topk(scores: np.ndarray, user: int, k: int, exclusions=()) -> RankedList:
+    """Top-k items by score with excluded ids removed; ties go to lower id, and NaN ranks last."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    neg = np.negative(np.asarray(scores, dtype=np.float64))  # ascending neg = descending score
-    n_rows, n_items = neg.shape
-    kk = min(k, n_items)
-    if kk == 0:
-        return np.empty((n_rows, 0), dtype=np.int64)
-    if excluded is not None:
-        neg.reshape(-1)[excluded] = np.inf
-    if kk < n_items:
-        part = np.argpartition(neg, kk - 1, axis=1)[:, :kk]
-    else:
-        part = np.broadcast_to(np.arange(n_items), neg.shape)
-    vals = np.take_along_axis(neg, part, axis=1)
-    order = np.lexsort((part, vals), axis=1)
-    top = np.take_along_axis(part, order, axis=1)
-    kth = np.take_along_axis(vals, order[:, -1:], axis=1)
-    # the selection is the exact top k iff nothing outside it reaches the
-    # k-th score; masked (+inf) and nan entries never pass a finite k-th value
-    exact = np.isfinite(kth[:, 0]) & (np.count_nonzero(neg <= kth, axis=1) == kk)
-    for r in np.flatnonzero(~exact):
-        allowed = np.ones(n_items, dtype=bool)
-        if excluded is not None:
-            allowed[excluded[excluded // n_items == r] % n_items] = False
-        cand = np.flatnonzero(allowed)
-        best = cand[np.lexsort((cand, neg[r, cand]))[:kk]]
-        top[r] = -1
-        top[r, : best.size] = best
-    return top
-
-
-def rank_topk(scores: np.ndarray, user: int, k: int, exclusions=()) -> RankedList:
-    """Top-k items by score with excluded ids removed; ties go to lower id.
-
-    A one-row call into ``topk_rows``, the ranker every evaluation uses.
-    """
     scores = np.asarray(scores, dtype=np.float64)
-    excluded = np.fromiter(exclusions, dtype=np.int64, count=len(exclusions))
-    items = topk_rows(scores[None, :], k, excluded)[0]
-    items = items[items >= 0]
+    items = np.delete(np.arange(scores.size), np.fromiter(exclusions, dtype=np.int64, count=len(exclusions)))
     if items.size == 0:
         raise ValueError("no candidates remain after exclusion")
+    items = items[np.lexsort((items, -scores[items]))[:k]]
     return RankedList(user=int(user), items=items, scores=scores[items])
 
 
 # ------------------------------------------------------------------ metrics
+#
+# Every metric is read from the hits of a block of rows: the row and the
+# 0-based rank (below k) of each relevant item ranked in the top k.
 
 
 def _discounts(k: int) -> list[float]:
     return [1.0 / math.log2(r + 1) for r in range(1, k + 1)]
 
 
-def recall_rows(hits: np.ndarray, n_relevant) -> np.ndarray:
-    """Recall of every row of a (rows, ranks) hit matrix."""
-    return np.count_nonzero(hits, axis=1) / n_relevant
+def recall_rows(row: np.ndarray, n_relevant: np.ndarray) -> np.ndarray:
+    """Recall of every row; ``n_relevant`` holds one count per row."""
+    return np.bincount(row, minlength=n_relevant.size) / n_relevant
 
 
-def precision_rows(hits: np.ndarray, k: int) -> np.ndarray:
+def precision_rows(row: np.ndarray, n_rows: int, k: int) -> np.ndarray:
     """Precision@k of every row; the denominator stays k for short lists."""
-    return np.count_nonzero(hits, axis=1) / k
+    return np.bincount(row, minlength=n_rows) / k
 
 
-def ndcg_rows(hits: np.ndarray, n_relevant, k: int) -> np.ndarray:
+def ndcg_rows(row: np.ndarray, rank: np.ndarray, n_relevant: np.ndarray, k: int) -> np.ndarray:
     """Binary-gain NDCG@k of every row; ideal DCG fills min(k, |relevant|) slots.
 
-    Gains are added rank by rank, so a row's DCG is the same float as the
-    scalar left-to-right sum over its hits.
+    The hits must be sorted by (row, rank): gains are then added rank by rank,
+    so a row's DCG is the same float as the scalar left-to-right sum over its hits.
     """
     disc = _discounts(k)
-    dcg = np.zeros(hits.shape[0])
-    for r in range(min(k, hits.shape[1])):
-        dcg += np.where(hits[:, r], disc[r], 0.0)
+    dcg = np.bincount(row, weights=np.array(disc)[rank], minlength=n_relevant.size)
     ideal = np.array(list(accumulate(disc)))
     return dcg / ideal[np.minimum(k, n_relevant) - 1]
 
 
-def _hit_row(top: RankedList, relevant: set, k: int) -> np.ndarray:
-    return np.isin(top.items[:k], list(relevant))[None, :]
+def _hit_ranks(top: RankedList, relevant: set, k: int) -> np.ndarray:
+    return np.flatnonzero(np.isin(top.items[:k], list(relevant)))
 
 
 def recall_at_k(top: RankedList, relevant, k: int) -> float:
     rel = set(relevant)
     if not rel:
         raise ValueError("recall needs a non-empty relevant set")
-    return float(recall_rows(_hit_row(top, rel, k), len(rel))[0])
+    rank = _hit_ranks(top, rel, k)
+    return float(recall_rows(np.zeros_like(rank), np.array([len(rel)]))[0])
 
 
 def precision_at_k(top: RankedList, relevant, k: int) -> float:
-    return float(precision_rows(_hit_row(top, set(relevant), k), k)[0])
+    rank = _hit_ranks(top, set(relevant), k)
+    return float(precision_rows(np.zeros_like(rank), 1, k)[0])
 
 
 def ndcg_at_k(top: RankedList, relevant, k: int) -> float:
@@ -156,7 +119,8 @@ def ndcg_at_k(top: RankedList, relevant, k: int) -> float:
     rel = set(relevant)
     if not rel:
         raise ValueError("ndcg needs a non-empty relevant set")
-    return float(ndcg_rows(_hit_row(top, rel, k), len(rel), k)[0])
+    rank = _hit_ranks(top, rel, k)
+    return float(ndcg_rows(np.zeros_like(rank), rank, np.array([len(rel)]), k)[0])
 
 
 # ------------------------------------------------------------------ tasks
@@ -174,6 +138,8 @@ class _Task:
     """
 
     def __init__(self, k: int, n_items: int, users: np.ndarray, n_skipped: int, metrics: tuple, counts: dict):
+        if k < 1:
+            raise ValueError("k must be >= 1")
         self.k, self.n_items, self.users, self.n_skipped = k, int(n_items), users, int(n_skipped)
         self.metric_names = metrics
         self.counts = counts
@@ -216,24 +182,44 @@ class ClickTask(_Task):
         super().__init__(k, train.n_items, eval_users[keep], eval_users.size - keep.sum(),
                          ("recall", "precision", "ndcg"), {"n_relevant": n_relevant[keep]})
 
-    def block(self, a: int, b: int) -> np.ndarray:
-        """The block's cells (row * n_items + item) of the users' training items."""
+    def block(self, a: int, b: int) -> tuple:
+        """The block's cells (row * n_items + item) of the users' training items, the candidate mask
+        they leave, and the block rows and items of the users' relevant items."""
         users = self.users[a:b]
-        # the block users' training items: pairs lo[r] .. lo[r] + n[r] - 1 for block row r
-        lo = self.seen.offsets[users]
-        n = self.seen.offsets[users + 1] - lo
-        row = np.repeat(np.arange(users.size), n)
-        pair = np.arange(row.size) + np.repeat(lo - (np.cumsum(n) - n), n)
-        return row * self.n_items + self.seen.items[pair]
+        row, items = _block_pairs(self.seen, users)
+        excluded = row * self.n_items + items
+        allowed = np.ones(users.size * self.n_items, dtype=bool)
+        allowed[excluded] = False
+        return excluded, allowed.reshape(users.size, -1), *_block_pairs(self.relevant, users)
 
-    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict, excluded: np.ndarray) -> None:
-        users = self.users[a:b]
-        top = topk_rows(scores, self.k, excluded)
-        hits = (top >= 0) & self.relevant.contains(users[:, None], top)
+    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict, context: tuple) -> None:
+        excluded, allowed, row, items = context
+        neg = np.negative(scores)  # ascending neg = descending score
+        neg.reshape(-1)[excluded] = np.inf
+        kk = min(self.k, neg.shape[1])
+        kth = np.partition(neg, kk - 1, axis=1)[:, kk - 1]
+        # k allowed candidates beat an item strictly behind the k-th value; a nan compares false and stays
+        value = neg[row, items]
+        near = ~(value > kth[row])
+        row, items, value = row[near], items[near, None], value[near, None]
+        # count each remaining item's rivals, at most BLOCK_ELEMENTS cells at a time
+        ids = np.arange(neg.shape[1])
+        rank = np.empty(row.size, dtype=np.int64)
+        step = max(1, BLOCK_ELEMENTS // neg.shape[1])
+        for lo in range(0, row.size, step):
+            part = slice(lo, lo + step)
+            cand, v, ahead = neg[row[part]], value[part], ids < items[part]
+            beats = (cand < v) | ((cand == v) & ahead)
+            nan = np.isnan(v[:, 0])
+            beats[nan] = ~np.isnan(cand[nan]) | ahead[nan]  # nan ranks last, nans by id
+            rank[part] = np.count_nonzero(beats & allowed[row[part]], axis=1)
+        hit = np.flatnonzero(rank < self.k)
+        hit = hit[np.lexsort((rank[hit], row[hit]))]
+        row, rank = row[hit], rank[hit]
         n_relevant = self.counts["n_relevant"][a:b]
-        metrics["recall"][a:b] = recall_rows(hits, n_relevant)
-        metrics["precision"][a:b] = precision_rows(hits, self.k)
-        metrics["ndcg"][a:b] = ndcg_rows(hits, n_relevant, self.k)
+        metrics["recall"][a:b] = recall_rows(row, n_relevant)
+        metrics["precision"][a:b] = precision_rows(row, b - a, self.k)
+        metrics["ndcg"][a:b] = ndcg_rows(row, rank, n_relevant, self.k)
 
 
 class PreferenceTask(_Task):
@@ -246,8 +232,6 @@ class PreferenceTask(_Task):
     """
 
     def __init__(self, eval_log: InteractionLog, k: int):
-        if k < 1:
-            raise ValueError("k must be >= 1")
         rated = eval_log.subset(~np.isnan(eval_log.ratings))
         latest = rated.pairs.last_row
         users, items = rated.users[latest], rated.items[latest]
@@ -269,16 +253,22 @@ class PreferenceTask(_Task):
         return np.searchsorted(users, self.pair_users[lo:hi]), self.pair_items[lo:hi], self.pair_positive[lo:hi]
 
     def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict, pairs: tuple) -> None:
-        users = self.users[a:b]
         row, items, positive = pairs
         order = np.lexsort((items, -scores[row, items], row))
         row, positive = row[order], positive[order]
         rank = np.arange(row.size) - np.searchsorted(row, row)
-        top = rank < self.k
-        hits = np.zeros((users.size, min(self.k, int(rank.max()) + 1)), dtype=bool)
-        hits[row[top], rank[top]] = positive[top]
-        metrics["recall"][a:b] = recall_rows(hits, self.counts["n_positive"][a:b])
-        metrics["precision"][a:b] = precision_rows(hits, self.k)
+        hit_row = row[positive & (rank < self.k)]
+        metrics["recall"][a:b] = recall_rows(hit_row, self.counts["n_positive"][a:b])
+        metrics["precision"][a:b] = precision_rows(hit_row, b - a, self.k)
+
+
+def _block_pairs(pairs, users: np.ndarray) -> tuple:
+    """The block row and item of every pair of ``users``, by row and then item."""
+    # user r's pairs are lo[r] .. lo[r] + n[r] - 1
+    lo = pairs.offsets[users]
+    n = pairs.offsets[users + 1] - lo
+    row = np.repeat(np.arange(users.size), n)
+    return row, pairs.items[np.arange(row.size) + np.repeat(lo - (np.cumsum(n) - n), n)]
 
 
 def rank_tasks(score_blocks, tasks, collect_per_user: bool = False, n_modes: int = 1) -> list[list[dict]]:

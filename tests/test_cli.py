@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import re
 import signal
 import stat
@@ -877,6 +878,23 @@ def test_a_diverged_training_run_leaves_no_run(pipeline, tmp_path, capsys):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_a_diverging_train_prints_each_warning_as_one_line(pipeline, tmp_path):
+    # a subprocess, which this suite's RuntimeWarning filter does not reach: numpy's
+    # overflow warnings show as they would for a user, each as one line with no path
+    proc = subprocess.run(
+        [sys.executable, "-m", "tide.cli", "train", "--data", str(pipeline["prep"]), "--lr-emb", "1e200",
+         "--epochs", "2", "--outdir", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert lines[0] == "warning: overflow encountered in multiply", proc.stderr
+    assert all(line.startswith("warning: ") for line in lines[:-1]), proc.stderr
+    assert lines[-1] == "error: non-finite loss at adam step 2", proc.stderr
+    assert ".py:" not in proc.stderr and "/" not in proc.stderr
+    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
+
+
 KILLED = """
 import os, signal, sys
 from tide import cli, trainer
@@ -925,6 +943,51 @@ def test_a_rerun_replaces_the_run_directory_whole(pipeline, tmp_path):
     # the published directory is a plain mkdir's, as mkdtemp's 0700 would not be
     (tmp_path / "plain").mkdir()
     assert stat.S_IMODE(run_dir.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+
+
+def test_a_rerun_publishes_whole_when_the_earlier_run_resists_removal(pipeline, tmp_path, monkeypatch):
+    # two prepares of one config over changed raw data: one run id, other bytes
+    raw = tmp_path / "raw.tsv"
+    lines = (pipeline["synth"] / "interactions.tsv").read_text().splitlines(keepends=True)
+    raw.write_text("".join(lines))
+    argv = ["prepare", "--data", raw, "--core-n", 2]
+    assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 0
+    raw.write_text("".join(lines[: len(lines) // 2]))
+    assert run_cli(argv + ["--outdir", tmp_path / "want"]) == 0
+    want = only_entry(tmp_path / "want")
+    unlink = os.unlink
+
+    def resisting(path, *args, **kwargs):
+        if os.path.basename(path) == "train.tsv":
+            raise PermissionError(f"injected failure removing {path}")
+        unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", resisting)
+    assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 0
+    monkeypatch.undo()
+    assert snapshot(tmp_path / "out" / want.name) == snapshot(want)
+    # what the removal left is the earlier run's train.tsv, under the hidden aside
+    aside = tmp_path / "out" / f".{want.name}.{os.getpid()}.old"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted([want.name, aside.name])
+    assert [p.name for p in aside.iterdir()] == ["train.tsv"]
+
+
+def test_a_failed_publish_puts_the_earlier_run_back(pipeline, tmp_path, capsys, monkeypatch):
+    argv = command_argv(pipeline, tmp_path, "synth") + ["--outdir", tmp_path / "out"]
+    assert run_cli(argv) == 0
+    before = snapshot(tmp_path / "out")
+    rename = Path.rename
+
+    def failing(self, target):
+        if self.name.endswith(".partial"):
+            raise OSError("injected failure publishing the stage")
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", failing)
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "error: injected failure publishing the stage\n"
+    assert snapshot(tmp_path / "out") == before
+    assert len(list((tmp_path / "out").iterdir())) == 1
 
 
 def test_a_failed_grid_point_leaves_no_grid(pipeline, tmp_path, capsys, monkeypatch):

@@ -21,7 +21,6 @@ from tide.evaluation import (
     rank_tasks,
     rank_topk,
     recall_at_k,
-    topk_rows,
 )
 
 
@@ -237,6 +236,7 @@ def test_rank_tasks_refuses_tasks_of_two_catalogs():
 # ------------------------------------------- blocked ranker vs brute-force oracles
 
 SCORE_GRID = (-1.0, 0.0, 0.5, 1.0, 2.0)  # coarse, so ties straddle the k-th slot
+EXTREMES = (np.inf, -np.inf, np.nan)
 
 
 def oracle_key(scores, i):
@@ -261,15 +261,19 @@ def score_blocks(draw, values=SCORE_GRID):
 
 
 @settings(max_examples=300, deadline=None)
-@given(score_blocks(values=SCORE_GRID + (np.inf, -np.inf, np.nan)))
-def test_topk_rows_matches_brute_force(case):
+@given(score_blocks(values=SCORE_GRID + EXTREMES))
+def test_rank_topk_matches_brute_force(case):
     scores, excluded, k = case
-    top = topk_rows(scores, k, np.flatnonzero(excluded))
-    assert top.shape == (scores.shape[0], min(k, scores.shape[1]))
     for r in range(scores.shape[0]):
-        want = oracle_topk(scores[r], k, set(np.flatnonzero(excluded[r]).tolist()))
-        got = top[r].tolist()
-        assert got == want + [-1] * (len(got) - len(want))
+        exclusions = np.flatnonzero(excluded[r])
+        want = oracle_topk(scores[r], k, set(exclusions.tolist()))
+        if not want:
+            with pytest.raises(ValueError, match="no candidates"):
+                rank_topk(scores[r], user=r, k=k, exclusions=exclusions)
+            continue
+        top = rank_topk(scores[r], user=r, k=k, exclusions=exclusions)
+        assert top.items.tolist() == want
+        np.testing.assert_array_equal(top.scores, scores[r, want])
 
 
 def oracle_click(scores, train, test, k):
@@ -318,7 +322,7 @@ def oracle_pref(scores, test, k, positive_rating=5.0):
 def eval_instances(draw):
     n_users = draw(st.integers(1, 7))
     n_items = draw(st.integers(1, 7))
-    scores = draw(hnp.arrays(np.float64, (n_users, n_items), elements=st.sampled_from(SCORE_GRID)))
+    scores = draw(hnp.arrays(np.float64, (n_users, n_items), elements=st.sampled_from(SCORE_GRID + EXTREMES)))
     pair = st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1))
     train_pairs = draw(st.lists(pair, max_size=3 * n_users * n_items))
     test_rows = draw(st.lists(
@@ -369,3 +373,20 @@ def test_blocked_tasks_match_per_user_oracles(case):
         assert out["recall"] == np.mean([want_click[u]["recall"] for u in sorted(want_click)])
     else:
         assert out["recall"] is None
+
+
+def test_click_eval_counts_relevant_items_tied_past_k():
+    # user 0 holds five relevant items, all tied with the k-th score: only the two
+    # lowest ids among them fit behind item 1; one pair is counted per slice
+    scores = np.array([[1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [0.0] * 8])
+    train = InteractionLog.build([0, 0, 1], [0, 5, 3], [0, 1, 2], None, 2, 8)
+    test = InteractionLog.build([0, 0, 0, 0, 0, 1], [2, 3, 4, 6, 7, 6], range(6), None, 2, 8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "BLOCK_ELEMENTS", 8)
+        out = click_prediction_eval(fixed_scorer(dict(enumerate(scores))), train, test, k=3, collect_per_user=True)
+    want, skipped = oracle_click(scores, train, test, 3)
+    assert skipped == 0
+    assert_rows_match(out["per_user"], want)
+    row = out["per_user"][0]
+    assert (row["recall"], row["precision"]) == (2 / 5, 2 / 3)
+    assert row["ndcg"] == (1 / math.log2(3) + 1 / math.log2(4)) / (1 + 1 / math.log2(3) + 1 / math.log2(4))
