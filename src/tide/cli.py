@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bias_analysis, baselines, dataset, evaluation, synthgen, trainer
-from .dataset import NUMBER, OBJECT, PATH, Kind, Setting, atomic_write_text, check_settings, one_of, write_json
+from .dataset import NUMBER, PATH, Kind, Setting, atomic_write_text, check_settings, one_of, read_object, write_json
 from .model import MATCHING_ONLY, ConformityIndex, InferenceMode, load_checkpoint, parse_mode, save_checkpoint
 
 SCHEMA_VERSION = 1
@@ -78,17 +78,6 @@ def run_id(config: dict) -> str:
     return hashlib.sha1(canonical.encode()).hexdigest()[:12]
 
 
-def _read_object(path, key: str, source: str) -> dict:
-    """The JSON object a config or grid file holds, refused by name when the file holds anything else."""
-    try:
-        value = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{source} {path} is not valid JSON: {exc}") from None
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be {OBJECT.name}, got {value!r} from {source} {path}")
-    return value
-
-
 def resolve_config(args: argparse.Namespace, settings) -> dict:
     """defaults <- config file <- explicit flags; unknown file keys rejected.
 
@@ -98,7 +87,7 @@ def resolve_config(args: argparse.Namespace, settings) -> dict:
     declared = {s.key: s for s in settings}
     config = {key: s.default for key, s in declared.items()}
     if getattr(args, "config", None):
-        loaded = _read_object(args.config, "config", "the config file")
+        loaded = read_object(args.config, "config", "the config file")
         unknown = set(loaded) - set(declared)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -392,7 +381,7 @@ def cmd_grid(args) -> int:
     THREADS.check(args.threads)
     config = resolve_config(args, SETTINGS["grid"])
     if args.grid_file:
-        config["grid"] = _read_object(args.grid_file, "grid", "the grid file")
+        config["grid"] = read_object(args.grid_file, "grid", "the grid file")
     declared = {s.key: s for s in SETTINGS["train"]}
     unknown = set(config["grid"]) - set(declared)
     if unknown:

@@ -562,14 +562,31 @@ def save_split(split: ChronoSplit, outdir) -> Path:
     return manifest_path
 
 
+def read_object(path, key: str, source: str) -> dict:
+    """The JSON object a file holds, refused by name when the file holds anything else."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} {path} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be {OBJECT.name}, got {value!r} from {source} {path}")
+    return value
+
+
 def load_split(indir) -> ChronoSplit:
-    """Reload a split written by ``save_split``."""
+    """Reload a split written by ``save_split``; a manifest missing a key it writes is refused by name."""
     indir = Path(indir)
-    manifest = json.loads((indir / "manifest.json").read_text())
+    manifest_path = indir / "manifest.json"
+    manifest = read_object(manifest_path, "manifest", "the split manifest")
+    counts = manifest.get("counts")
+    missing = [key for key in ("boundaries", "parts", "seed", "n_users", "n_items", "counts") if key not in manifest]
+    missing += [f"counts.{name}" for name in _SPLIT_FILES if not (isinstance(counts, dict) and name in counts)]
+    if missing:
+        raise DataFormatError(f"{manifest_path} has no {missing[0]!r} key")
     logs = {}
     for name, fname in _SPLIT_FILES.items():
         path = indir / fname
-        expected = manifest["counts"][name]
+        expected = counts[name]
         # an empty partition is an empty file, which _read_rows rejects as input
         rows = _fast_rows(path, raw_ids=False) if path.stat().st_size else np.zeros(0, dtype=_ROW)
         if rows is None:

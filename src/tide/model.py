@@ -18,7 +18,7 @@ quality effect while discarding the herd effect.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -85,7 +85,7 @@ _MODE_ALIASES = {
 
 
 def parse_mode(text: str) -> InferenceMode:
-    """Parse a mode flag: full, int, e, noq, noc, or fixq:<value>."""
+    """Parse a mode flag: full, int, e, noq, noc, or fixq:<value> with a positive, finite value."""
     text = text.strip()
     if text in _MODE_ALIASES:
         return _MODE_ALIASES[text]
@@ -93,7 +93,12 @@ def parse_mode(text: str) -> InferenceMode:
         _, sep, raw = text.partition(":")
         if not sep or not raw:
             raise ValueError("fixq mode needs a value, e.g. fixq:1.5")
-        return fixed_quality(float(raw))
+        value = float(raw)
+        # tanh(v) must lie in (0, 1), as every learned quality's does: NaN, 0 or a
+        # negative v would serve all-NaN, all-tied or sign-flipped scores
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"mode {text!r}: the fixed quality must be a positive, finite number")
+        return fixed_quality(value)
     raise ValueError(f"unknown inference mode {text!r}")
 
 
@@ -206,39 +211,23 @@ class TideModel:
     def conformity_scale(self) -> np.ndarray:
         return softplus(self.beta_raw)
 
-    def score_all_items(
-        self,
-        users,
-        t: int | None = None,
-        index: ConformityIndex | None = None,
-        mode: InferenceMode | Sequence[InferenceMode] = FULL,
-        raw_conformity: np.ndarray | None = None,
-    ):
+    def coefficient(self, mode: InferenceMode, raw=None) -> np.ndarray | None:
+        """Each item's Tanh(a) under ``mode``, or None without a Tanh input; ``raw`` is ``query_at``'s sums."""
+        a = mode.popularity_input(self.quality, self.conformity_scale, raw)
+        return None if a is None else bounded_tanh(a)
+
+    def score_all_items(self, users, t: int | None = None, index: ConformityIndex | None = None,
+                        mode: InferenceMode = FULL) -> np.ndarray:
         """Tanh(a) * Softplus(m) over every item at one time: a row per user, (len(users), n_items).
 
         A mode with no Tanh input a serves the bare match m. A scalar user
-        gives one 1-D row. ``mode`` may also be a sequence of modes: the
-        result is then an iterator of one such block per mode, in order, all
-        from one match m and at most one Softplus(m). Each mode's block is
-        made when it is drawn, so a consumer that drops a block before the
-        next holds m, its Softplus and one mode's scores at most. Every
-        mode's coefficient Tanh(a) is read from the parameters at the call.
-        ``raw_conformity`` may carry a precomputed ``index.query_at(t)`` so
-        the per-item sums are shared across blocks during ranking.
+        gives one 1-D row. This is the one-mode reference: ranking serves
+        its blocks from ``trainer.make_scorer``, which gives the same bits.
         """
-        modes = (mode,) if isinstance(mode, InferenceMode) else tuple(mode)
-        if raw_conformity is None and index is not None and t is not None and any(md.conformity for md in modes):
-            raw_conformity = index.query_at(t)
-        quality, scale = self.quality, self.conformity_scale
-        inputs = [md.popularity_input(quality, scale, raw_conformity) for md in modes]
-        coefs = [None if a is None else bounded_tanh(a) for a in inputs]
+        raw = index.query_at(t) if mode.conformity and index is not None and t is not None else None
+        coef = self.coefficient(mode, raw)
         m = self.user_emb[users] @ self.item_emb.T
-        scaled = [j for j, c in enumerate(coefs) if c is not None]
-        link = softplus(m) if scaled else None
-        # the last mode to read Softplus(m) scales it in place
-        blocks = (m if c is None else np.multiply(link, c, out=link if j == scaled[-1] else None)
-                  for j, c in enumerate(coefs))
-        return next(blocks) if isinstance(mode, InferenceMode) else blocks
+        return m if coef is None else softplus(m) * coef
 
     def copy(self) -> "TideModel":
         return replace(
@@ -272,18 +261,20 @@ def save_checkpoint(model: TideModel, path, meta: dict | None = None) -> None:
 def load_checkpoint(path) -> tuple[TideModel, dict]:
     """Load a checkpoint; returns (model, meta).
 
+    An array of another shape than the stored n_users, n_items and dim give is refused.
     Older files also carry an ``anchor`` field, which nothing reads any more.
     """
     with np.load(Path(path), allow_pickle=False) as npz:
         version = int(npz["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        model = TideModel(
-            user_emb=npz["user_emb"].astype(np.float64),
-            item_emb=npz["item_emb"].astype(np.float64),
-            q_raw=npz["q_raw"].astype(np.float64),
-            beta_raw=npz["beta_raw"].astype(np.float64),
-            tau=float(npz["tau"]),
-        )
+        n_users, n_items, dim = (int(npz[key]) for key in ("n_users", "n_items", "dim"))
+        shapes = {"user_emb": (n_users, dim), "item_emb": (n_items, dim), "q_raw": (n_items,), "beta_raw": (n_items,)}
+        arrays = {name: npz[name].astype(np.float64) for name in shapes}
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, but n_users={n_users}, "
+                                 f"n_items={n_items} and dim={dim} give it {shape}")
+        model = TideModel(**arrays, tau=float(npz["tau"]))
         meta = json.loads(str(npz["meta_json"]))
     return model, meta

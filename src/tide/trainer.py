@@ -11,11 +11,14 @@ are never decayed.
 
 The negative instance is scored at the positive's timestamp, so both sides
 of a pair see the same conformity landscape.
+
+Ranking serves every method's coefficient * link of the match (``make_scorer``);
+a scorer holds the coefficients at its build, so ``fit`` builds one per pass.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import time
 import warnings
@@ -338,45 +341,44 @@ def sample_negatives(users: np.ndarray, seen: PairSet | DensePairSet, rng: np.ra
     return neg
 
 
-def make_scorer(
-    model: TideModel,
-    method: str,
-    *modes: InferenceMode,
-    t_eval: int | None = None,
-    index: ConformityIndex | None = None,
-    table: PopularityTable | None = None,
-    gamma: float = 0.0,
-):
+def make_scorer(model: TideModel, method: str, *modes: InferenceMode, t_eval: int | None = None,
+                index: ConformityIndex | None = None, table: PopularityTable | None = None, gamma: float = 0.0):
     """Build score_blocks(users), which yields a (len(users), n_items) score block per mode, in order.
 
-    tide scores every mode of a block from one match and one Softplus of it
-    (``TideModel.score_all_items``); the baselines serve only their native
-    mode, so every mode of theirs is the one block. What depends on neither
-    the user nor the parameters (conformity sums, the pda popularity
-    coefficient) is computed once here and shared by every block. What reads
-    the parameters is computed per block, so one scorer stays current while
-    Adam updates them in place.
+    Every method serves L(m) * coefficient, with L its link of the match m.
+    Each mode's per-item coefficient is computed here, once: Tanh(a) for
+    tide, pop^gamma for pda, none for mf, mf-ips and pd. A tide mode with no
+    Tanh input serves m itself. So a scorer holds the coefficients of the
+    parameters at its build; build one per ranking pass. Each block computes
+    m and L(m) once for every mode, and the last mode to read L(m) scales it.
     pda serves each item's popularity in the training part holding ``t_eval``.
     At ``t_eval = train.t_max`` that is the latest populated training part:
     the persistence predictor of serving-time popularity.
     """
     if not modes:
         raise ValueError("a scorer needs at least one mode")
-    if method == "tide":
-        raw = None
-        if any(mode.conformity for mode in modes) and index is not None and t_eval is not None:
-            raw = index.query_at(t_eval)
-        return lambda users: model.score_all_items(users, mode=modes, raw_conformity=raw)
     link = LINKS[method][0]
-    coef = None
-    if method == "pda":
+    if method == "tide":
+        history = index is not None and t_eval is not None and any(mode.conformity for mode in modes)
+        raw = index.query_at(t_eval) if history else None
+        coefs = [model.coefficient(mode, raw) for mode in modes]
+    elif method == "pda":
         if table is None or t_eval is None:
             raise ValueError("pda scoring needs a popularity table and t_eval")
-        coef = pda_coefficient(table.query(np.arange(model.n_items), t_eval), gamma)
+        coefs = [pda_coefficient(table.query(np.arange(model.n_items), t_eval), gamma)] * len(modes)
+    else:
+        coefs = [None] * len(modes)
+    scaled = [j for j, coef in enumerate(coefs) if coef is not None]
+    bare = method == "tide"  # a mode without a coefficient serves m, not L(m)
 
     def score_blocks(users):
-        scores = link(model.user_emb[users] @ model.item_emb.T)
-        return itertools.repeat(scores if coef is None else coef * scores, len(modes))
+        m = model.user_emb[users] @ model.item_emb.T
+        linked = link(m) if scaled or not bare else None
+        for j, coef in enumerate(coefs):
+            if coef is None:
+                yield m if bare else linked
+            else:
+                yield np.multiply(linked, coef, out=linked if j == scaled[-1] else None)
 
     return score_blocks
 
@@ -446,12 +448,12 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
                           f"(the largest holds {largest / len(train):.2%}), so ips_cap={cfg.ips_cap:g} "
                           "caps every weight and all of them normalize to 1")
 
-    # neither log nor the serving inputs change while training: build the
-    # validation task and its scorer once, rank them every epoch. The scorer
-    # reads the parameters when called, and Adam updates them in place.
+    # the validation task does not change while training: build it once. A
+    # scorer holds the coefficients of the parameters at its build, and Adam
+    # updates them in place, so each epoch's pass builds its own.
     validation = ClickTask(train, split.validation, cfg.k_select) if len(split.validation) else None
-    scorer = make_scorer(model, cfg.method, selection_mode(cfg),
-                         t_eval=train.t_max, index=index, table=table, gamma=cfg.gamma)
+    new_scorer = functools.partial(make_scorer, model, cfg.method, selection_mode(cfg),
+                                   t_eval=train.t_max, index=index, table=table, gamma=cfg.gamma)
 
     result = FitResult(model=model)
     best = model.copy()
@@ -470,7 +472,7 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
             batch = TrainBatch(**{name: col[lo:hi] for name, col in columns.items()})
             loss_sum += grad_step(model, batch, cfg, adam) * (hi - lo)
         epoch_loss = loss_sum / n
-        metric = rank_tasks(scorer, [validation])[0][0]["recall"] if validation is not None else None
+        metric = rank_tasks(new_scorer(), [validation])[0][0]["recall"] if validation is not None else None
         result.history.append({
             "epoch": epoch,
             "loss": epoch_loss,

@@ -504,6 +504,57 @@ def test_evaluate_refuses_a_checkpoint_without_a_training_config(pipeline, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_evaluate_refuses_a_fixed_quality_that_is_not_positive_and_finite(pipeline, tmp_path, capsys, value):
+    # NaN, a negative v and 0 would serve all-NaN, sign-flipped and all-tied scores
+    rc = run_cli(["evaluate", "--data", pipeline["prep"], "--checkpoint", pipeline["train"],
+                  "--modes", f"full,fixq:{value}", "--outdir", tmp_path / "out"])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: mode 'fixq:{value}': the fixed quality must be "
+                                       "a positive, finite number\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("manifest,message", [
+    ({"counts": None}, "has no 'counts' key"),
+    ({"n_items": None}, "has no 'n_items' key"),
+    ({"counts": {"train": 1, "validation": 1}}, "has no 'counts.test' key"),
+    ([1], "manifest must be an object, got [1] from the split manifest {path}"),
+], ids=["counts", "n-items", "counts-test", "list"])
+def test_a_malformed_split_manifest_is_refused_by_name(pipeline, tmp_path, capsys, manifest, message):
+    prep = tmp_path / "prep"
+    prep.mkdir()
+    for part in ("train", "validation", "test"):
+        (prep / f"{part}.tsv").write_bytes((pipeline["prep"] / f"{part}.tsv").read_bytes())
+    path = prep / "manifest.json"
+    if isinstance(manifest, dict):  # the written manifest, with each key given None left out
+        written = json.loads((pipeline["prep"] / "manifest.json").read_text())
+        manifest = {key: value for key, value in {**written, **manifest}.items() if value is not None}
+    path.write_text(json.dumps(manifest))
+    for argv in (["train", "--data", prep], ["evaluate", "--data", prep, "--checkpoint", pipeline["train"]]):
+        assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and message.format(path=path) in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["user_emb", "item_emb", "q_raw", "beta_raw"])
+def test_a_checkpoint_whose_shapes_disagree_is_refused_on_load(pipeline, tmp_path, capsys, name):
+    with np.load(pipeline["train"] / "checkpoint.npz") as npz:
+        stored = dict(npz)
+    stored[name] = np.concatenate([stored[name], stored[name][:1]])  # one row or item too many
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **stored)
+    n_users, n_items, dim = (int(stored[key]) for key in ("n_users", "n_items", "dim"))
+    want = {"user_emb": (n_users, dim), "item_emb": (n_items, dim), "q_raw": (n_items,), "beta_raw": (n_items,)}
+    for argv in (["evaluate", "--data", pipeline["prep"]], ["analyze", "--data", pipeline["prep"]]):
+        assert run_cli(argv + ["--checkpoint", bad, "--outdir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (f"error: {bad}: {name} has shape {stored[name].shape}, but n_users="
+                                           f"{n_users}, n_items={n_items} and dim={dim} give it {want[name]}\n")
+        assert not (tmp_path / "out").exists()
+
+
 def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsys):
     rc = run_cli([
         "train", "--data", pipeline["prep"], "--method", "pd", "--gamma", 1.5,

@@ -208,24 +208,41 @@ def test_ranking_modes_in_one_pass_equals_ranking_each_alone(method, monkeypatch
     for mode, block in zip(modes, blocks):
         [want] = make_scorer(model, method, mode, **serving)(users)
         assert block.tobytes() == want.tobytes()
+        if method == "tide":  # the one-mode reference serves the same bits
+            assert block.tobytes() == model.score_all_items(users, serving["t_eval"], serving["index"], mode).tobytes()
     if method == "tide":  # the modes score apart, so a pass that served one mode's rows for another fails
         assert len({block.tobytes() for block in blocks}) == 5  # noc scores as int, and full repeats
 
 
-def test_a_scorer_reads_the_parameters_each_time_it_scores():
-    # fit builds one validation scorer per run while Adam updates the parameters in place
-    model, tasks, serving = rated_serving_setup(seed=13)
-    modes = [parse_mode(text) for text in ("full", "int", "e", "noq", "fixq:0.5")]
-    scorer = make_scorer(model, "tide", *modes, **serving)
-    before = rank_tasks(scorer, tasks, True, n_modes=len(modes))
-    rng = np.random.default_rng(13)
-    model.q_raw += rng.normal(0.0, 1.0, model.n_items)
-    model.beta_raw += rng.normal(0.0, 1.0, model.n_items)
-    model.item_emb[::2] *= -1.5
-    after = rank_tasks(scorer, tasks, True, n_modes=len(modes))
-    fresh = rank_tasks(make_scorer(model, "tide", *modes, **serving), tasks, True, n_modes=len(modes))
-    assert repr(after) == repr(fresh)
-    assert all(repr(b) != repr(a) for b, a in zip(before, after))
+@pytest.mark.parametrize("method", ["tide", "pda"])
+def test_each_validation_pass_ranks_the_parameters_of_its_epoch(method, monkeypatch):
+    # a scorer holds the coefficients of the parameters at its build, while
+    # Adam updates them in place between passes; at lr_qb 0.1 a pass that
+    # served the first epoch's coefficients would rank tide differently
+    split = synthetic_split(seed=13)
+    cfg = TrainConfig(method=method, embed_dim=8, epochs=4, early_stop_patience=10, batch_size=700,
+                      lr_qb=0.1, tau=2e5, gamma=0.3, seed=13)
+    models, passes, rank = [], [], trainer.rank_tasks
+    monkeypatch.setattr(trainer, "init_model", lambda *args: models.append(init_model(*args)) or models[-1])
+
+    def recording(scorer, tasks, *args, **kwargs):
+        out = rank(scorer, tasks, *args, **kwargs)
+        passes.append((models[0].copy(), tasks, out))
+        return out
+
+    monkeypatch.setattr(trainer, "rank_tasks", recording)
+    history = fit(split, cfg).history
+    assert len(passes) == len(history) == cfg.epochs
+    serving = {"t_eval": split.train.t_max, "index": ConformityIndex.from_log(split.train, cfg.tau),
+               "table": PopularityTable.from_split(split), "gamma": cfg.gamma}
+    for row, (model, tasks, got) in zip(history, passes):
+        want = rank_tasks(make_scorer(model, method, selection_mode(cfg), **serving), tasks)
+        assert repr(got) == repr(want)  # recall, precision and NDCG, every float's bits
+        assert row["val_cp_rec"] == want[0][0]["recall"]
+    # the passes rank four different parameter sets, coefficients included for tide
+    assert len({model.item_emb.tobytes() for model, _, _ in passes}) == cfg.epochs
+    if method == "tide":
+        assert len({model.q_raw.tobytes() for model, _, _ in passes}) == cfg.epochs
 
 
 def test_rank_tasks_refuses_a_scorer_of_another_mode_count():
