@@ -574,7 +574,12 @@ def read_object(path, key: str, source: str) -> dict:
 
 
 def load_split(indir) -> ChronoSplit:
-    """Reload a split written by ``save_split``; a manifest missing a key it writes is refused by name."""
+    """Reload a split written by ``save_split``.
+
+    A manifest missing a key it writes, or holding a value of another kind,
+    is refused by name, and so is a partition id at or past its n_users or
+    n_items.
+    """
     indir = Path(indir)
     manifest_path = indir / "manifest.json"
     manifest = read_object(manifest_path, "manifest", "the split manifest")
@@ -583,6 +588,15 @@ def load_split(indir) -> ChronoSplit:
     missing += [f"counts.{name}" for name in _SPLIT_FILES if not (isinstance(counts, dict) and name in counts)]
     if missing:
         raise DataFormatError(f"{manifest_path} has no {missing[0]!r} key")
+    values = {key: manifest[key] for key in ("parts", "seed", "n_users", "n_items")}
+    values.update({f"counts.{name}": counts[name] for name in _SPLIT_FILES})
+    for key, value in values.items():
+        if not (INTEGER.accepts(value) and value >= 0):
+            raise DataFormatError(f"{manifest_path}: {key!r} must be a nonnegative integer, got {value!r}")
+    boundaries = manifest["boundaries"]
+    if not (isinstance(boundaries, list)
+            and all(NUMBER.accepts(t) and math.isfinite(t) for t in boundaries)):
+        raise DataFormatError(f"{manifest_path}: 'boundaries' must be a list of finite numbers, got {boundaries!r}")
     logs = {}
     for name, fname in _SPLIT_FILES.items():
         path = indir / fname
@@ -596,6 +610,11 @@ def load_split(indir) -> ChronoSplit:
             users, items, ratings, times = rows["user"], rows["item"], rows["rating"], rows["time"]
         if len(users) != expected:
             raise DataFormatError(f"{path} holds {len(users)} rows; the manifest counts {expected}")
+        for kind, ids in (("user", users), ("item", items)):
+            key, largest = f"n_{kind}s", np.max(ids, initial=-1)
+            if largest >= manifest[key]:
+                raise DataFormatError(f"{path} holds {kind} id {largest}, at or past {key!r} = {manifest[key]} "
+                                      f"in {manifest_path}")
         logs[name] = InteractionLog.build(users, items, times, ratings, manifest["n_users"], manifest["n_items"])
     return ChronoSplit(
         train=logs["train"],

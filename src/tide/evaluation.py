@@ -11,7 +11,11 @@ Both tasks, and validation inside training, run on one blocked engine,
 of scorers. A scorer maps an array of user ids to one (users, n_items) score
 block per inference mode; users are scored ``BLOCK_ELEMENTS // n_items`` at a
 time, so each user's score rows are computed once and shared by both tasks
-while the working set stays bounded whatever the catalog size. Ranking stays
+while the working set stays bounded whatever the catalog size. That working
+set is allocated once per pass, not per block or mode: a scorer keeps its
+block arrays, ``rank_tasks`` one work block in which ``ClickTask`` negates
+and partitions each block's scores, and every later block writes into them
+(a shorter one into their first rows). Ranking stays
 exact over the full catalog, and no top-k list is built: the metrics need
 only the ranks of the relevant items. An item's rank is the number of
 candidates that beat it, by a higher score or by an equal score and a lower
@@ -30,7 +34,8 @@ import numpy as np
 from .dataset import InteractionLog
 
 # Scores held at once while ranking (about 1 MB of float64): a block has
-# max(1, BLOCK_ELEMENTS // n_items) user rows.
+# max(1, BLOCK_ELEMENTS // n_items) user rows. The scorer's arrays and
+# rank_tasks' work block are allocated once per pass at this size.
 BLOCK_ELEMENTS = 1 << 17
 
 # The rating that marks a held-out item as a positive in preference prediction.
@@ -134,7 +139,8 @@ class _Task:
     metric columns (``columns``), which ``rank`` fills and ``result`` reads,
     so reusing a task cannot leak an earlier scorer's numbers. What ranking
     users a..b-1 needs beyond their scores comes from ``block(a, b)``, once
-    per block, and goes to every mode's ``rank``.
+    per block, and goes to every mode's ``rank``, with the pass's ``work``
+    block, which ``rank`` may overwrite.
     """
 
     def __init__(self, k: int, n_items: int, users: np.ndarray, n_skipped: int, metrics: tuple, counts: dict):
@@ -192,24 +198,27 @@ class ClickTask(_Task):
         allowed[excluded] = False
         return excluded, allowed.reshape(users.size, -1), *_block_pairs(self.relevant, users)
 
-    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict, context: tuple) -> None:
+    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict, context: tuple, work: np.ndarray) -> None:
         excluded, allowed, row, items = context
-        neg = np.negative(scores)  # ascending neg = descending score
+        # ascending neg = descending score; excluded cells go last, and the partition is in place
+        neg = np.negative(scores, out=work[: scores.shape[0]])
         neg.reshape(-1)[excluded] = np.inf
         kk = min(self.k, neg.shape[1])
-        kth = np.partition(neg, kk - 1, axis=1)[:, kk - 1]
-        # k allowed candidates beat an item strictly behind the k-th value; a nan compares false and stays
-        value = neg[row, items]
-        near = ~(value > kth[row])
+        neg.partition(kk - 1, axis=1)
+        kth = -neg[:, kk - 1]
+        # k allowed candidates beat an item strictly behind the k-th score; a nan compares false and stays.
+        # Negation is exact, so comparing scores gives the counts that comparing negated scores gives.
+        value = scores[row, items]
+        near = ~(value < kth[row])
         row, items, value = row[near], items[near, None], value[near, None]
         # count each remaining item's rivals, at most BLOCK_ELEMENTS cells at a time
-        ids = np.arange(neg.shape[1])
+        ids = np.arange(scores.shape[1])
         rank = np.empty(row.size, dtype=np.int64)
-        step = max(1, BLOCK_ELEMENTS // neg.shape[1])
+        step = max(1, BLOCK_ELEMENTS // scores.shape[1])
         for lo in range(0, row.size, step):
             part = slice(lo, lo + step)
-            cand, v, ahead = neg[row[part]], value[part], ids < items[part]
-            beats = (cand < v) | ((cand == v) & ahead)
+            cand, v, ahead = scores[row[part]], value[part], ids < items[part]
+            beats = (cand > v) | ((cand == v) & ahead)
             nan = np.isnan(v[:, 0])
             beats[nan] = ~np.isnan(cand[nan]) | ahead[nan]  # nan ranks last, nans by id
             rank[part] = np.count_nonzero(beats & allowed[row[part]], axis=1)
@@ -252,7 +261,7 @@ class PreferenceTask(_Task):
         lo, hi = np.searchsorted(self.pair_users, [users[0], users[-1] + 1])
         return np.searchsorted(users, self.pair_users[lo:hi]), self.pair_items[lo:hi], self.pair_positive[lo:hi]
 
-    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict, pairs: tuple) -> None:
+    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict, pairs: tuple, work: np.ndarray) -> None:
         row, items, positive = pairs
         order = np.lexsort((items, -scores[row, items], row))
         row, positive = row[order], positive[order]
@@ -279,13 +288,16 @@ def rank_tasks(score_blocks, tasks, collect_per_user: bool = False, n_modes: int
     union of the tasks' users is scored block by block, so a user ranked by
     several tasks is scored once; every task ranks its own rows of a mode's
     block before the next mode's block is drawn, so a scorer may build each
-    one lazily.
+    one lazily and write each call's blocks into the arrays of the last.
     """
     if len({task.n_items for task in tasks}) != 1:
         raise ValueError("tasks ranked together must share one catalog")
     users = np.unique(np.concatenate([task.users for task in tasks]))
     step = max(1, BLOCK_ELEMENTS // max(tasks[0].n_items, 1))
     metrics = [[task.columns() for task in tasks] for _ in range(n_modes)]
+    # one block that every rank call of this pass may overwrite; it dies with the pass, so it
+    # does not stay allocated between passes (between fit's epochs, among the training steps)
+    work = np.empty((min(step, users.size), tasks[0].n_items))
     for lo in range(0, users.size, step):
         block = users[lo : lo + step]
         # each task's users in this block, their rows of it (None: every row), and what
@@ -298,7 +310,7 @@ def rank_tasks(score_blocks, tasks, collect_per_user: bool = False, n_modes: int
         for scores, mode_metrics in zip(score_blocks(block), metrics, strict=True):
             for task, (a, b, rows, context), out in zip(tasks, spans, mode_metrics):
                 if a < b:
-                    task.rank(a, b, scores if rows is None else scores[rows], out, context)
+                    task.rank(a, b, scores if rows is None else scores[rows], out, context, work)
     return [[task.result(out, collect_per_user) for task, out in zip(tasks, mode_metrics)]
             for mode_metrics in metrics]
 

@@ -93,7 +93,10 @@ def parse_mode(text: str) -> InferenceMode:
         _, sep, raw = text.partition(":")
         if not sep or not raw:
             raise ValueError("fixq mode needs a value, e.g. fixq:1.5")
-        value = float(raw)
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan  # not a number: refused below in the one wording
         # tanh(v) must lie in (0, 1), as every learned quality's does: NaN, 0 or a
         # negative v would serve all-NaN, all-tied or sign-flipped scores
         if not (math.isfinite(value) and value > 0):

@@ -11,24 +11,26 @@ TANH_HI = np.nextafter(1.0, 0.0)
 TANH_LO = np.nextafter(-1.0, 0.0)
 
 
-def softplus(x):
+def softplus(x, out=None, fmax_out=None):
     """log(1 + exp(x)), stable in both tails: max(x, 0) + log1p(exp(-|x|)).
 
     Every step writes into one output array, so a score block costs the
     output plus one float64 temporary, fmax(x, 0), rather than one array per
-    step. fmax, not maximum, drops a NaN input's second NaN: the sum then
+    step. A caller that keeps arrays of x's shape passes them as ``out`` and
+    ``fmax_out`` (neither overlapping x), and the call allocates nothing.
+    fmax, not maximum, drops a NaN input's second NaN: the sum then
     carries the log1p term's NaN bits whatever operand order the add's loop
     takes. Scalars and 0-d arrays come back as numpy scalars, like a ufunc's
     result.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
     np.abs(x, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
     # where x <= 0 or is NaN, fmax gives +-0, and adding it leaves the log1p term (>= +0 or NaN) as it is
-    out += np.fmax(x, 0.0)
+    out += np.fmax(x, 0.0, out=fmax_out)
     return out[()]
 
 

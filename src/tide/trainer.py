@@ -351,9 +351,14 @@ def make_scorer(model: TideModel, method: str, *modes: InferenceMode, t_eval: in
     Tanh input serves m itself. So a scorer holds the coefficients of the
     parameters at its build; build one per ranking pass. Each block computes
     m and L(m) once for every mode, and the last mode to read L(m) scales it.
-    pda serves each item's popularity in the training part holding ``t_eval``.
-    At ``t_eval = train.t_max`` that is the latest populated training part:
-    the persistence predictor of serving-time popularity.
+    The scorer keeps its block arrays across calls: m, tide's L(m) and
+    Softplus's fmax(m, 0) term, and a product for each scaled mode but the
+    last. They are sized by the first call, grown by a longer block and
+    sliced for a shorter one, so a yielded block is valid only until the
+    scorer's next call. pda serves each item's popularity in the training
+    part holding ``t_eval``. At ``t_eval = train.t_max`` that is the latest
+    populated training part: the persistence predictor of serving-time
+    popularity.
     """
     if not modes:
         raise ValueError("a scorer needs at least one mode")
@@ -370,15 +375,26 @@ def make_scorer(model: TideModel, method: str, *modes: InferenceMode, t_eval: in
         coefs = [None] * len(modes)
     scaled = [j for j, coef in enumerate(coefs) if coef is not None]
     bare = method == "tide"  # a mode without a coefficient serves m, not L(m)
+    kept = {}
+
+    def rows_of(name, rows: int) -> np.ndarray:
+        """The first ``rows`` rows of the kept (rows, n_items) array ``name``, grown when a block outgrows it."""
+        if name not in kept or kept[name].shape[0] < rows:
+            kept[name] = np.empty((rows, model.n_items))
+        return kept[name][:rows]
 
     def score_blocks(users):
-        m = model.user_emb[users] @ model.item_emb.T
-        linked = link(m) if scaled or not bare else None
+        rows = len(users)
+        m = np.matmul(model.user_emb[users], model.item_emb.T, out=rows_of("m", rows))
+        if method == "tide":  # its link, softplus, fills the kept arrays
+            linked = link(m, out=rows_of("link", rows), fmax_out=rows_of("fmax", rows)) if scaled else None
+        else:
+            linked = link(m)
         for j, coef in enumerate(coefs):
             if coef is None:
                 yield m if bare else linked
             else:
-                yield np.multiply(linked, coef, out=linked if j == scaled[-1] else None)
+                yield np.multiply(linked, coef, out=linked if j == scaled[-1] else rows_of(j, rows))
 
     return score_blocks
 

@@ -504,9 +504,9 @@ def test_evaluate_refuses_a_checkpoint_without_a_training_config(pipeline, tmp_p
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
 def test_evaluate_refuses_a_fixed_quality_that_is_not_positive_and_finite(pipeline, tmp_path, capsys, value):
-    # NaN, a negative v and 0 would serve all-NaN, sign-flipped and all-tied scores
+    # NaN, a negative v and 0 would serve all-NaN, sign-flipped and all-tied scores; "abc" is no number
     rc = run_cli(["evaluate", "--data", pipeline["prep"], "--checkpoint", pipeline["train"],
                   "--modes", f"full,fixq:{value}", "--outdir", tmp_path / "out"])
     assert rc == 1
@@ -520,16 +520,28 @@ def test_evaluate_refuses_a_fixed_quality_that_is_not_positive_and_finite(pipeli
     ({"n_items": None}, "has no 'n_items' key"),
     ({"counts": {"train": 1, "validation": 1}}, "has no 'counts.test' key"),
     ([1], "manifest must be an object, got [1] from the split manifest {path}"),
-], ids=["counts", "n-items", "counts-test", "list"])
+    ({"n_items": "1000"}, "{path}: 'n_items' must be a nonnegative integer, got '1000'"),
+    ({"counts.test": "4260"}, "{path}: 'counts.test' must be a nonnegative integer, got '4260'"),
+    ({"parts": True}, "{path}: 'parts' must be a nonnegative integer, got True"),
+    ({"seed": -1}, "{path}: 'seed' must be a nonnegative integer, got -1"),
+    ({"boundaries": [0, "1"]}, "{path}: 'boundaries' must be a list of finite numbers, got [0, '1']"),
+    ({"n_items": 1}, "at or past 'n_items' = 1 in {path}"),
+    ({"n_users": 1}, "at or past 'n_users' = 1 in {path}"),
+], ids=["counts", "n-items", "counts-test", "list", "n-items-text", "counts-test-text", "parts-bool",
+        "seed-negative", "boundaries-text", "item-past-n-items", "user-past-n-users"])
 def test_a_malformed_split_manifest_is_refused_by_name(pipeline, tmp_path, capsys, manifest, message):
     prep = tmp_path / "prep"
     prep.mkdir()
     for part in ("train", "validation", "test"):
         (prep / f"{part}.tsv").write_bytes((pipeline["prep"] / f"{part}.tsv").read_bytes())
     path = prep / "manifest.json"
-    if isinstance(manifest, dict):  # the written manifest, with each key given None left out
-        written = json.loads((pipeline["prep"] / "manifest.json").read_text())
-        manifest = {key: value for key, value in {**written, **manifest}.items() if value is not None}
+    if isinstance(manifest, dict):  # the written manifest, with each key given None left out; "a.b" sets b in a
+        edits = {**json.loads((pipeline["prep"] / "manifest.json").read_text()), **manifest}
+        manifest = {key: value for key, value in edits.items() if value is not None and "." not in key}
+        for key, value in edits.items():
+            if "." in key:
+                outer, inner = key.split(".")
+                manifest[outer] = {**manifest[outer], inner: value}
     path.write_text(json.dumps(manifest))
     for argv in (["train", "--data", prep], ["evaluate", "--data", prep, "--checkpoint", pipeline["train"]]):
         assert run_cli(argv + ["--outdir", tmp_path / "out"]) == 1

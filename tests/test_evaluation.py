@@ -319,10 +319,10 @@ def oracle_pref(scores, test, k, positive_rating=5.0):
 
 
 @st.composite
-def eval_instances(draw):
+def eval_instances(draw, values=SCORE_GRID + EXTREMES):
     n_users = draw(st.integers(1, 7))
     n_items = draw(st.integers(1, 7))
-    scores = draw(hnp.arrays(np.float64, (n_users, n_items), elements=st.sampled_from(SCORE_GRID + EXTREMES)))
+    scores = draw(hnp.arrays(np.float64, (n_users, n_items), elements=st.sampled_from(values)))
     pair = st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1))
     train_pairs = draw(st.lists(pair, max_size=3 * n_users * n_items))
     test_rows = draw(st.lists(
@@ -390,3 +390,54 @@ def test_click_eval_counts_relevant_items_tied_past_k():
     row = out["per_user"][0]
     assert (row["recall"], row["precision"]) == (2 / 5, 2 / 3)
     assert row["ndcg"] == (1 / math.log2(3) + 1 / math.log2(4)) / (1 + 1 / math.log2(3) + 1 / math.log2(4))
+
+
+SIGNED_GRID = SCORE_GRID + EXTREMES + (-0.0,)  # -0.0 ties 0.0
+
+
+def excluded_tied_to_relevant(scores, train, test):
+    """``scores`` with each user's training cells given the score of the user's lowest relevant item."""
+    out = scores.copy()
+    for u in range(scores.shape[0]):
+        seen = set(train.items[train.users == u].tolist())
+        relevant = set(test.items[test.users == u].tolist()) - seen
+        if seen and relevant:
+            out[u, sorted(seen)] = scores[u, min(relevant)]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(eval_instances(values=SIGNED_GRID), st.data())
+def test_one_click_task_ranks_pass_after_pass_like_the_oracle(case, data):
+    # the task negates each block into the pass's one work block, a shorter block into
+    # its first rows: a pass with other scores, other block sizes and excluded cells
+    # tied to relevant items must rank as if it were the task's first
+    scores, train, test, k, _, block_elements = case
+    n_items = scores.shape[1]
+    second = data.draw(hnp.arrays(np.float64, scores.shape, elements=st.sampled_from(SIGNED_GRID)))
+    if data.draw(st.booleans()):
+        second = excluded_tied_to_relevant(second, train, test)
+    passes = [(scores, block_elements), (second, data.draw(st.integers(1, 3 * n_items)))]
+    task = ClickTask(train, test, k)
+    for table, elements in passes:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "BLOCK_ELEMENTS", elements)
+            [[out]] = rank_tasks(fixed_scorer(dict(enumerate(table))), [task], collect_per_user=True)
+        want, skipped = oracle_click(table, train, test, k)
+        assert (out["n_users"], out["n_skipped"]) == (len(want), skipped)
+        assert_rows_match(out["per_user"], want)
+
+
+def test_a_ranking_pass_leaves_its_tasks_as_it_found_them():
+    # the pass's work block dies with the pass: kept on a task, a block-sized array
+    # stays allocated among fit's training steps between validation passes
+    scores = np.arange(24, dtype=np.float64).reshape(3, 8)
+    train = InteractionLog.build([0, 1], [0, 1], [0, 1], None, 3, 8)
+    test = InteractionLog.build([0, 1, 2, 2], [2, 3, 4, 5], range(4), [5.0, 1.0, 5.0, 1.0], 3, 8)
+    tasks = [ClickTask(train, test, 2), PreferenceTask(test, 1)]
+    def held(task):
+        return {name: id(value) for name, value in vars(task).items()}
+
+    before = [held(task) for task in tasks]
+    rank_tasks(fixed_scorer(dict(enumerate(scores))), tasks)
+    assert [held(task) for task in tasks] == before

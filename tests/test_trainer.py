@@ -214,6 +214,31 @@ def test_ranking_modes_in_one_pass_equals_ranking_each_alone(method, monkeypatch
         assert len({block.tobytes() for block in blocks}) == 5  # noc scores as int, and full repeats
 
 
+@pytest.mark.parametrize("rows", [[50, 7, 50], [7, 50]], ids=["shrink", "grow"])
+@pytest.mark.parametrize("method", list(SERVED_MODES))
+def test_a_reused_scorer_serves_each_call_the_bits_of_a_fresh_one(method, rows):
+    # the scorer keeps its block arrays: a shorter block reads a slice of them, a longer one grows them
+    model, _, serving = rated_serving_setup(seed=15)
+    modes = [parse_mode(text) if method == "tide" else MATCHING_ONLY for text in SERVED_MODES[method]]
+    scorer, rng = make_scorer(model, method, *modes, **serving), np.random.default_rng(15)
+    for n in rows:
+        users = np.sort(rng.choice(model.n_users, n, replace=False))
+        got = [block.tobytes() for block in scorer(users)]  # each block read before the next is drawn
+        assert got == [block.tobytes() for block in make_scorer(model, method, *modes, **serving)(users)]
+        if method == "tide":
+            assert got == [model.score_all_items(users, serving["t_eval"], serving["index"], mode).tobytes()
+                           for mode in modes]
+
+
+def test_a_scorer_serves_each_call_from_the_arrays_of_the_last():
+    # a yielded block is valid until the scorer's next call, which writes into the same memory
+    model, _, serving = rated_serving_setup(seed=16)
+    scorer = make_scorer(model, "tide", *(parse_mode(text) for text in ("full", "int", "e")), **serving)
+    first = list(scorer(np.arange(9)))
+    second = list(scorer(np.arange(4)))
+    assert all(np.shares_memory(a, b) for a, b in zip(first, second, strict=True))
+
+
 @pytest.mark.parametrize("method", ["tide", "pda"])
 def test_each_validation_pass_ranks_the_parameters_of_its_epoch(method, monkeypatch):
     # a scorer holds the coefficients of the parameters at its build, while
