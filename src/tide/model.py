@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import InteractionLog, ItemTimeline
-from .numerics import bounded_tanh, softplus
+from .numerics import bounded_tanh, chain_sums, softplus
 
 CHECKPOINT_VERSION = 1
 
@@ -125,15 +125,7 @@ class ConformityIndex:
         first = np.diff(tl.items, prepend=-1) != 0
         # exp(-inf) = 0 at each item's first click: no sum leaks across items
         reach = np.exp(-np.where(first, np.inf, np.diff(tl.times, prepend=0)) / self.tau)
-        # doubling scan: after the step with stride d each click holds the
-        # recursion over its last 2d clicks as the map S -> sums + reach * S;
-        # the zeros cut the chains, so the longest item history bounds the steps
-        self.sums = np.ones_like(reach)
-        d, longest = 1, np.diff(tl.offsets).max(initial=0)
-        while d < longest:
-            self.sums[d:] += reach[d:] * self.sums[:-d]
-            reach[d:] = reach[d:] * reach[:-d]
-            d *= 2
+        self.sums = chain_sums(reach, np.diff(tl.offsets).max(initial=0))
 
     @classmethod
     def from_log(cls, log: InteractionLog, tau: float) -> "ConformityIndex":

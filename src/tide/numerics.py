@@ -34,6 +34,23 @@ def softplus(x, out=None, fmax_out=None):
     return out[()]
 
 
+def chain_sums(reach, longest):
+    """Each entry's S_k = 1 + reach_k * S_{k-1}, for chains cut by reach = 0.
+
+    A doubling scan: after the step with stride d each entry holds the
+    recursion over its last 2d entries as the map S -> sums + reach * S; the
+    zeros cut the chains, so ``longest``, the longest chain, bounds the
+    steps. ``reach`` is used up as scratch.
+    """
+    sums = np.ones_like(reach)
+    d = 1
+    while d < longest:
+        sums[d:] += reach[d:] * sums[:-d]
+        reach[d:] = reach[d:] * reach[:-d]
+        d *= 2
+    return sums
+
+
 def inv_softplus(y):
     """Inverse of softplus for y > 0: log(expm1(y))."""
     y = np.asarray(y, dtype=np.float64)

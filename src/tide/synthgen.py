@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import InteractionLog, check_settings, save_interactions, setting, settings, write_json
-from .numerics import TANH_HI, bounded_tanh, softplus
+from .dataset import InteractionLog, _search_left, check_settings, save_interactions, setting, settings, write_json
+from .numerics import TANH_HI, bounded_tanh, chain_sums, softplus
 
 # Events whose proposals are drawn in one vectorized round, and the proposals
 # one event may have rejected before it is drawn from its full weight vector.
@@ -150,9 +150,10 @@ class ThinningSampler:
     each other's clicks. Clicks must arrive in nondecreasing time.
 
     ``level``, ``acceptance`` and ``click`` define one event's step. ``draw``
-    decides a chunk's events at once where it can (``_settle``) and runs the
-    rest through the per-event loop (``_scan``, the same steps inlined); both
-    give the loop's items, state and random stream, bit for bit.
+    decides a chunk's events at once where it can (``_settle``, whose clicks
+    enter through ``click``'s step in event order) and runs the rest through
+    the per-event loop (``_scan``, the same steps inlined); both give the
+    loop's items, state and random stream, bit for bit.
     """
 
     def __init__(self, truth: SynthTruth, tau: float, rng: np.random.Generator):
@@ -172,9 +173,15 @@ class ThinningSampler:
         # a time, so no second n_users x n_items array is ever allocated
         self.cdf = np.empty((truth.true_user_emb.shape[0], n_items))
         block = max(1, _BLOCK_SCORES // n_items)
-        for lo in range(0, self.cdf.shape[0], block):
-            match = softplus(truth.true_user_emb[lo:lo + block] @ truth.true_item_emb.T)
-            np.cumsum(match, axis=1, out=self.cdf[lo:lo + block])
+        # a user whose row underflows to zero or overflows is refused, with no warning first
+        with np.errstate(all="ignore"):
+            for lo in range(0, self.cdf.shape[0], block):
+                match = softplus(truth.true_user_emb[lo:lo + block] @ truth.true_item_emb.T)
+                np.cumsum(match, axis=1, out=self.cdf[lo:lo + block])
+        bad = np.flatnonzero(~(np.isfinite(self.cdf[:, -1]) & (self.cdf[:, -1] > 0)))
+        if bad.size:
+            raise ValueError(f"degenerate config: user {bad[0]}'s matching weights sum to {self.cdf[bad[0], -1]}, "
+                             "not a finite positive number (lower emb_std or embed_dim)")
 
     def level(self, j: int, t: int) -> float:
         """S_j(t): item j's clicks strictly before t, decayed to t."""
@@ -287,8 +294,8 @@ class ThinningSampler:
         compute each S_j from the same sums of positive terms, so they
         differ by a few rounding errors per click of the chunk, a relative
         1e-12 or so, and tanh(x) moves by at most 0.45 times the relative
-        change of x. Decided clicks enter the state with ``click``'s own
-        arithmetic, so it stays bit-identical.
+        change of x. Decided clicks enter the state through ``click``'s step,
+        in event order (``_commit``), so it stays bit-identical.
 
         Strong conformity makes long chains of flips, and passes that keep
         changing many decisions. The fixed point then gives up and keeps the
@@ -349,8 +356,8 @@ class ThinningSampler:
         def decayed(clicked, at):
             """Query, for (item j, event k) pairs, the sum over these clicks on j strictly before t_k.
 
-            Each click is an item and an event; a doubling scan over the clicks
-            sorted by item, then event, holds each one's decayed sum so far.
+            Each click is an item and an event; ``chain_sums`` over the clicks
+            sorted by item, then event, gives each one's decayed sum so far.
             ``ConformityIndex`` answers the same query, but ranking times on
             its own clock made ``draw`` a fifth slower on the benchmark config.
             """
@@ -360,21 +367,11 @@ class ThinningSampler:
             same = key[1:] // n == key[:-1] // n
             reach = np.zeros(key.size)
             reach[1:] = np.where(same, np.exp(np.minimum(ct[:-1] - ct[1:], 0) / tau), 0.0)
-            sums = np.ones(key.size)
             cuts = np.flatnonzero(~same)
-            longest = np.diff(cuts, prepend=-1, append=key.size - 1).max(initial=0)
-            d = 1
-            while d < longest:
-                sums[d:] += reach[d:] * sums[:-d]
-                reach[d:] = reach[d:] * reach[:-d]
-                d *= 2
+            sums = chain_sums(reach, np.diff(cuts, prepend=-1, append=key.size - 1).max(initial=0))
 
             def query(j, events):
-                # searchsorted runs fastest on sorted needles
-                needle = j * n + tie[events]
-                order = np.argsort(needle)
-                pos = np.empty_like(order)
-                pos[order] = np.searchsorted(key, needle[order]) - 1
+                pos = _search_left(key, j * n + tie[events]) - 1
                 hit = np.maximum(pos, 0)
                 found = (pos >= 0) & (key[hit] >= j * n)
                 return np.where(found, np.exp(np.minimum(ct[hit] - times[events], 0) / tau) * sums[hit], 0.0)
@@ -468,49 +465,18 @@ class ThinningSampler:
         return done + int(bad[0]) if bad.size else g.size
 
     def _commit(self, rounds, g, used, times, lo, hi, items) -> None:
-        """Enter events lo..hi-1's decided clicks, leaving the state ``click`` leaves, bit for bit.
+        """Enter events lo..hi-1's decided clicks through ``click``'s step, in event order.
 
-        Each distinct (item, time) is one step of ``click``'s recurrence:
-        before = (before + at) * exp((last - t) / tau), with ``math.exp``,
-        then at counts the clicks at t; a time equal to the item's last one
-        only adds to at. The steps run in click order, in one Python loop.
+        The step is inlined with ``math.exp``, as in ``_scan``'s tail, so the
+        state is the one ``click`` leaves, bit for bit.
         """
-        if hi <= lo:
-            return
         items[lo:hi] = g[lo:hi]
-        rounds.used = max(rounds.used, int(used[lo:hi].max()))
-        order = np.argsort(g[lo:hi], kind="stable")
-        j, t = g[lo:hi][order], times[lo:hi][order]
-        head = np.ones(j.size, dtype=bool)
-        head[1:] = (j[1:] != j[:-1]) | (t[1:] != t[:-1])
-        starts = np.flatnonzero(head)
-        j, t = j[starts], t[starts]
-        count = np.diff(starts, append=head.size)
-        fresh = np.ones(j.size, dtype=bool)  # the item's first step in this commit
-        fresh[1:] = j[1:] != j[:-1]
-        firsts = j[fresh].tolist()
-        last = np.array([self.last[x] for x in firsts], dtype=t.dtype)
-        at0 = np.array([self.at[x] for x in firsts], dtype=np.int64)
-        tied = np.zeros(j.size, dtype=bool)
-        tied[fresh] = t[fresh] == last
-        # at after each step, and the at each step adds before it decays
-        at = count.copy()
-        at[tied] += at0[tied[fresh]]
-        add = np.empty(j.size, dtype=np.int64)
-        add[1:] = at[:-1]
-        add[fresh] = at0
-        add[tied] = 0
-        since = np.empty_like(t)
-        since[1:] = t[:-1]
-        since[fresh] = last
-        decay = map(math.exp, ((since - t) / self.tau).tolist())
-        level, b, bases = [], 0.0, iter([self.before[x] for x in firsts])
-        for new, k, e in zip(fresh.tolist(), add.tolist(), decay):
-            b = ((next(bases) if new else b) + k) * e
-            level.append(b)
-        ends = np.flatnonzero(np.append(fresh[1:], True)).tolist()
-        for x, when, b, n_at in zip(j[ends].tolist(), t[ends].tolist(), [level[e] for e in ends], at[ends].tolist()):
-            self.last[x], self.before[x], self.at[x] = when, b, n_at
+        rounds.used = max(rounds.used, int(used[lo:hi].max(initial=0)))
+        last, before, at, exp, tau = self.last, self.before, self.at, math.exp, self.tau
+        for j, t in zip(g[lo:hi].tolist(), times[lo:hi].tolist()):
+            if t != last[j]:
+                before[j], at[j], last[j] = (before[j] + at[j]) * exp((last[j] - t) / tau), 0, t
+            at[j] += 1
 
     def _propose(self, users: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """One proposal per event from its user's matching row.

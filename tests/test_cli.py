@@ -637,6 +637,10 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
     (["analyze", "--data", "{prep}", "--config", "{config_syntax}"],
      "the config file {config_syntax} is not valid JSON: Expecting value: line 1 column 9 (char 8)"),
     (["grid", "--data", "{prep}", "--grid", "{config_syntax}"], "the grid file {config_syntax} is not valid JSON: "),
+    (["synth", "--config", "{underflow}"],
+     "error: degenerate config: user 19's matching weights sum to 0.0, not a finite positive number "
+     "(lower emb_std or embed_dim)\n"),
+    (["synth", "--config", "{overflow}"], "error: degenerate config: user 0's matching weights sum to inf"),
 ], ids=["synth", "synth-non-finite", "prepare", "analyze-data", "analyze-checkpoint", "evaluate-k", "evaluate-k-pref",
         "analyze-t-o", "analyze-n-buckets", "analyze-min-ratings", "grid-threads", "analyze-catalog",
         "prepare-core-n", "analyze-p-threshold", "train-lr-emb", "train-weight-decay", "train-fixed-q", "train-tau",
@@ -644,7 +648,8 @@ def test_rejected_train_config_leaves_no_run_directory(pipeline, tmp_path, capsy
         "prepare-config-parts", "train-config-bool-epochs", "grid-grid-epochs", "grid-config-batch-size",
         "train-config-k-select", "synth-config-n-users", "prepare-config-delimiter", "evaluate-config-modes",
         "synth-seed", "train-seed", "grid-seed", "prepare-seed", "grid-file-list", "train-config-method",
-        "config-number", "config-null", "config-string", "config-syntax", "grid-file-syntax"])
+        "config-number", "config-null", "config-string", "config-syntax", "grid-file-syntax",
+        "synth-config-underflow", "synth-config-overflow"])
 def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv, message):
     config_files = {}
     for name, content in [("nonfinite", {"tau": float("nan")}), ("t_o_nan", {"t_o": float("nan")}),
@@ -654,7 +659,10 @@ def test_rejected_input_leaves_no_run_directory(pipeline, tmp_path, capsys, argv
                           ("k_select", {"k_select": 2.5}), ("n_users", {"n_users": 20.5}),
                           ("delimiter", {"delimiter": 5}), ("modes", {"modes": [1]}), ("grid_list", [1]),
                           ("method", {"method": "x"}), ("config_int", 5), ("config_null", None),
-                          ("config_str", "abc"), ("config_syntax", b'{"tau": ')]:
+                          ("config_str", "abc"), ("config_syntax", b'{"tau": '),
+                          # every softplus of users 19 and 39 underflows; every row's sum overflows
+                          ("underflow", {"n_users": 50, "n_items": 3, "n_events": 3000, "emb_std": 30.0, "seed": 1}),
+                          ("overflow", {"n_users": 50, "n_items": 40, "n_events": 300, "emb_std": 1e154, "seed": 1})]:
         config_files[name] = tmp_path / f"{name}.json"
         config_files[name].write_text(content.decode() if isinstance(content, bytes) else json.dumps(content))
     wide = tmp_path / "wide.npz"  # a checkpoint of another catalog

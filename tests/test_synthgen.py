@@ -126,6 +126,16 @@ def test_degenerate_all_zero_scores_raise():
         generate(cfg)
 
 
+def test_planted_matching_weights_that_underflow_are_refused():
+    # user 1's dot product with every item is -1600: each softplus underflows to 0
+    truth = sample_truth(SMALL, np.random.default_rng(0))
+    user_emb = truth.true_user_emb.copy()
+    user_emb[1] = -20.0
+    planted = SynthTruth(truth.true_quality, truth.true_beta, user_emb, np.full_like(truth.true_item_emb, 20.0))
+    with pytest.raises(ValueError, match=r"user 1's matching weights sum to 0\.0, .* \(lower emb_std or embed_dim\)"):
+        generate(SMALL, planted)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(**{**SMALL.__dict__, "n_users": 0}).validate()
