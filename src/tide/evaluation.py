@@ -140,7 +140,8 @@ class _Task:
     so reusing a task cannot leak an earlier scorer's numbers. What ranking
     users a..b-1 needs beyond their scores comes from ``block(a, b)``, once
     per block, and goes to every mode's ``rank``, with the pass's ``work``
-    block, which ``rank`` may overwrite.
+    block, which ``rank`` may overwrite. ``rank`` reads the users' score
+    rows of the block at ``rows``, or all of its rows where ``rows`` is None.
     """
 
     def __init__(self, k: int, n_items: int, users: np.ndarray, n_skipped: int, metrics: tuple, counts: dict):
@@ -198,26 +199,30 @@ class ClickTask(_Task):
         allowed[excluded] = False
         return excluded, allowed.reshape(users.size, -1), *_block_pairs(self.relevant, users)
 
-    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict, context: tuple, work: np.ndarray) -> None:
+    def rank(self, a: int, b: int, scores: np.ndarray, rows, metrics: dict, context: tuple,
+             work: np.ndarray) -> None:
         excluded, allowed, row, items = context
-        # ascending neg = descending score; excluded cells go last, and the partition is in place
-        neg = np.negative(scores, out=work[: scores.shape[0]])
+        # ascending neg = descending score; excluded cells go last, and the partition is in place.
+        # A take that may clip writes straight into ``out``; rows are in range, so it never clips
+        neg = work[: b - a]
+        np.negative(scores if rows is None else np.take(scores, rows, axis=0, out=neg, mode="clip"), out=neg)
         neg.reshape(-1)[excluded] = np.inf
         kk = min(self.k, neg.shape[1])
         neg.partition(kk - 1, axis=1)
         kth = -neg[:, kk - 1]
         # k allowed candidates beat an item strictly behind the k-th score; a nan compares false and stays.
         # Negation is exact, so comparing scores gives the counts that comparing negated scores gives.
-        value = scores[row, items]
+        at = row if rows is None else rows[row]  # the block's score row of each relevant item
+        value = scores[at, items]
         near = ~(value < kth[row])
-        row, items, value = row[near], items[near, None], value[near, None]
+        row, at, items, value = row[near], at[near], items[near, None], value[near, None]
         # count each remaining item's rivals, at most BLOCK_ELEMENTS cells at a time
         ids = np.arange(scores.shape[1])
         rank = np.empty(row.size, dtype=np.int64)
         step = max(1, BLOCK_ELEMENTS // scores.shape[1])
         for lo in range(0, row.size, step):
             part = slice(lo, lo + step)
-            cand, v, ahead = scores[row[part]], value[part], ids < items[part]
+            cand, v, ahead = scores[at[part]], value[part], ids < items[part]
             beats = (cand > v) | ((cand == v) & ahead)
             nan = np.isnan(v[:, 0])
             beats[nan] = ~np.isnan(cand[nan]) | ahead[nan]  # nan ranks last, nans by id
@@ -261,9 +266,10 @@ class PreferenceTask(_Task):
         lo, hi = np.searchsorted(self.pair_users, [users[0], users[-1] + 1])
         return np.searchsorted(users, self.pair_users[lo:hi]), self.pair_items[lo:hi], self.pair_positive[lo:hi]
 
-    def rank(self, a: int, b: int, scores: np.ndarray, metrics: dict, pairs: tuple, work: np.ndarray) -> None:
+    def rank(self, a: int, b: int, scores: np.ndarray, rows, metrics: dict, pairs: tuple,
+             work: np.ndarray) -> None:
         row, items, positive = pairs
-        order = np.lexsort((items, -scores[row, items], row))
+        order = np.lexsort((items, -scores[row if rows is None else rows[row], items], row))
         row, positive = row[order], positive[order]
         rank = np.arange(row.size) - np.searchsorted(row, row)
         hit_row = row[positive & (rank < self.k)]
@@ -310,7 +316,7 @@ def rank_tasks(score_blocks, tasks, collect_per_user: bool = False, n_modes: int
         for scores, mode_metrics in zip(score_blocks(block), metrics, strict=True):
             for task, (a, b, rows, context), out in zip(tasks, spans, mode_metrics):
                 if a < b:
-                    task.rank(a, b, scores if rows is None else scores[rows], out, context, work)
+                    task.rank(a, b, scores, rows, out, context, work)
     return [[task.result(out, collect_per_user) for task, out in zip(tasks, mode_metrics)]
             for mode_metrics in metrics]
 

@@ -76,10 +76,20 @@ def bpr_loss(pos_scores, neg_scores):
     return softplus(np.asarray(neg_scores) - np.asarray(pos_scores))
 
 
-def elu_plus_one(x):
-    """exp(x) for x < 0, x + 1 otherwise: positive, smooth, identity-sloped."""
+def elu_plus_one(x, out=None, fmax_out=None):
+    """exp(x) for x < 0, x + 1 otherwise: positive, smooth, identity-sloped.
+
+    Computed as exp(min(x, 0)) + fmax(x, 0), which is exp(x) + 0 below 0
+    and 1 + x from 0 on, and carries a NaN input's bits. ``out`` and
+    ``fmax_out`` work as in ``softplus``: a caller that keeps arrays of x's
+    shape passes them, and the call allocates nothing.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x < 0, np.exp(np.minimum(x, 0.0)), x + 1.0)
+    out = np.empty_like(x) if out is None else out
+    np.minimum(x, 0.0, out=out)
+    np.exp(out, out=out)
+    out += np.fmax(x, 0.0, out=fmax_out)
+    return out
 
 
 def elu_plus_one_grad(x):

@@ -272,20 +272,14 @@ class ThinningSampler:
         """Decide a chunk's events by a fixed point; returns how many lead events it decided.
 
         A guess gives every event an item, or none while all its proposals
-        are rejected. Each pass decides again, with numpy, the events whose
-        tested proposals saw a guessed click change before their time, from
-        the chunk-start state plus the guessed clicks strictly earlier. An
-        event reads only earlier clicks, so if every guess before the first
-        wrong one is right, the next pass corrects it, and a pass that changes
-        nothing leaves the loop's result. The first pass sees no in-chunk
-        click, and acceptance only grows with clicks, so its round-0 accepts
-        are final and never decided again.
-
-        Every decision keeps its margin: how far its tested acceptances lie
-        from their uniforms. A changed click moves S_j(t_k) by at most its
-        decayed weight and the acceptance by beta_j times that, so a pass
-        spends that bound from the margins it reaches and decides again only
-        the events whose margin it used up.
+        are rejected. Each pass decides again, with numpy, every event after
+        the first decision the last pass changed, from the chunk-start state
+        plus the guessed clicks strictly earlier. An event reads only earlier
+        clicks, so if every guess before the first wrong one is right, the
+        next pass corrects it, and a pass that changes nothing leaves the
+        loop's result. The first pass sees no in-chunk click, and acceptance
+        only grows with clicks, so its round-0 accepts are final and never
+        decided again, nor are committed events and the loop's steps.
 
         The loop (``_scan``) decides an event on the exact state where the
         fixed point holds no kept proposal for it (a real fallback), and
@@ -387,35 +381,14 @@ class ThinningSampler:
         g, used, margin = first_pass
         pinned = (g >= 0) & (used == 1)
         changed = np.flatnonzero(g >= 0)
-        old = np.full(changed.size, -1)
         done, passes, counts = 0, 0, []  # counts: decisions each pass since the last loop step changed
         while True:
-            redo = changed[:0]
-            if changed.size:
-                # spend each changed click's bound from the margins of the later events it reaches
-                ends = np.concatenate((old, g[changed]))
-                at = np.concatenate((changed, changed))[ends >= 0]
-                ends = ends[ends >= 0]
-                since = np.full(self.n_items, n)  # each item's first changed click
-                np.minimum.at(since, ends, tie[at])
-                cand = changed[0] + 1 + np.flatnonzero(~pinned[changed[0] + 1:])
-                # every round each candidate tested
-                width = used[cand]
-                ev = np.repeat(cand, width)
-                r = np.arange(ev.size) - np.repeat(np.cumsum(width) - width, width)
-                j = rounds.proposals[r * n + ev]
-                near = np.flatnonzero(since[j] < tie[ev])
-                if near.size:
-                    ev, j = ev[near], j[near]
-                    heads = np.flatnonzero(np.diff(ev, prepend=-1))
-                    margin[ev[heads]] -= np.maximum.reduceat(beta[j] * decayed(ends, at)(j, ev), heads)
-                redo = cand[margin[cand] <= _MARGIN]
+            redo = changed[0] + 1 + np.flatnonzero(~pinned[changed[0] + 1:]) if changed.size else changed
             if redo.size:
                 passes += 1
                 clicked = np.flatnonzero(g >= 0)
                 item, used[redo], margin[redo] = decide(redo, decayed(g[clicked], clicked))
-                moved = item != g[redo]
-                changed, old = redo[moved], g[redo[moved]]
+                changed = redo[item != g[redo]]
                 g[redo] = item
                 counts.append(changed.size)
                 if self._slow(counts, n) or passes > _MAX_PASSES:
@@ -437,7 +410,7 @@ class ThinningSampler:
             self._scan(rounds, times, stop, stop + 1, items, offset)
             pinned[stop] = True
             changed = np.flatnonzero(items[stop:stop + 1] != g[stop:stop + 1]) + stop
-            old, g[stop] = g[changed], items[stop]
+            g[stop] = items[stop]
             done, counts = stop + 1, []
 
     def _give_up(self, decided: int) -> int:

@@ -351,11 +351,11 @@ def make_scorer(model: TideModel, method: str, *modes: InferenceMode, t_eval: in
     Tanh input serves m itself. So a scorer holds the coefficients of the
     parameters at its build; build one per ranking pass. Each block computes
     m and L(m) once for every mode, and the last mode to read L(m) scales it.
-    The scorer keeps its block arrays across calls: m, tide's L(m) and
-    Softplus's fmax(m, 0) term, and a product for each scaled mode but the
-    last. They are sized by the first call, grown by a longer block and
-    sliced for a shorter one, so a yielded block is valid only until the
-    scorer's next call. pda serves each item's popularity in the training
+    The scorer keeps its block arrays across calls: m, L(m) and its link's
+    fmax(m, 0) term (Softplus for tide, ELU + 1 for pd and pda), and a
+    product for each scaled mode but the last. They are sized by the first
+    call, grown by a longer block and sliced for a shorter one, so a yielded
+    block is valid only until the scorer's next call. pda serves each item's popularity in the training
     part holding ``t_eval``. At ``t_eval = train.t_max`` that is the latest
     populated training part: the persistence predictor of serving-time
     popularity.
@@ -375,6 +375,8 @@ def make_scorer(model: TideModel, method: str, *modes: InferenceMode, t_eval: in
         coefs = [None] * len(modes)
     scaled = [j for j, coef in enumerate(coefs) if coef is not None]
     bare = method == "tide"  # a mode without a coefficient serves m, not L(m)
+    # mf's and mf-ips' L(m) is m itself, and tide reads L(m) only for a mode with a coefficient
+    linking = method in ("pd", "pda") or (bare and bool(scaled))
     kept = {}
 
     def rows_of(name, rows: int) -> np.ndarray:
@@ -386,10 +388,7 @@ def make_scorer(model: TideModel, method: str, *modes: InferenceMode, t_eval: in
     def score_blocks(users):
         rows = len(users)
         m = np.matmul(model.user_emb[users], model.item_emb.T, out=rows_of("m", rows))
-        if method == "tide":  # its link, softplus, fills the kept arrays
-            linked = link(m, out=rows_of("link", rows), fmax_out=rows_of("fmax", rows)) if scaled else None
-        else:
-            linked = link(m)
+        linked = link(m, out=rows_of("link", rows), fmax_out=rows_of("fmax", rows)) if linking else m
         for j, coef in enumerate(coefs):
             if coef is None:
                 yield m if bare else linked

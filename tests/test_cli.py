@@ -1115,6 +1115,43 @@ def test_commands_import_scipy_only_where_they_call_it(pipeline, tmp_path):
     assert all((out / name).is_dir() for name, _, _ in stages)
 
 
+PIPELINE = Path(__file__).parent / "pipeline.py"
+# the split files of pipeline.py's tokens.tsv: the text a per-value str/format writer gives
+TOKEN_SPLITS = {
+    "train.tsv": "0\t0\t5\t100\n1\t0\t4\t200\n2\t1\t3\t300\n0\t1\t4\t400\n1\t1\t5\t500\n2\t0\t2\t600\n"
+                 "3\t0\tnan\t700\n2\t1\t3.5\t800\n",
+    "validation.tsv": "1\t0\t4\t1000000000\n",
+    "test.tsv": "",
+}
+
+
+def test_the_pipeline_writes_the_same_bytes_under_two_hash_seeds(tmp_path):
+    # criterion 8 reruns in one process, so it cannot see an order taken from a set. Both
+    # seeds write into one relative path, so configs and run ids are equal too
+    src = Path(cli.__file__).parent.parent
+    runs = []
+    for seed in ("0", "1"):
+        (tmp_path / seed).mkdir()
+        proc = subprocess.run([sys.executable, str(PIPELINE), "out"], cwd=tmp_path / seed, capture_output=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        out = tmp_path / seed / "out"
+        # every file but history.csv, which holds wall times
+        files = {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
+                 if path.is_file() and path.name != "history.csv"}
+        runs.append((files, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    out = tmp_path / "0" / "out"
+    for name, text in TOKEN_SPLITS.items():
+        assert (only_entry(out / "tokens") / name).read_bytes() == text.encode()
+    # the wide evaluations rank at least 3 blocks, the last one shorter
+    step = evaluation.BLOCK_ELEMENTS // json.loads((only_entry(out / "wide") / "manifest.json").read_text())["n_items"]
+    for on in ("test", "validation"):
+        [report, *_] = json.loads((only_entry(out / f"eval-wide-{on}") / "eval.json").read_text())["reports"]
+        users = set(report["per_user"]["click"]) | set(report["per_user"]["pref"])
+        assert len(users) > 2 * step and len(users) % step, (len(users), step)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

@@ -350,17 +350,26 @@ def assert_rows_match(got_rows, want_rows):
             assert abs(got_rows[u][key] - value) <= 1e-12, (u, key)
 
 
+def task_of_every_user(n_users, n_items):
+    """A click task that ranks every user: beside it, another task's users are a part of each block."""
+    no_train = InteractionLog.build([], [], [], None, n_users, n_items)
+    everyone = InteractionLog.build(range(n_users), [0] * n_users, range(n_users), None, n_users, n_items)
+    return ClickTask(no_train, everyone, 1)
+
+
 @settings(max_examples=200, deadline=None)
-@given(eval_instances())
-def test_blocked_tasks_match_per_user_oracles(case):
+@given(eval_instances(), st.booleans())
+def test_blocked_tasks_match_per_user_oracles(case, beside_everyone):
     scores, train, test, k_click, k_pref, block_elements = case
     table = {u: scores[u] for u in range(scores.shape[0])}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "BLOCK_ELEMENTS", block_elements)
         # the tasks are built once and ranked twice: the first scorer's numbers must not survive
         tasks = [ClickTask(train, test, k_click), PreferenceTask(test, k_pref)]
+        if beside_everyone:
+            tasks.append(task_of_every_user(*scores.shape))
         rank_tasks(fixed_scorer({u: -row for u, row in table.items()}), tasks, collect_per_user=True)
-        [[out, pref]] = rank_tasks(fixed_scorer(table), tasks, collect_per_user=True)
+        [[out, pref, *_]] = rank_tasks(fixed_scorer(table), tasks, collect_per_user=True)
         alone = preference_prediction_eval(fixed_scorer(table), test, k=k_pref, collect_per_user=True)
     want_click, skipped_click = oracle_click(scores, train, test, k_click)
     assert (out["n_users"], out["n_skipped"]) == (len(want_click), skipped_click)
@@ -411,18 +420,20 @@ def excluded_tied_to_relevant(scores, train, test):
 def test_one_click_task_ranks_pass_after_pass_like_the_oracle(case, data):
     # the task negates each block into the pass's one work block, a shorter block into
     # its first rows: a pass with other scores, other block sizes and excluded cells
-    # tied to relevant items must rank as if it were the task's first
+    # tied to relevant items must rank as if it were the task's first. Ranked beside a
+    # task of every user, it takes its rows of each block into the work block first
     scores, train, test, k, _, block_elements = case
-    n_items = scores.shape[1]
+    n_users, n_items = scores.shape
     second = data.draw(hnp.arrays(np.float64, scores.shape, elements=st.sampled_from(SIGNED_GRID)))
     if data.draw(st.booleans()):
         second = excluded_tied_to_relevant(second, train, test)
     passes = [(scores, block_elements), (second, data.draw(st.integers(1, 3 * n_items)))]
     task = ClickTask(train, test, k)
+    tasks = [task] + ([task_of_every_user(n_users, n_items)] if data.draw(st.booleans()) else [])
     for table, elements in passes:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "BLOCK_ELEMENTS", elements)
-            [[out]] = rank_tasks(fixed_scorer(dict(enumerate(table))), [task], collect_per_user=True)
+            [[out, *_]] = rank_tasks(fixed_scorer(dict(enumerate(table))), tasks, collect_per_user=True)
         want, skipped = oracle_click(table, train, test, k)
         assert (out["n_users"], out["n_skipped"]) == (len(want), skipped)
         assert_rows_match(out["per_user"], want)

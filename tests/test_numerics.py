@@ -100,6 +100,28 @@ def test_softplus_equals_the_masked_add_bit_for_bit(x):
             assert np.asarray(scalar).view(np.int64) == np.asarray(want).view(np.int64)
 
 
+def where_elu_plus_one(x):
+    """The former elu_plus_one, a where over x < 0: the bit-for-bit oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x < 0, np.exp(np.minimum(x, 0.0)), x + 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=24),
+    elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(BITWISE_SPECIAL)),
+))
+def test_elu_plus_one_equals_the_where_expression_bit_for_bit(x):
+    # NaNs of either sign and any payload, subnormals and large x; into fresh arrays and into kept ones
+    with np.errstate(invalid="ignore"):
+        want = where_elu_plus_one(x)
+        out, fmax_out = np.full_like(x, np.nan), np.full_like(x, np.nan)
+        for got in (elu_plus_one(x), elu_plus_one(x, out=out, fmax_out=fmax_out)):
+            assert type(got) is type(want) and got.shape == want.shape
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert got is out
+
+
 def test_softplus_leaves_its_input_alone():
     x = np.array([-3.0, 0.0, 2.5])
     before = x.copy()

@@ -233,10 +233,12 @@ def test_a_reused_scorer_serves_each_call_the_bits_of_a_fresh_one(method, rows):
 def test_a_scorer_serves_each_call_from_the_arrays_of_the_last():
     # a yielded block is valid until the scorer's next call, which writes into the same memory
     model, _, serving = rated_serving_setup(seed=16)
-    scorer = make_scorer(model, "tide", *(parse_mode(text) for text in ("full", "int", "e")), **serving)
-    first = list(scorer(np.arange(9)))
-    second = list(scorer(np.arange(4)))
-    assert all(np.shares_memory(a, b) for a, b in zip(first, second, strict=True))
+    for method in ("tide", "pd", "pda"):
+        modes = [parse_mode(text) for text in ("full", "int", "e")] if method == "tide" else [MATCHING_ONLY]
+        scorer = make_scorer(model, method, *modes, **serving)
+        first = list(scorer(np.arange(9)))
+        second = list(scorer(np.arange(4)))
+        assert all(np.shares_memory(a, b) for a, b in zip(first, second, strict=True)), method
 
 
 @pytest.mark.parametrize("method", ["tide", "pda"])
