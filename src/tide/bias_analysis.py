@@ -50,9 +50,6 @@ class CorrReport:
     r: np.ndarray
     p: np.ndarray
     retained: np.ndarray
-    p_threshold: float
-    t_o: int
-    weekly: bool
 
     def retained_r(self) -> np.ndarray:
         return self.r[self.retained]
@@ -240,9 +237,6 @@ def per_item_rating_instant_pop_corr(
         r=r_arr,
         p=p_arr,
         retained=p_arr <= p_threshold,
-        p_threshold=p_threshold,
-        t_o=int(t_o),
-        weekly=weekly_aggregate,
     )
 
 

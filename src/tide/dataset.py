@@ -167,7 +167,7 @@ class PairSet:
         keys = np.asarray(users) * np.int64(self.n_items) + items
         if self._keys.size == 0:
             return np.zeros(keys.shape, dtype=bool)
-        idx = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        idx = np.minimum(_search_left(self._keys, keys), self._keys.size - 1)
         return self._keys[idx] == keys
 
     def dense(self) -> "PairSet | DensePairSet":
@@ -233,15 +233,16 @@ class ItemTimeline:
 
 
 def _search_left(sorted_arr: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(side="left")``, visiting the needles in ascending order.
+    """``np.searchsorted(side="left")``, visiting the needles in ascending order; any needle shape.
 
     Searches for ascending needles touch neighbouring memory one after the
     other, so on long random needle arrays the sort pays for itself.
     """
-    order = np.argsort(needles)
-    out = np.empty(needles.shape, dtype=np.intp)
-    out[order] = np.searchsorted(sorted_arr, needles[order], side="left")
-    return out
+    flat = np.ravel(needles)
+    order = np.argsort(flat)
+    out = np.empty(flat.shape, dtype=np.intp)
+    out[order] = np.searchsorted(sorted_arr, flat[order], side="left")
+    return out.reshape(np.shape(needles))
 
 
 def _read_rows(path, delimiter: str = "\t"):

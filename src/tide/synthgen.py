@@ -150,10 +150,11 @@ class ThinningSampler:
     each other's clicks. Clicks must arrive in nondecreasing time.
 
     ``level``, ``acceptance`` and ``click`` define one event's step. ``draw``
-    decides a chunk's events at once where it can (``_settle``, whose clicks
-    enter through ``click``'s step in event order) and runs the rest through
-    the per-event loop (``_scan``, the same steps inlined); both give the
-    loop's items, state and random stream, bit for bit.
+    decides a chunk's lead events at once where it can (``_settle``, whose
+    clicks enter through ``click``'s step in event order) and runs the chunk
+    from its first unsettled event through the per-event loop (``_scan``, the
+    same steps inlined); both give the loop's items, state and random stream,
+    bit for bit.
     """
 
     def __init__(self, truth: SynthTruth, tau: float, rng: np.random.Generator):
@@ -212,6 +213,8 @@ class ThinningSampler:
         """One item per event, in order; each event's click enters the state.
 
         ``first`` holds each event's uniform in [0, 1) for its first proposal.
+        The fixed point (``_settle``) commits each chunk's lead events unless a
+        give-up sent the chunk to the loop (``_scan``), which decides the rest.
         """
         times = np.asarray(times)
         if np.any(np.diff(times) < 0):
@@ -223,14 +226,14 @@ class ThinningSampler:
             done = 0
             if self._skip:
                 self._skip -= 1
-            elif MAX_REJECTIONS:
-                done = self._settle(rounds, times[chunk], items[chunk], start)
-            self._scan(rounds, times[chunk], done, rounds.users.size, items[chunk], start)
+            else:
+                done = self._settle(rounds, times[chunk], items[chunk])
+            self._scan(rounds, times[chunk], done, items[chunk], start)
             rounds.finish()
         return items
 
-    def _scan(self, rounds: "_Rounds", times: np.ndarray, lo: int, hi: int, items: np.ndarray, offset: int) -> None:
-        """The per-event loop: decide events lo..hi-1 of a chunk in order, on the exact state.
+    def _scan(self, rounds: "_Rounds", times: np.ndarray, lo: int, items: np.ndarray, offset: int) -> None:
+        """The per-event loop: decide a chunk's events from ``lo`` to its end in order, on the exact state.
 
         ``acceptance`` and ``click`` inlined, with the same arithmetic; the
         kept proposal's S_j(t) is the level ``click`` decays its sum to.
@@ -241,14 +244,14 @@ class ThinningSampler:
         # first needs the round, for the later events still open: an event is
         # closed once a proposal's acceptance at the chunk's start clears its
         # uniform by over _MARGIN, since clicks only raise an acceptance
-        rows, open_ = [], np.arange(hi - lo)
+        rows, open_ = [], np.arange(times.size - lo)
         picked = []
-        for k, t in enumerate(times[lo:hi].tolist()):
+        for k, t in enumerate(times[lo:].tolist()):
             for r in range(MAX_REJECTIONS):
                 if r == len(rows):
                     open_ = open_[np.searchsorted(open_, k):]
                     found, kept = rounds.propose(r * rounds.size + lo + open_)
-                    proposals, accept = np.zeros(hi - lo, dtype=np.int64), np.zeros(hi - lo)
+                    proposals, accept = np.zeros(times.size - lo, dtype=np.int64), np.zeros(times.size - lo)
                     proposals[open_], accept[open_] = found, kept
                     rows.append((proposals.tolist(), accept.tolist()))
                     if open_.size > 1:
@@ -265,11 +268,11 @@ class ThinningSampler:
                 before[j], at[j], last[j] = s, 0, t
             at[j] += 1
             picked.append(j)
-        items[lo:hi] = picked
+        items[lo:] = picked
         rounds.used = max(rounds.used, len(rows))
 
-    def _settle(self, rounds: "_Rounds", times: np.ndarray, items: np.ndarray, offset: int) -> int:
-        """Decide a chunk's events by a fixed point; returns how many lead events it decided.
+    def _settle(self, rounds: "_Rounds", times: np.ndarray, items: np.ndarray) -> int:
+        """Decide a chunk's lead events by a fixed point and commit them; returns how many.
 
         A guess gives every event an item, or none while all its proposals
         are rejected. Each pass decides again, with numpy, every event after
@@ -279,25 +282,24 @@ class ThinningSampler:
         next pass corrects it, and a pass that changes nothing leaves the
         loop's result. The first pass sees no in-chunk click, and acceptance
         only grows with clicks, so its round-0 accepts are final and never
-        decided again, nor are committed events and the loop's steps.
+        decided again.
 
-        The loop (``_scan``) decides an event on the exact state where the
-        fixed point holds no kept proposal for it (a real fallback), and
-        where an acceptance lies within ``_MARGIN`` of its uniform; the passes
-        then go on from it. Elsewhere the decision is the loop's: the two
-        compute each S_j from the same sums of positive terms, so they
-        differ by a few rounding errors per click of the chunk, a relative
-        1e-12 or so, and tanh(x) moves by at most 0.45 times the relative
-        change of x. Decided clicks enter the state through ``click``'s step,
-        in event order (``_commit``), so it stays bit-identical.
+        The committed prefix ends at the first unsettled event: one with no
+        kept proposal (a real fallback), or whose acceptance lies within
+        ``_MARGIN`` of its uniform. Before it the decisions are the loop's:
+        the two compute each S_j from the same sums of positive terms, so
+        they differ by a few rounding errors per click of the chunk, a
+        relative 1e-12 or so, and tanh(x) moves by at most 0.45 times the
+        relative change of x. The prefix's clicks enter the state through
+        ``click``'s step, in event order (``_commit``), so it stays
+        bit-identical, and the loop (``_scan``) takes the chunk from there.
 
         Strong conformity makes long chains of flips, and passes that keep
-        changing many decisions. The fixed point then gives up and keeps the
-        events before the first change; the loop takes the rest, and the
-        next chunks start in the loop, more of them after every give-up in
-        a row. It gives up before any pass where acceptance at the chunk's
-        start is so low that over an eighth of the events reject their first
-        seven proposals.
+        changing many decisions. The fixed point then gives up, the prefix
+        also ends at the last pass's first change, and the next chunks start
+        in the loop, more of them after every give-up in a row. It gives up
+        before any pass where acceptance at the chunk's start is so low that
+        over an eighth of the events reject their first seven proposals.
         """
         n, tau, R = times.size, self.tau, MAX_REJECTIONS
         q, beta = self.truth.true_quality, self.truth.true_beta
@@ -381,37 +383,24 @@ class ThinningSampler:
         g, used, margin = first_pass
         pinned = (g >= 0) & (used == 1)
         changed = np.flatnonzero(g >= 0)
-        done, passes, counts = 0, 0, []  # counts: decisions each pass since the last loop step changed
-        while True:
-            redo = changed[0] + 1 + np.flatnonzero(~pinned[changed[0] + 1:]) if changed.size else changed
-            if redo.size:
-                passes += 1
-                clicked = np.flatnonzero(g >= 0)
-                item, used[redo], margin[redo] = decide(redo, decayed(g[clicked], clicked))
-                changed = redo[item != g[redo]]
-                g[redo] = item
-                counts.append(changed.size)
-                if self._slow(counts, n) or passes > _MAX_PASSES:
-                    # the guesses before the first change are the loop's, up to the first problem
-                    stop = max(done, min(changed[0] if changed.size else n, self._first_problem(g, margin, done)))
-                    self._commit(rounds, g, used, times, done, stop, items)
-                    return self._give_up(stop)
-                continue
-            stop = self._first_problem(g, margin, done)
-            self._commit(rounds, g, used, times, done, stop, items)
-            pinned[done:stop] = True
-            if stop == n:
-                self._backoff = 1
-                return n
-            if passes >= _MAX_PASSES:
-                return self._give_up(stop)
-            # the loop decides this event on the exact state, and the passes go on from it
-            passes += 1
-            self._scan(rounds, times, stop, stop + 1, items, offset)
-            pinned[stop] = True
-            changed = np.flatnonzero(items[stop:stop + 1] != g[stop:stop + 1]) + stop
-            g[stop] = items[stop]
-            done, counts = stop + 1, []
+        counts = []  # the decisions each pass changed
+        while (redo := np.flatnonzero(~pinned & (np.arange(n) > changed.min(initial=n)))).size:
+            clicked = np.flatnonzero(g >= 0)
+            item, used[redo], margin[redo] = decide(redo, decayed(g[clicked], clicked))
+            changed = redo[item != g[redo]]
+            g[redo] = item
+            counts.append(changed.size)
+            if self._slow(counts, n) or len(counts) > _MAX_PASSES:
+                break  # a give-up, with a pass still to make
+        # the decisions before the first unsettled event are the loop's; after
+        # a give-up, only those before the last pass's first change
+        end = changed.min(initial=n) if redo.size else n
+        stop = int(np.append((g[:end] < 0) | (margin[:end] <= _MARGIN), True).argmax())
+        self._commit(rounds, g[:stop], used[:stop], times[:stop], items)
+        if redo.size:
+            return self._give_up(stop)
+        self._backoff = 1
+        return stop
 
     def _give_up(self, decided: int) -> int:
         """Send the next chunks to the loop, twice as many after every give-up in a row."""
@@ -431,22 +420,16 @@ class ThinningSampler:
             return 8 * counts[0] > n
         return counts[-1] > 16 and counts[-1] ** 3 > counts[-2] ** 2
 
-    @staticmethod
-    def _first_problem(g: np.ndarray, margin: np.ndarray, done: int) -> int:
-        """The first event from ``done`` on with no guessed item or a margin the loop must settle."""
-        bad = np.flatnonzero((g[done:] < 0) | (margin[done:] <= _MARGIN))
-        return done + int(bad[0]) if bad.size else g.size
-
-    def _commit(self, rounds, g, used, times, lo, hi, items) -> None:
-        """Enter events lo..hi-1's decided clicks through ``click``'s step, in event order.
+    def _commit(self, rounds, g, used, times, items) -> None:
+        """Enter the decided clicks of a chunk's first ``g.size`` events through ``click``'s step, in event order.
 
         The step is inlined with ``math.exp``, as in ``_scan``'s tail, so the
         state is the one ``click`` leaves, bit for bit.
         """
-        items[lo:hi] = g[lo:hi]
-        rounds.used = max(rounds.used, int(used[lo:hi].max(initial=0)))
+        items[:g.size] = g
+        rounds.used = max(rounds.used, int(used.max(initial=0)))
         last, before, at, exp, tau = self.last, self.before, self.at, math.exp, self.tau
-        for j, t in zip(g[lo:hi].tolist(), times[lo:hi].tolist()):
+        for j, t in zip(g.tolist(), times.tolist()):
             if t != last[j]:
                 before[j], at[j], last[j] = (before[j] + at[j]) * exp((last[j] - t) / tau), 0, t
             at[j] += 1

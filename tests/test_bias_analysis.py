@@ -381,7 +381,6 @@ def test_per_item_corr_weekly_aggregation_reduces_points():
     log = InteractionLog.build(np.arange(n) % 5, np.zeros(n, dtype=int), times, ratings, 5, 1)
     raw = per_item_rating_instant_pop_corr(log, p_threshold=1.0, min_ratings=3)
     weekly = per_item_rating_instant_pop_corr(log, p_threshold=1.0, min_ratings=3, weekly_aggregate=True)
-    assert weekly.weekly and not raw.weekly
     if weekly.items.size and raw.items.size:
         assert weekly.n[0] <= raw.n[0]
         assert weekly.n[0] <= 5

@@ -400,8 +400,16 @@ def assert_same_draws(fast, loop):
 def test_draw_equals_the_per_event_loop(
     n_items, n_users, n_events, horizon, tau, quality, beta, cap, chunk, margin, max_passes, n_preload, seed
 ):
-    # a wide margin sends many events to the loop's own test inside the fixed
-    # point, and no passes make every chunk that needs one give up
+    # a wide margin hands many chunks to the loop at an unsettled event, and
+    # no passes make every chunk that needs one give up
+    assert_draw_equals_the_loop(
+        n_items, n_users, n_events, horizon, tau, quality, beta, cap, chunk, margin, max_passes, n_preload, seed
+    )
+
+
+def assert_draw_equals_the_loop(
+    n_items, n_users, n_events, horizon, tau, quality, beta, cap, chunk, margin, max_passes, n_preload, seed
+):
     rng = np.random.default_rng(seed)
     truth = SynthTruth(
         true_quality=rng.uniform(0.0, quality, n_items),
@@ -422,6 +430,23 @@ def test_draw_equals_the_per_event_loop(
     ):
         fast, loop = both_draws(truth, tau, users, times, first, preload, seed)
     assert_same_draws(fast, loop)
+
+
+# small, strongly coupled draws, found by drawing uniformly from the value
+# sets above: each changes if a pass skips the event right after its first
+# changed decision, which the hypothesis draws above rarely reach
+@pytest.mark.parametrize(
+    "case",
+    [
+        (3, 1, 98, 10**6, 1e7, 0.3, 1.5, 32, 64, 1e-9, 12, 5, 64083445),
+        (4, 4, 180, 5000, 1e7, 0.0, 1.5, 32, 64, 1e-9, 12, 5, 4079169325),
+        (2, 4, 222, 5000, 20.0, 2.0, 4.0, 32, 64, 0.05, 12, 10, 4248838683),
+        (3, 1, 7, 50, 2000.0, 0.3, 4.0, 3, 4096, 1e-9, 12, 3, 3301768513),
+    ],
+    ids=["3-items-slow-decay", "4-items-zero-quality", "2-items-wide-margin", "7-events"],
+)
+def test_draw_equals_the_loop_on_coupled_draws(case):
+    assert_draw_equals_the_loop(*case)
 
 
 @pytest.mark.parametrize(
@@ -458,7 +483,7 @@ def test_the_loop_looks_up_proposals_only_for_events_still_open(monkeypatch, con
     # every chunk runs in the loop; an event's proposal of round r is looked
     # up only if none of its earlier proposals is kept at the chunk-start
     # state by over _MARGIN, which clicks within the chunk only raise
-    monkeypatch.setattr(ThinningSampler, "_settle", lambda self, rounds, times, items, offset: 0)
+    monkeypatch.setattr(ThinningSampler, "_settle", lambda self, rounds, times, items: 0)
     looked = {}
     propose = synthgen._Rounds.propose
 
@@ -502,15 +527,20 @@ def test_a_give_up_sends_the_next_chunks_to_the_loop_with_backoff(monkeypatch):
     times = np.sort(rng.integers(0, config.horizon, config.n_events))
     users = rng.integers(0, config.n_users, config.n_events)
     first = rng.random(config.n_events)
-    tried, gave_up = [], []
-    settle = ThinningSampler._settle
+    tried, gave_up, chunks = [], [], []
+    settle, start = ThinningSampler._settle, synthgen._Rounds.__init__
 
-    def recording(self, rounds, chunk_times, items, offset):
-        tried.append(offset // 64)
-        done = settle(self, rounds, chunk_times, items, offset)
+    def created(self, *args):
+        chunks.append(self)
+        start(self, *args)
+
+    def recording(self, rounds, chunk_times, items):
+        tried.append(chunks.index(rounds))
+        done = settle(self, rounds, chunk_times, items)
         gave_up.append(self._skip > 0)
         return done
 
+    monkeypatch.setattr(synthgen._Rounds, "__init__", created)
     monkeypatch.setattr(ThinningSampler, "_settle", recording)
     fast, loop = both_draws(truth, config.tau, users, times, first, seed=config.seed)
     assert_same_draws(fast, loop)
@@ -527,6 +557,71 @@ def test_a_give_up_sends_the_next_chunks_to_the_loop_with_backoff(monkeypatch):
             backoff = 1
     assert tried == expected
     assert tried[:3] == [0, 2, 5]  # the first two tries gave up
+
+
+def record_hand_offs(monkeypatch):
+    """Record each per-event loop call's (chunk size, first event) and each give-up's decided events."""
+    scans, give_ups = [], []
+    scan, give_up = ThinningSampler._scan, ThinningSampler._give_up
+
+    def scanning(self, rounds, times, lo, *rest):
+        scans.append((rounds.size, lo))
+        return scan(self, rounds, times, lo, *rest)
+
+    def giving_up(self, decided):
+        give_ups.append(decided)
+        return give_up(self, decided)
+
+    monkeypatch.setattr(ThinningSampler, "_scan", scanning)
+    monkeypatch.setattr(ThinningSampler, "_give_up", giving_up)
+    return scans, give_ups
+
+
+def test_the_benchmark_shape_settles_every_chunk_in_the_fixed_point(monkeypatch):
+    # the synth workload's shape: a change that sends its chunks to the loop
+    # keeps the draw exact, so only the hand-offs show it
+    scans, give_ups = record_hand_offs(monkeypatch)
+    config = SynthConfig(n_users=2000, n_items=1000, n_events=35_000, seed=41)
+    rng = np.random.default_rng(config.seed)
+    truth = sample_truth(config, rng)
+    times = np.sort(rng.integers(0, config.horizon, config.n_events))
+    users = rng.integers(0, config.n_users, config.n_events)
+    sampler = ThinningSampler(truth, config.tau, rng)
+    sampler.draw(users, times, rng.random(config.n_events))
+    assert give_ups == [] and sampler.fallbacks == 0
+    assert len(scans) == -(-config.n_events // synthgen.CHUNK)
+    assert all(lo == size for size, lo in scans)
+
+
+def test_passes_that_converge_hand_the_chunk_to_the_loop_at_its_first_unsettled_event(monkeypatch):
+    # no conformity, so the passes converge; one event rejects every proposal
+    # and falls back, and the loop takes the chunk from it, with no give-up
+    scans, give_ups = record_hand_offs(monkeypatch)
+    config = SynthConfig(n_users=200, n_items=300, n_events=3000, quality_scale=0.6, beta_scale=0.0, seed=16)
+    rng = np.random.default_rng(config.seed)
+    truth = sample_truth(config, rng)
+    times = np.sort(rng.integers(0, config.horizon, config.n_events))
+    users = rng.integers(0, config.n_users, config.n_events)
+    fast, loop = both_draws(truth, config.tau, users, times, rng.random(config.n_events), seed=config.seed)
+    assert_same_draws(fast, loop)
+    assert give_ups == [] and fast[1].fallbacks == 1
+    assert scans == [(3000, 1480)]
+
+
+def test_an_event_exactly_at_the_margin_is_the_loops(monkeypatch):
+    # pass 0 keeps the one event's first proposal; with _MARGIN set to that
+    # acceptance's exact distance from its uniform, the event is unsettled
+    scans, give_ups = record_hand_offs(monkeypatch)
+    truth, seed = fixed_truth(), 3
+    users, times, first = np.array([USER]), np.array([T_QUERY]), np.array([0.4])
+    rounds = synthgen._Rounds(ThinningSampler(truth, TAU, np.random.default_rng(seed)), users, first)
+    j, a = rounds.propose(np.array([0]))
+    p = rounds.acceptance0(j, times)
+    assert a[0] < p[0]
+    monkeypatch.setattr(synthgen, "_MARGIN", float(np.abs(a - p)[0]))
+    fast, loop = both_draws(truth, TAU, users, times, first, seed=seed)
+    assert_same_draws(fast, loop)
+    assert scans == [(1, 0)] and give_ups == []
 
 
 def test_events_at_one_time_see_only_strictly_earlier_clicks(monkeypatch):
