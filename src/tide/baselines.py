@@ -20,8 +20,9 @@ from .dataset import ChronoSplit, InteractionLog, part_assignments
 class PopularityTable:
     """Per-item training click counts, one row per uniform time part.
 
-    ``t_min``/``t_max`` are the split's time range, so ``query`` assigns a
-    time to its part exactly as the split assigned the training records.
+    ``t_min``/``t_max`` are the split's time range, read from its logs' own
+    integer times (its float boundaries round past 2^53), so ``query``
+    assigns a time to its part exactly as the split assigned the records.
     """
 
     per_period: np.ndarray
@@ -41,7 +42,9 @@ class PopularityTable:
 
     @classmethod
     def from_split(cls, split: ChronoSplit) -> "PopularityTable":
-        return cls.from_train(split.train, int(split.boundaries[0]), int(split.boundaries[-1]), split.parts)
+        logs = [log for log in (split.train, split.validation, split.test) if len(log)]
+        return cls.from_train(split.train, min(log.t_min for log in logs), max(log.t_max for log in logs),
+                              split.parts)
 
     @cached_property
     def _normalized(self) -> np.ndarray:

@@ -84,15 +84,10 @@ def resolve_config(args: argparse.Namespace, settings) -> dict:
     A flag sets the key named by its argparse dest: each setting's key reads ``args.<key>``.
     A file value must be of its setting's kind, and every resolved value within its bound.
     """
-    declared = {s.key: s for s in settings}
-    config = {key: s.default for key, s in declared.items()}
+    config = {s.key: s.default for s in settings}
     if getattr(args, "config", None):
         loaded = read_object(args.config, "config", "the config file")
-        unknown = set(loaded) - set(declared)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in loaded.items():
-            declared[key].check_kind(value, "the config file")
+        check_stored_config(loaded, settings, "the config file")
         config.update(loaded)
     for key in config:
         value = getattr(args, key, None)
@@ -104,6 +99,16 @@ def resolve_config(args: argparse.Namespace, settings) -> dict:
         config["data"] = str(config["data"])
     check_settings(settings, config)
     return config
+
+
+def check_stored_config(loaded: dict, settings, source: str) -> None:
+    """Refuse a key no setting declares, then a value of another kind than its setting's, naming ``source``."""
+    declared = {s.key: s for s in settings}
+    unknown = set(loaded) - set(declared)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)} in {source}")
+    for key, value in loaded.items():
+        declared[key].check_kind(value, source)
 
 
 @contextlib.contextmanager
@@ -241,9 +246,11 @@ def cmd_evaluate(args) -> int:
         raise ValueError("missing required option: checkpoint")
     ckpt_path = _checkpoint_file(config["checkpoint"])
     model, meta = load_checkpoint(ckpt_path)
-    if "config" not in meta:
-        raise ValueError(f"{ckpt_path} carries no training config; evaluate reads its method from it")
-    cfg = _train_config(meta["config"])
+    stored = meta.get("config") if isinstance(meta, dict) else None
+    if not isinstance(stored, dict):
+        raise ValueError(f"{ckpt_path} carries no training config object; evaluate reads its method from it")
+    check_stored_config(stored, SETTINGS["train"], f"the training config of {ckpt_path}")
+    cfg = _train_config(stored)
     method = cfg.method
     if config["gamma"] is not None:
         if method != "pda":

@@ -459,8 +459,15 @@ def n_core_filter(log: InteractionLog, n: int) -> InteractionLog:
 
 
 def part_assignments(times: np.ndarray, t_min: int, t_max: int, parts: int) -> np.ndarray:
-    """Uniform-interval part index per timestamp; boundary ties go to the later part."""
+    """Uniform-interval part index per timestamp; boundary ties go to the later part.
+
+    The index is (t - t_min) * parts // span in int64, so a span whose product
+    with ``parts`` does not fit int64 is refused rather than wrapped.
+    """
     span = int(t_max) - int(t_min)
+    if span * parts > np.iinfo(np.int64).max:
+        raise ValueError(f"a time span of {span} in {parts} parts overflows int64: "
+                         "span * parts must be at most 2^63 - 1")
     if span == 0:
         return np.full(times.size, parts - 1, dtype=np.int64)
     idx = ((times.astype(np.int64) - t_min) * parts) // span
@@ -578,7 +585,8 @@ def load_split(indir) -> ChronoSplit:
     """Reload a split written by ``save_split``.
 
     A manifest missing a key it writes, or holding a value of another kind,
-    is refused by name, and so is a partition id at or past its n_users or
+    is refused by name, and so are ``parts`` below 2, ``boundaries`` of any
+    length but ``parts + 1``, and a partition id at or past its n_users or
     n_items.
     """
     indir = Path(indir)
@@ -594,10 +602,16 @@ def load_split(indir) -> ChronoSplit:
     for key, value in values.items():
         if not (INTEGER.accepts(value) and value >= 0):
             raise DataFormatError(f"{manifest_path}: {key!r} must be a nonnegative integer, got {value!r}")
+    parts = manifest["parts"]
+    if parts < 2:
+        raise DataFormatError(f"{manifest_path}: 'parts' must be >= 2, got {parts}")
     boundaries = manifest["boundaries"]
     if not (isinstance(boundaries, list)
             and all(NUMBER.accepts(t) and math.isfinite(t) for t in boundaries)):
         raise DataFormatError(f"{manifest_path}: 'boundaries' must be a list of finite numbers, got {boundaries!r}")
+    if len(boundaries) != parts + 1:
+        raise DataFormatError(f"{manifest_path}: 'boundaries' must hold parts + 1 = {parts + 1} numbers, "
+                              f"got {len(boundaries)}")
     logs = {}
     for name, fname in _SPLIT_FILES.items():
         path = indir / fname
@@ -621,8 +635,8 @@ def load_split(indir) -> ChronoSplit:
         train=logs["train"],
         validation=logs["validation"],
         test=logs["test"],
-        boundaries=list(manifest["boundaries"]),
-        parts=int(manifest["parts"]),
+        boundaries=list(boundaries),
+        parts=parts,
         split_seed=int(manifest["seed"]),
     )
 

@@ -414,9 +414,9 @@ class FitResult:
 def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     """Train on the split's first parts, select on validation CP-Rec@K.
 
-    Keeps the best-validation parameters and stops once the metric has not
-    improved for ``early_stop_patience`` epochs. With an empty validation
-    partition the final parameters stand and no early stopping happens.
+    Keeps the parameters of the first epoch with the best validation metric,
+    and stops once more than ``early_stop_patience`` epochs have passed since
+    it. An empty validation partition ranks no user: the last epoch's stand.
 
     A user who clicked every item has no negative: their rows are left out of
     the pairwise loss (with a warning) but still feed the index and tables.
@@ -466,14 +466,11 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
     # the validation task does not change while training: build it once. A
     # scorer holds the coefficients of the parameters at its build, and Adam
     # updates them in place, so each epoch's pass builds its own.
-    validation = ClickTask(train, split.validation, cfg.k_select) if len(split.validation) else None
+    validation = ClickTask(train, split.validation, cfg.k_select)
     new_scorer = functools.partial(make_scorer, model, cfg.method, selection_mode(cfg),
                                    t_eval=train.t_max, index=index, table=table, gamma=cfg.gamma)
 
     result = FitResult(model=model)
-    best = model.copy()
-    best_metric = -np.inf
-    since_best = 0
     t0 = time.perf_counter()
     n = rows.size
     for epoch in range(cfg.epochs):
@@ -487,23 +484,17 @@ def fit(split: ChronoSplit, cfg: TrainConfig) -> FitResult:
             batch = TrainBatch(**{name: col[lo:hi] for name, col in columns.items()})
             loss_sum += grad_step(model, batch, cfg, adam) * (hi - lo)
         epoch_loss = loss_sum / n
-        metric = rank_tasks(new_scorer(), [validation])[0][0]["recall"] if validation is not None else None
+        metric = rank_tasks(new_scorer(), [validation])[0][0]["recall"]
         result.history.append({
             "epoch": epoch,
             "loss": epoch_loss,
             "val_cp_rec": metric,
             "wall_time": time.perf_counter() - t0,
         })
-        if metric is not None:
-            if metric > best_metric:
-                best_metric = metric
-                best = model.copy()
-                result.best_epoch = epoch
-                result.best_metric = metric
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best > cfg.early_stop_patience:
-                    break
-    result.model = best if result.best_epoch is not None else model
+        if metric is None:  # no validation user: result.model stays the live model
+            continue
+        if result.best_metric is None or metric > result.best_metric:
+            result.model, result.best_epoch, result.best_metric = model.copy(), epoch, metric
+        elif epoch - result.best_epoch > cfg.early_stop_patience:
+            break
     return result

@@ -13,6 +13,8 @@ depend on where OUTDIR lies. Two runs into the same relative path, under other
   gives up at its first pass, and the next chunk starts in the per-event loop);
 - prepare that log, train tide and pda, evaluate every tide mode and pda with
   ``--per-user`` (a mode's rows taken from a set order would differ), analyze;
+- train tide for up to 8 epochs at patience 1: early stopping ends the run and
+  its checkpoint holds an earlier epoch than the last it trained;
 - prepare ``tokens.tsv``, whose unrated row, half-star rating and 10-digit time
   pin the split writer's text;
 - a 100-user x 6,007-item log, trained and evaluated on test and on validation,
@@ -72,6 +74,8 @@ def pipeline() -> None:
         "--outdir", "eval")
     run("evaluate", "--data", prep, "--checkpoint", only("train-pda"), "--per-user", "--outdir", "eval-pda")
     run("analyze", "--data", prep, "--checkpoint", only("train"), "--outdir", "analyze")
+    run("train", "--data", prep, "--epochs", "8", "--patience", "1", "--embed-dim", "4", "--batch-size", "512",
+        "--outdir", "train-stop")
 
     run("prepare", "--data", "tokens.tsv", "--core-n", "1", "--parts", "2", "--outdir", "tokens")
 

@@ -14,7 +14,7 @@ from tide.baselines import (
 from tide.dataset import InteractionLog, chrono_split, part_assignments
 from tide.model import MATCHING_ONLY, TideModel
 from tide.numerics import elu_plus_one
-from tide.trainer import make_scorer
+from tide.trainer import TrainConfig, fit, make_scorer
 
 # the hyperparameter values the paper's baseline grids sweep
 PDA_GAMMA_GRID = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25)
@@ -53,10 +53,29 @@ def test_table_from_split_uses_split_boundaries():
     split = chrono_split(log, parts=10, split_seed=0)
     table = PopularityTable.from_split(split)
     assert table.parts == 10
-    assert (table.t_min, table.t_max) == (int(split.boundaries[0]), int(split.boundaries[-1]))
+    # below 2^53 the logs' exact range is the range the float boundaries give
+    assert (table.t_min, table.t_max) == (log.t_min, log.t_max) == (int(split.boundaries[0]), int(split.boundaries[-1]))
     # training records live in parts 0..8, so the final period stays empty
     assert table.per_period[9].sum() == 0
     assert table.per_period.sum() == len(split.train)
+
+
+def test_table_from_split_reads_the_exact_range_of_nanosecond_times():
+    # 1,700,000,000,123,456,968 ns is past 2^53: its float boundary rounds up by 56 ns
+    start = 1_700_000_000_123_456_968
+    assert int(float(start)) == start + 56
+    rng = np.random.default_rng(5)
+    times = start + np.sort(rng.integers(0, 10**15, 3000))
+    times[0] = start
+    log = InteractionLog.build(rng.integers(0, 40, 3000), rng.integers(0, 200, 3000), times, None, 40, 200)
+    split = chrono_split(log, parts=10, split_seed=0)
+    table = PopularityTable.from_split(split)
+    assert (table.t_min, table.t_max) == (start, log.t_max)
+    periods = part_assignments(split.train.times, start, log.t_max, 10)
+    for p in range(10):
+        assert np.array_equal(table.per_period[p], np.bincount(split.train.items[periods == p], minlength=200))
+    out = fit(split, TrainConfig(method="pda", embed_dim=4, epochs=1, seed=5))
+    assert out.best_metric is not None
 
 
 def test_normalized_divides_by_period_max():

@@ -496,11 +496,29 @@ def test_evaluate_reads_the_method_from_the_checkpoint_only(pipeline, tmp_path, 
 def test_evaluate_refuses_a_checkpoint_without_a_training_config(pipeline, tmp_path, capsys):
     model, _ = load_checkpoint(pipeline["train"] / "checkpoint.npz")
     bare = tmp_path / "bare.npz"
-    save_checkpoint(model, bare, meta=None)
-    rc = run_cli(["evaluate", "--data", pipeline["prep"], "--checkpoint", bare, "--outdir", tmp_path / "out"])
+    # no meta, a config that is no object, and meta that is no object
+    for meta in (None, {"config": [1]}, 5):
+        save_checkpoint(model, bare, meta=meta)
+        rc = run_cli(["evaluate", "--data", pipeline["prep"], "--checkpoint", bare, "--outdir", tmp_path / "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(bare) in err and "no training config" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"epochs": "1"}, "epochs must be an integer, got '1' from the training config of {path}"),
+    ({"bogus": 1}, "unknown config keys: ['bogus'] in the training config of {path}"),
+    ({"tau": None}, "tau must be a number, got None from the training config of {path}"),
+], ids=["epochs-text", "unknown-key", "tau-null"])
+def test_evaluate_refuses_a_checkpoint_whose_training_config_is_malformed(pipeline, tmp_path, capsys, edit,
+                                                                          message):
+    model, meta = load_checkpoint(pipeline["train"] / "checkpoint.npz")
+    path = tmp_path / "edited.npz"
+    save_checkpoint(model, path, meta={"config": {**meta["config"], **edit}})
+    rc = run_cli(["evaluate", "--data", pipeline["prep"], "--checkpoint", path, "--outdir", tmp_path / "out"])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert str(bare) in err and "no training config" in err
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -527,8 +545,12 @@ def test_evaluate_refuses_a_fixed_quality_that_is_not_positive_and_finite(pipeli
     ({"boundaries": [0, "1"]}, "{path}: 'boundaries' must be a list of finite numbers, got [0, '1']"),
     ({"n_items": 1}, "at or past 'n_items' = 1 in {path}"),
     ({"n_users": 1}, "at or past 'n_users' = 1 in {path}"),
+    ({"parts": 0}, "{path}: 'parts' must be >= 2, got 0"),
+    ({"parts": 1}, "{path}: 'parts' must be >= 2, got 1"),
+    ({"boundaries": []}, "{path}: 'boundaries' must hold parts + 1 = 11 numbers, got 0"),
 ], ids=["counts", "n-items", "counts-test", "list", "n-items-text", "counts-test-text", "parts-bool",
-        "seed-negative", "boundaries-text", "item-past-n-items", "user-past-n-users"])
+        "seed-negative", "boundaries-text", "item-past-n-items", "user-past-n-users", "parts-zero", "parts-one",
+        "boundaries-empty"])
 def test_a_malformed_split_manifest_is_refused_by_name(pipeline, tmp_path, capsys, manifest, message):
     prep = tmp_path / "prep"
     prep.mkdir()
@@ -1142,6 +1164,9 @@ def test_the_pipeline_writes_the_same_bytes_under_two_hash_seeds(tmp_path):
         runs.append((files, proc.stdout, proc.stderr))
     assert runs[0] == runs[1]
     out = tmp_path / "0" / "out"
+    # the early-stopped run ends before its last epoch and keeps one before the last it trained
+    stopped = json.loads((only_entry(out / "train-stop") / "train_summary.json").read_text())
+    assert stopped["epochs_run"] < 8 and stopped["best_epoch"] < stopped["epochs_run"] - 1
     for name, text in TOKEN_SPLITS.items():
         assert (only_entry(out / "tokens") / name).read_bytes() == text.encode()
     # the wide evaluations rank at least 3 blocks, the last one shorter

@@ -355,6 +355,19 @@ def test_part_assignments_single_instant():
     assert parts.tolist() == [9, 9, 9]
 
 
+def test_part_assignments_refuses_a_span_whose_product_with_parts_overflows():
+    # (t - t_min) * parts in int64 would wrap these to [0, 0, -2, -2]; the answer is [0, 4, 9, 9]
+    times = np.array([0, 2**61, 2**62, 2**62 + 5])
+    span = 2**62 + 5
+    with pytest.raises(ValueError, match=f"a time span of {span} in 10 parts overflows int64"):
+        part_assignments(times, 0, span, 10)
+    with pytest.raises(ValueError, match=f"a time span of {span} in 10 parts overflows int64"):
+        chrono_split(InteractionLog.build([0, 1, 0, 1], [0, 0, 1, 1], times), parts=10)
+    # the widest span that fits still assigns exactly
+    widest = (2**63 - 1) // 10
+    assert part_assignments(np.array([0, widest // 2 - 1, widest // 2, widest]), 0, widest, 10).tolist() == [0, 4, 5, 9]
+
+
 def make_random_log(seed, n=400, n_users=30, n_items=20, span=10_000):
     rng = np.random.default_rng(seed)
     return InteractionLog.build(

@@ -753,14 +753,38 @@ def test_fit_builds_the_validation_task_once(monkeypatch):
 
 
 def test_fit_early_stops_when_patience_runs_out():
-    split = synthetic_split(seed=2)
-    cfg = TrainConfig(
-        method="mf", embed_dim=8, epochs=50, early_stop_patience=1,
-        batch_size=1024, seed=2,
-    )
-    out = fit(split, cfg)
-    assert len(out.history) < 50
-    assert out.best_epoch <= len(out.history)
+    # 120 items at k = 5 keep the validation recall off its ceiling; it peaks at epochs 1 and 2, a tie
+    split = synthetic_split(seed=3, n=3000, n_items=120)
+    for patience in (0, 1, 3):
+        cfg = TrainConfig(method="mf", embed_dim=8, epochs=30, early_stop_patience=patience, batch_size=256,
+                          lr_emb=0.05, k_select=5, seed=3)
+        out = fit(split, cfg)
+        metrics = [row["val_cp_rec"] for row in out.history]
+        # the first epoch with the best metric is kept, and training stops patience + 1 epochs after it
+        assert out.best_epoch == int(np.argmax(metrics)) and out.best_metric == metrics[out.best_epoch]
+        assert len(out.history) == min(cfg.epochs, out.best_epoch + patience + 2) < cfg.epochs
+        scorer = make_scorer(out.model, cfg.method, selection_mode(cfg))
+        task = ClickTask(split.train, split.validation, cfg.k_select)
+        assert rank_tasks(scorer, [task])[0][0]["recall"] == out.best_metric
+
+
+def test_fit_without_a_validation_user_keeps_the_last_epoch(monkeypatch):
+    split = synthetic_split(seed=2, n=3000, n_items=120)
+    empty = InteractionLog.build([], [], [], None, split.train.n_users, split.train.n_items)
+    stepped = []
+
+    def recording_step(model, batch, cfg, adam):
+        loss = grad_step(model, batch, cfg, adam)
+        stepped.append(model.copy())
+        return loss
+
+    monkeypatch.setattr(trainer, "grad_step", recording_step)
+    cfg = TrainConfig(method="mf", embed_dim=8, epochs=4, early_stop_patience=0, batch_size=256, seed=2)
+    out = fit(replace(split, validation=empty), cfg)
+    assert [row["val_cp_rec"] for row in out.history] == [None] * 4
+    assert out.best_epoch is None and out.best_metric is None
+    for name in PARAMS:
+        assert np.array_equal(getattr(out.model, name), getattr(stepped[-1], name))
 
 
 def test_fit_is_deterministic():
