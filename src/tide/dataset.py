@@ -462,7 +462,9 @@ def part_assignments(times: np.ndarray, t_min: int, t_max: int, parts: int) -> n
     """Uniform-interval part index per timestamp; boundary ties go to the later part.
 
     The index is (t - t_min) * parts // span in int64, so a span whose product
-    with ``parts`` does not fit int64 is refused rather than wrapped.
+    with ``parts`` does not fit int64 is refused rather than wrapped. A time
+    past ``t_max`` reads the last part; it is clamped to ``t_max`` first, so
+    its own product cannot wrap either.
     """
     span = int(t_max) - int(t_min)
     if span * parts > np.iinfo(np.int64).max:
@@ -470,7 +472,7 @@ def part_assignments(times: np.ndarray, t_min: int, t_max: int, parts: int) -> n
                          "span * parts must be at most 2^63 - 1")
     if span == 0:
         return np.full(times.size, parts - 1, dtype=np.int64)
-    idx = ((times.astype(np.int64) - t_min) * parts) // span
+    idx = ((np.minimum(times.astype(np.int64), t_max) - t_min) * parts) // span
     return np.minimum(idx, parts - 1)
 
 
@@ -587,7 +589,8 @@ def load_split(indir) -> ChronoSplit:
     A manifest missing a key it writes, or holding a value of another kind,
     is refused by name, and so are ``parts`` below 2, ``boundaries`` of any
     length but ``parts + 1``, and a partition id at or past its n_users or
-    n_items.
+    n_items. A partition row that cannot be read is refused by its file and
+    line.
     """
     indir = Path(indir)
     manifest_path = indir / "manifest.json"
@@ -619,8 +622,11 @@ def load_split(indir) -> ChronoSplit:
         # an empty partition is an empty file, which _read_rows rejects as input
         rows = _fast_rows(path, raw_ids=False) if path.stat().st_size else np.zeros(0, dtype=_ROW)
         if rows is None:
-            users, items, ratings, times = _read_rows(path)
-            users, items = [int(u) for u in users], [int(i) for i in items]
+            try:
+                users, items, ratings, times = _read_rows(path)
+                users, items = [int(u) for u in users], [int(i) for i in items]
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: {exc}") from None
         else:
             users, items, ratings, times = rows["user"], rows["item"], rows["rating"], rows["time"]
         if len(users) != expected:

@@ -28,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import InteractionLog, _search_left, check_settings, save_interactions, setting, settings, write_json
-from .numerics import TANH_HI, bounded_tanh, chain_sums, softplus
+from .dataset import InteractionLog, check_settings, save_interactions, setting, settings, write_json
+from .model import ConformityIndex
+from .numerics import TANH_HI, bounded_tanh, softplus
 
 # Events whose proposals are drawn in one vectorized round, and the proposals
 # one event may have rejected before it is drawn from its full weight vector.
@@ -277,12 +278,14 @@ class ThinningSampler:
         A guess gives every event an item, or none while all its proposals
         are rejected. Each pass decides again, with numpy, every event after
         the first decision the last pass changed, from the chunk-start state
-        plus the guessed clicks strictly earlier. An event reads only earlier
-        clicks, so if every guess before the first wrong one is right, the
-        next pass corrects it, and a pass that changes nothing leaves the
-        loop's result. The first pass sees no in-chunk click, and acceptance
-        only grows with clicks, so its round-0 accepts are final and never
-        decided again.
+        plus the guessed clicks strictly earlier, read from a
+        ``ConformityIndex`` over them (the index training and serving read)
+        with the chunk's times ranked on its clock once per pass. An event
+        reads only earlier clicks, so if every guess before the first wrong
+        one is right, the next pass corrects it, and a pass that changes
+        nothing leaves the loop's result. The first pass sees no in-chunk
+        click, and acceptance only grows with clicks, so its round-0 accepts
+        are final and never decided again.
 
         The committed prefix ends at the first unsettled event: one with no
         kept proposal (a real fallback), or whose acceptance lies within
@@ -301,12 +304,8 @@ class ThinningSampler:
         before any pass where acceptance at the chunk's start is so low that
         over an eighth of the events reject their first seven proposals.
         """
-        n, tau, R = times.size, self.tau, MAX_REJECTIONS
+        n, R = times.size, MAX_REJECTIONS
         q, beta = self.truth.true_quality, self.truth.true_beta
-        # the first event at each event's time: the clicks before it are the strictly earlier ones
-        tied = np.ones(n, dtype=bool)
-        tied[1:] = times[1:] == times[:-1]
-        tie = np.maximum.accumulate(np.where(tied, 0, np.arange(n)))
 
         def test(ev, r, clicks):
             """Each (event, round) pair's proposal, whether it is kept, and its acceptance's distance to the uniform."""
@@ -349,31 +348,6 @@ class ThinningSampler:
                 width *= 2
             return item, used, margin
 
-        def decayed(clicked, at):
-            """Query, for (item j, event k) pairs, the sum over these clicks on j strictly before t_k.
-
-            Each click is an item and an event; ``chain_sums`` over the clicks
-            sorted by item, then event, gives each one's decayed sum so far.
-            ``ConformityIndex`` answers the same query, but ranking times on
-            its own clock made ``draw`` a fifth slower on the benchmark config.
-            """
-            key = clicked * n + at
-            order = np.argsort(key)
-            key, ct = key[order], times[at[order]]
-            same = key[1:] // n == key[:-1] // n
-            reach = np.zeros(key.size)
-            reach[1:] = np.where(same, np.exp(np.minimum(ct[:-1] - ct[1:], 0) / tau), 0.0)
-            cuts = np.flatnonzero(~same)
-            sums = chain_sums(reach, np.diff(cuts, prepend=-1, append=key.size - 1).max(initial=0))
-
-            def query(j, events):
-                pos = _search_left(key, j * n + tie[events]) - 1
-                hit = np.maximum(pos, 0)
-                found = (pos >= 0) & (key[hit] >= j * n)
-                return np.where(found, np.exp(np.minimum(ct[hit] - times[events], 0) / tau) * sums[hit], 0.0)
-
-            return query
-
         # pass 0, from the chunk-start state alone; where acceptance there is
         # low, the first clicks either raise it fast (and pass 0 guesses far
         # off) or leave many events to fall back, which the loop must draw
@@ -386,7 +360,9 @@ class ThinningSampler:
         counts = []  # the decisions each pass changed
         while (redo := np.flatnonzero(~pinned & (np.arange(n) > changed.min(initial=n)))).size:
             clicked = np.flatnonzero(g >= 0)
-            item, used[redo], margin[redo] = decide(redo, decayed(g[clicked], clicked))
+            index = ConformityIndex(g[clicked], times[clicked], self.n_items, self.tau)
+            ranks = index.timeline.ranks(times)
+            item, used[redo], margin[redo] = decide(redo, lambda j, ev: index.query(j, times[ev], ranks[ev]))
             changed = redo[item != g[redo]]
             g[redo] = item
             counts.append(changed.size)

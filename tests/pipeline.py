@@ -13,8 +13,10 @@ depend on where OUTDIR lies. Two runs into the same relative path, under other
   gives up at its first pass, and the next chunk starts in the per-event loop);
 - prepare that log, train tide and pda, evaluate every tide mode and pda with
   ``--per-user`` (a mode's rows taken from a set order would differ), analyze;
-- train tide for up to 8 epochs at patience 1: early stopping ends the run and
-  its checkpoint holds an earlier epoch than the last it trained;
+- train tide for up to 8 epochs at patience 1, selecting by validation
+  CP-Rec@1 (``stop.json``), which moves between epochs where CP-Rec@20 of 20
+  items is always 1: early stopping ends the run and its checkpoint holds an
+  earlier epoch than the last it trained;
 - prepare ``tokens.tsv``, whose unrated row, half-star rating and 10-digit time
   pin the split writer's text;
 - a 100-user x 6,007-item log, trained and evaluated on test and on validation,
@@ -38,6 +40,8 @@ TOKENS = "07\t1\t5\t100\n7\t1\t4\t200\n8\t2\t3\t300\n07\t2\t4\t400\n7\t2\t5\t500
          "8\t2\t3.5\t800\n7\t1\t4\t1000000000\n"
 TIDE_MODES = "full,int,e,noq,noc,fixq:0.5"
 TRAIN = ["--epochs", "1", "--embed-dim", "4", "--batch-size", "512"]
+# model selection at a cutoff below the catalog's 20 items
+STOP = {"k_select": 1}
 
 
 def wide_log() -> str:
@@ -61,6 +65,7 @@ def pipeline() -> None:
     """Write the inputs and run every stage, in the working directory."""
     Path("synth.json").write_text(json.dumps(SYNTH))
     Path("strong.json").write_text(json.dumps(STRONG))
+    Path("stop.json").write_text(json.dumps(STOP))
     Path("tokens.tsv").write_text(TOKENS)
     Path("wide.tsv").write_text(wide_log())
 
@@ -74,8 +79,8 @@ def pipeline() -> None:
         "--outdir", "eval")
     run("evaluate", "--data", prep, "--checkpoint", only("train-pda"), "--per-user", "--outdir", "eval-pda")
     run("analyze", "--data", prep, "--checkpoint", only("train"), "--outdir", "analyze")
-    run("train", "--data", prep, "--epochs", "8", "--patience", "1", "--embed-dim", "4", "--batch-size", "512",
-        "--outdir", "train-stop")
+    run("train", "--data", prep, "--config", "stop.json", "--epochs", "8", "--patience", "1", "--embed-dim", "4",
+        "--batch-size", "512", "--outdir", "train-stop")
 
     run("prepare", "--data", "tokens.tsv", "--core-n", "1", "--parts", "2", "--outdir", "tokens")
 

@@ -48,6 +48,11 @@ def test_table_periods_follow_part_assignments():
         assert np.array_equal(table.per_period[p], want)
 
 
+def test_table_query_reads_a_time_far_past_its_end_in_the_last_part():
+    table = PopularityTable(per_period=np.array([[1, 0], [0, 2], [3, 1]]), t_min=0, t_max=3 * 10**17)
+    assert table.query(np.array([0, 1]), 4 * 10**18).tolist() == [1.0, 1 / 3]
+
+
 def test_table_from_split_uses_split_boundaries():
     log = make_log(2, n=2000)
     split = chrono_split(log, parts=10, split_seed=0)

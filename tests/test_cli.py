@@ -9,11 +9,13 @@ measures the run itself.
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import json
 import math
 import os
 import re
+import shutil
 import signal
 import stat
 import subprocess
@@ -571,6 +573,39 @@ def test_a_malformed_split_manifest_is_refused_by_name(pipeline, tmp_path, capsy
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err and message.format(path=path) in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("part,column,value,message", [
+    ("validation", 2, "x", "line 3: non-numeric rating 'x'"),
+    ("train", 3, "-5", "line 3: negative timestamp"),
+], ids=["rating-text", "time-negative"])
+def test_a_malformed_split_partition_is_refused_by_file_and_line(pipeline, tmp_path, capsys, part, column, value,
+                                                                 message):
+    prep = tmp_path / "prep"
+    shutil.copytree(pipeline["prep"], prep)
+    path = prep / f"{part}.tsv"
+    lines = path.read_text().splitlines()
+    row = lines[2].split("\t")
+    row[column] = value
+    lines[2] = "\t".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli(["train", "--data", prep, "--epochs", 1, "--outdir", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_refuses_a_checkpoint_of_another_catalog(pipeline, tmp_path, capsys):
+    _, meta = load_checkpoint(pipeline["train"] / "checkpoint.npz")
+    manifest = json.loads((pipeline["prep"] / "manifest.json").read_text())
+    split = (manifest["n_users"], manifest["n_items"])
+    shape = (split[0] + 1, split[1] + 2)
+    other = tmp_path / "other.npz"
+    save_checkpoint(TideModel.init(*shape, dim=meta["config"]["embed_dim"], seed=0), other, meta=meta)
+    rc = run_cli(["evaluate", "--data", pipeline["prep"], "--checkpoint", other, "--outdir", tmp_path / "out"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: checkpoint and split disagree on user/item counts: "
+                                       f"checkpoint has {shape}, split has {split}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["user_emb", "item_emb", "q_raw", "beta_raw"])
@@ -1158,15 +1193,19 @@ def test_the_pipeline_writes_the_same_bytes_under_two_hash_seeds(tmp_path):
                               env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}, timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()
         out = tmp_path / seed / "out"
-        # every file but history.csv, which holds wall times
-        files = {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
-                 if path.is_file() and path.name != "history.csv"}
+        # every file, history.csv without its last column, which holds wall times
+        files = {path.relative_to(out): [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+                 if path.name == "history.csv" else path.read_bytes() for path in sorted(out.rglob("*"))
+                 if path.is_file()}
         runs.append((files, proc.stdout, proc.stderr))
     assert runs[0] == runs[1]
     out = tmp_path / "0" / "out"
-    # the early-stopped run ends before its last epoch and keeps one before the last it trained
+    # the early-stopped run ends before its last epoch and keeps one before the last it trained,
+    # chosen on a validation metric that moves between epochs
     stopped = json.loads((only_entry(out / "train-stop") / "train_summary.json").read_text())
     assert stopped["epochs_run"] < 8 and stopped["best_epoch"] < stopped["epochs_run"] - 1
+    with (only_entry(out / "train-stop") / "history.csv").open() as fh:
+        assert len({row["val_cp_rec"] for row in csv.DictReader(fh)}) >= 2
     for name, text in TOKEN_SPLITS.items():
         assert (only_entry(out / "tokens") / name).read_bytes() == text.encode()
     # the wide evaluations rank at least 3 blocks, the last one shorter

@@ -368,6 +368,11 @@ def test_part_assignments_refuses_a_span_whose_product_with_parts_overflows():
     assert part_assignments(np.array([0, widest // 2 - 1, widest // 2, widest]), 0, widest, 10).tolist() == [0, 4, 5, 9]
 
 
+def test_part_assignments_reads_a_time_far_past_t_max_in_the_last_part():
+    # (4e18 - 0) * 3 wraps int64 to part -22 unless the time is clamped to t_max first
+    assert part_assignments(np.array([4 * 10**18, 3 * 10**17, 10**17]), 0, 3 * 10**17, 3).tolist() == [2, 2, 1]
+
+
 def make_random_log(seed, n=400, n_users=30, n_items=20, span=10_000):
     rng = np.random.default_rng(seed)
     return InteractionLog.build(

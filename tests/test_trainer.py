@@ -444,6 +444,34 @@ def test_grad_step_raises_on_nonfinite():
         grad_step(model, batch, cfg, AdamState(model))
 
 
+@pytest.mark.parametrize("name", trainer.PARAMS)
+def test_grad_step_refuses_a_non_finite_row_gradient_before_any_update(name, monkeypatch):
+    # a finite loss whose row gradient holds a NaN: the gradient check alone must refuse it
+    cfg = TrainConfig(method="tide", variant="full")
+    model, batch = tiny_setup(cfg, 26)
+    real = trainer.batch_loss_and_row_grads
+
+    def poisoned(model, batch, cfg):
+        loss, grads = real(model, batch, cfg)
+        rows, g = grads[name]
+        g = g.copy()
+        g.flat[-1] = np.nan
+        grads[name] = (rows, g)
+        return loss, grads
+
+    adam = AdamState(model)
+    grad_step(model, batch, cfg, adam)  # one real step, so the moments are not all zero
+    monkeypatch.setattr(trainer, "batch_loss_and_row_grads", poisoned)
+    params = {p: getattr(model, p).copy() for p in trainer.PARAMS}
+    moments = {p: (adam.m1[p].copy(), adam.m2[p].copy()) for p in trainer.PARAMS}
+    with pytest.raises(FloatingPointError, match=f"^non-finite gradient in {name} at adam step 2$"):
+        grad_step(model, batch, cfg, adam)
+    assert adam.step == 1
+    for p in trainer.PARAMS:
+        assert np.array_equal(getattr(model, p), params[p])
+        assert np.array_equal(adam.m1[p], moments[p][0]) and np.array_equal(adam.m2[p], moments[p][1])
+
+
 def test_init_model_pins_frozen_components():
     noq = init_model(TrainConfig(method="tide", variant="noq"), 3, 4)
     assert (noq.quality == 0.0).all()
